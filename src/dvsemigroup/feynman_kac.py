@@ -14,21 +14,23 @@ started from the uniform distribution gives
 
 with an O(1/t) bias from the finite horizon.
 
-Randomness comes from a counter-based (Philox) generator with one stream
-per path derived from (seed, path index), so results do not depend on
-how paths are scheduled across workers.
+estimate_lambda advances a block of paths in lockstep, one Gillespie step
+of every live path per round of numpy operations.  Randomness comes from
+a counter-based (Philox) generator with one stream per block of paths,
+derived from (seed, block index), so results do not depend on how blocks
+are scheduled across workers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DimensionMismatch
 from .generator import Generator, as_potential
 
-_CHUNK = 64  # draws consumed per refill of a path's random buffers
+_BLOCK = 1024  # paths per random stream in estimate_lambda
 
 
 @dataclass(frozen=True)
@@ -50,7 +52,7 @@ class PathSample:
 
 
 def path_stream(seed: int, index: int) -> np.random.Generator:
-    """Counter-based per-path stream; independent of scheduling order."""
+    """Counter-based stream for (seed, index); independent of scheduling order."""
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(index,))))
 
@@ -62,76 +64,97 @@ def log_mean_exp(values: np.ndarray) -> float:
     return shift + float(np.log(np.exp(values - shift).mean()))
 
 
-def _simulate(Q: Generator, V: np.ndarray | None, x0: int, t: float,
-              rng: np.random.Generator, record: bool):
-    """Core Gillespie loop; draws arrive in chunks from the path stream."""
-    rates = -np.diag(Q.rates)
+def _horizon(t: float) -> float:
+    t = float(t)
+    if not np.isfinite(t):
+        raise ValueError("horizon must be finite")
+    if t <= 0:
+        raise ValueError("horizon must be positive")
+    return t
+
+
+def _jump_chain(Q: Generator):
+    """Exit rates -Q_ii and the row CDFs of the embedded jump chain.
+
+    Each CDF row ends at exactly 1.0 (absorbing rows are NaN and never
+    read), so for u in [0, 1) the first entry above u always exists and
+    belongs to a state with positive jump probability.
+    """
     jump = Q.rates.copy()
     np.fill_diagonal(jump, 0.0)
-    row_tot = jump.sum(axis=1)
+    cum = np.cumsum(jump, axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
-        cum = np.cumsum(jump, axis=1) / row_tot[:, None]
+        cum /= cum[:, -1:]
+    return -np.diag(Q.rates), cum
 
+
+def _sample_path(Q: Generator, x0: int, t: float, seed: int, index: int) -> PathSample:
+    """One exact Gillespie path from path_stream(seed, index), weight left at zero."""
+    if not 0 <= x0 < Q.dim:
+        raise DimensionMismatch(f"start state {x0} outside 0..{Q.dim - 1}")
+    t = _horizon(t)
+    rates, cum = _jump_chain(Q)
+    rng = path_stream(seed, index)
     x = int(x0)
     elapsed = 0.0
-    wexp = 0.0
-    states = [x] if record else None
-    holds = [] if record else None
-
-    exps = rng.standard_exponential(_CHUNK)
-    unis = rng.random(_CHUNK)
-    k = 0
+    states, holds = [x], []
     while True:
-        rate = rates[x]
-        if rate <= 0.0:
-            tau = t - elapsed          # absorbing row: hold forever
-        else:
-            if k >= _CHUNK:
-                exps = rng.standard_exponential(_CHUNK)
-                unis = rng.random(_CHUNK)
-                k = 0
-            tau = exps[k] / rate
-        if elapsed + tau >= t or rate <= 0.0:
-            tau = t - elapsed
-            if record:
-                holds.append(tau)
-            if V is not None:
-                wexp += V[x] * tau
+        tau = rng.standard_exponential() / rates[x] if rates[x] > 0.0 else np.inf
+        if elapsed + tau >= t:
+            holds.append(t - elapsed)
             break
-        if record:
-            holds.append(tau)
-        if V is not None:
-            wexp += V[x] * tau
+        holds.append(tau)
         elapsed += tau
-        x = int(np.searchsorted(cum[x], unis[k]))
-        k += 1
-        if record:
-            states.append(x)
-
-    if record:
-        return np.array(states, dtype=np.intp), np.array(holds), wexp
-    return None, None, wexp
+        x = int(np.searchsorted(cum[x], rng.random(), side="right"))
+        states.append(x)
+    return PathSample(states=np.array(states, dtype=np.intp), holding_times=np.array(holds),
+                      total_time=t, weight_exponent=0.0)
 
 
 def simulate_ctmc(Q: Generator, x0: int, t: float, seed: int) -> PathSample:
     """Sample one path of the chain started at x0, truncated at time t."""
-    if not 0 <= x0 < Q.dim:
-        raise DimensionMismatch(f"start state {x0} outside 0..{Q.dim - 1}")
-    if t <= 0:
-        raise ValueError("horizon must be positive")
-    states, holds, _ = _simulate(Q, None, x0, float(t), path_stream(seed, 0), True)
-    return PathSample(states=states, holding_times=holds,
-                      total_time=float(t), weight_exponent=0.0)
+    return _sample_path(Q, x0, t, seed, 0)
 
 
 def sample_weighted_path(Q: Generator, V, x0: int, t: float, seed: int,
                          index: int = 0) -> PathSample:
     """Like simulate_ctmc but also accumulates the potential weight."""
     V = as_potential(V, Q.dim)
-    states, holds, wexp = _simulate(Q, V.values, x0, float(t),
-                                    path_stream(seed, index), True)
-    return PathSample(states=states, holding_times=holds,
-                      total_time=float(t), weight_exponent=wexp)
+    path = _sample_path(Q, x0, t, seed, index)
+    return replace(path, weight_exponent=float(V.values[path.states] @ path.holding_times))
+
+
+def _weight_exponents(Q: Generator, vv: np.ndarray, t: float, n_paths: int,
+                      seed: int) -> np.ndarray:
+    """int_0^t V(X_s) ds on n_paths exact Gillespie paths from uniform starts.
+
+    Block b of _BLOCK paths draws from path_stream(seed, b): its start
+    states, then per step one exponential and one uniform for each path
+    still short of the horizon.  Working memory is O(_BLOCK * dim).
+    """
+    rates, cum = _jump_chain(Q)
+    out = np.empty(n_paths)
+    for b, lo in enumerate(range(0, n_paths, _BLOCK)):
+        rng = path_stream(seed, b)
+        n = min(_BLOCK, n_paths - lo)
+        live = np.arange(lo, lo + n)
+        x = rng.integers(0, Q.dim, size=n)
+        left = np.full(n, t)
+        wexp = np.zeros(n)
+        while live.size:
+            # an absorbing state (rate 0) holds until the horizon; fmin
+            # also maps its 0/0 to the time left
+            with np.errstate(divide="ignore", invalid="ignore"):
+                hold = np.fmin(rng.standard_exponential(live.size) / rates[x], left)
+            u = rng.random(live.size)
+            wexp += vv[x] * hold
+            left -= hold
+            more = left > 0.0
+            if not more.all():
+                out[live[~more]] = wexp[~more]
+                live, x, left, wexp, u = live[more], x[more], left[more], wexp[more], u[more]
+            x = (cum.take(x, axis=0) > u[:, None]).argmax(axis=1)
+    return out
 
 
 def estimate_lambda(Q: Generator, V, t: float, n_paths: int, seed: int):
@@ -140,26 +163,19 @@ def estimate_lambda(Q: Generator, V, t: float, n_paths: int, seed: int):
     estimate = (1/t) log( mean over paths of exp(weight exponent) ),
     computed through a shifted log-mean-exp so large exponents never
     overflow.  Start states are drawn uniformly, one per path, from the
-    path's own stream.  A constant potential makes every weight
+    stream of the path's block.  A constant potential makes every weight
     deterministic, so that case returns the constant exactly with zero
     error and no sampling.
     """
     if n_paths < 2:
         raise ValueError("need at least two paths")
-    if t <= 0:
-        raise ValueError("horizon must be positive")
+    t = _horizon(t)
     V = as_potential(V, Q.dim)
     vv = V.values
     if float(vv.max() - vv.min()) == 0.0:
         return float(vv[0]), 0.0
 
-    exponents = np.empty(n_paths)
-    for i in range(n_paths):
-        rng = path_stream(seed, i)
-        x0 = int(rng.integers(0, Q.dim))
-        _, _, wexp = _simulate(Q, vv, x0, float(t), rng, False)
-        exponents[i] = wexp
-
+    exponents = _weight_exponents(Q, vv, t, n_paths, seed)
     estimate = log_mean_exp(exponents) / t
     scaled = np.exp(exponents - float(exponents.max()))
     std_error = float(scaled.std(ddof=1)) / (np.sqrt(n_paths) * float(scaled.mean()) * t)

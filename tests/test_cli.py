@@ -147,6 +147,12 @@ class TestMain:
         assert set(result) >= {"lambda_mc", "stderr", "lambda_spectral"}
         assert result["paths"] == 64
 
+    def test_mc_nonfinite_horizon_exits_1(self, tmp_path):
+        path = write_scenario(tmp_path, BASE)
+        out = str(tmp_path / "mc.json")
+        assert main(["mc", path, "-o", out, "--t", "nan", "--paths", "10"]) == 1
+        assert json.loads(open(out).read())["error"]["type"] == "ValueError"
+
     def test_hk_subcommands(self, tmp_path):
         body = dict(BASE, N=2, V0={"pairwise": [[0.0, 1.0], [1.0, 0.0]]},
                     tasks=[{"name": "hk-verify", "options": {"v2": [0.0, 2.0]}},

@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from dvsemigroup import (
+    DimensionMismatch,
     estimate_lambda,
     log_mean_exp,
     occupation_measure,
@@ -52,6 +53,20 @@ class TestSimulate:
         occ = occupation_measure(path, 2) * path.total_time
         assert path.weight_exponent == pytest.approx(float(occ @ V), abs=1e-12)
 
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_rejects_bad_horizon(self, two_state, t):
+        with pytest.raises(ValueError):
+            simulate_ctmc(two_state, 0, t, seed=0)
+        with pytest.raises(ValueError):
+            sample_weighted_path(two_state, [1.0, 0.0], 0, t, seed=0)
+
+    @pytest.mark.parametrize("x0", [-1, 2])
+    def test_rejects_bad_start(self, two_state, x0):
+        with pytest.raises(DimensionMismatch):
+            simulate_ctmc(two_state, x0, 1.0, seed=0)
+        with pytest.raises(DimensionMismatch):
+            sample_weighted_path(two_state, [1.0, 0.0], x0, 1.0, seed=0)
+
 
 class TestEstimateLambda:
     def test_zero_potential_exact(self, two_state):
@@ -75,18 +90,35 @@ class TestEstimateLambda:
         assert shifted - base == pytest.approx(c, abs=1e-12)
 
     def test_schedule_independence(self, two_state):
-        # per-path streams: a subset of paths reproduces regardless of the
-        # other paths having been drawn
-        from dvsemigroup.feynman_kac import _simulate, path_stream
-        exps = []
-        for i in (0, 3):
-            rng = path_stream(77, i)
-            x0 = int(rng.integers(0, 2))
-            exps.append(_simulate(two_state, np.array([1.0, 0.0]), x0, 5.0, rng, False)[2])
-        rng = path_stream(77, 3)
-        x0 = int(rng.integers(0, 2))
-        again = _simulate(two_state, np.array([1.0, 0.0]), x0, 5.0, rng, False)[2]
-        assert again == exps[1]
+        # one stream per block: block 0 reproduces whether or not later
+        # blocks are drawn
+        from dvsemigroup.feynman_kac import _BLOCK, _weight_exponents
+        V = np.array([1.0, 0.0])
+        one = _weight_exponents(two_state, V, 5.0, _BLOCK, 77)
+        three = _weight_exponents(two_state, V, 5.0, 3 * _BLOCK, 77)
+        assert np.array_equal(three[:_BLOCK], one)
+        assert not np.array_equal(three[_BLOCK:2 * _BLOCK], one)
+
+    @pytest.mark.parametrize("raw_Q, V, t, n", [
+        # unequal exit rates, state 0 absorbing
+        ([[0.0, 0.0], [1.0, -1.0]], [0.3, 0.0], 20.0, 4000),
+        # stiff: exit rates 1e6, 2 and 1e-6
+        ([[-1e6, 1e6, 0.0], [1.0, -2.0, 1.0], [0.0, 1e-6, -1e-6]], [0.0, 1.0, 2.0],
+         50.0, 2000),
+    ])
+    def test_matches_finite_horizon_value(self, raw_Q, V, t, n):
+        # the estimator's target at finite t is (1/t) log mean_x (e^{t(Q+V)} 1)_x
+        Q = validate_generator(raw_Q)
+        est, se = estimate_lambda(Q, V, t, n, seed=31)
+        exact = np.log(oracles.scipy_expm(t * (Q.rates + np.diag(V))).sum(axis=1).mean()) / t
+        assert se > 0.0
+        assert abs(est - exact) <= 4.0 * se
+
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_rejects_bad_horizon(self, two_state, t):
+        for V in ([1.0, 0.0], [0.3, 0.3]):
+            with pytest.raises(ValueError):
+                estimate_lambda(two_state, V, t, 10, seed=0)
 
     def test_needs_two_paths(self, two_state):
         with pytest.raises(ValueError):
