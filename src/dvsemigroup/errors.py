@@ -34,7 +34,8 @@ class DimensionMismatch(DVSemigroupError):
 
 
 class NonFinite(DVSemigroupError):
-    """A computation overflowed or produced NaN; reported, never saturated."""
+    """A computation overflowed, underflowed to zero where a positive value
+    is required, or produced NaN; reported, never saturated."""
 
 
 class NegativeInput(DVSemigroupError):

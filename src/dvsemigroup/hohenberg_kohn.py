@@ -276,9 +276,6 @@ def reduced_functional(sys: TensorSystem, V0, rho,
             r = AE @ p - rho_v
             grad_mu = -h - V0v + A.T @ y + 2.0 * beta * (A.T @ r)
             g = E.T @ grad_mu
-            g_proj = g - g.mean()
-            if np.abs(g_proj).max() <= max(1e-12, 1e-11 * beta):
-                break
             HI = hessian_of_rate(Lw, H)
             Hphi = E.T @ (HI + 2.0 * beta * (A.T @ A)) @ E
             K = np.zeros((m + 1, m + 1))
@@ -290,13 +287,17 @@ def reduced_functional(sys: TensorSystem, V0, rho,
             try:
                 step = np.linalg.solve(K, rhs)[:m]
             except np.linalg.LinAlgError:
-                step = -g_proj
+                step = -(g - g.mean())
+            phi0 = I - mu @ V0v + y @ r + beta * float(r @ r)
+            descent = float(g @ step)
+            # Newton-decrement stop: once the predicted decrease is at
+            # round-off, backtracking can only chase noise in phi
+            if -descent <= 1e-15 * max(1.0, abs(phi0)):
+                break
             s = 1.0
             shrink = step < 0
             if shrink.any():
                 s = min(1.0, 0.95 * float(np.min(-p[shrink] / step[shrink])))
-            phi0 = I - mu @ V0v + y @ r + beta * float(r @ r)
-            descent = float(g @ step)
             moved = False
             for _ in range(50):
                 p_try = p + s * step

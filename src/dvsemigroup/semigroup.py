@@ -37,9 +37,6 @@ _PADE13 = (
 # downstream logarithms require strict signs.
 CLAMP_BAND = 1e-14
 
-_EXPM_CACHE: dict[bytes, np.ndarray] = {}
-_EXPM_CACHE_MAX = 64
-
 
 def expm(A: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling and squaring.
@@ -53,11 +50,6 @@ def expm(A: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(f"expected a square matrix, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise NonFinite("matrix exponential of a non-finite matrix")
-
-    key = A.tobytes() + bytes([A.shape[0] % 251])
-    hit = _EXPM_CACHE.get(key)
-    if hit is not None:
-        return hit
 
     norm = float(np.abs(A).sum(axis=1).max())
     s = 0
@@ -81,11 +73,6 @@ def expm(A: np.ndarray) -> np.ndarray:
             R = R @ R
     if not np.all(np.isfinite(R)):
         raise NonFinite("matrix exponential overflowed")
-
-    if len(_EXPM_CACHE) >= _EXPM_CACHE_MAX:
-        _EXPM_CACHE.pop(next(iter(_EXPM_CACHE)))
-    R.setflags(write=False)
-    _EXPM_CACHE[key] = R
     return R
 
 

@@ -18,17 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DimensionMismatch
+from .errors import ConvergenceFailure, DimensionMismatch, NonFinite
 from .generator import Generator, as_potential, validate_generator
 from .semigroup import expm
 
-MAX_POWER_ITERATIONS = 10000
-PLATEAU_WINDOW = 50
+_NODA_STEPS = 100
 
 
 @dataclass(frozen=True)
 class ProbMeasure:
-    """Probability vector: entries >= 0, total mass 1 (renormalized exactly)."""
+    """Probability vector: finite entries >= 0, total mass 1 (renormalized exactly)."""
 
     weights: np.ndarray
 
@@ -36,6 +35,8 @@ class ProbMeasure:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1:
             raise DimensionMismatch("measure must be a 1-d vector")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("measure weights must be finite")
         if (w < 0).any():
             i = int(np.argmin(w))
             raise ValueError(f"measure has negative weight {w[i]} at state {i}")
@@ -82,76 +83,72 @@ class GroundData:
     mu: ProbMeasure
 
 
-def principal_eigen(Q: Generator, V, max_iterations: int = MAX_POWER_ITERATIONS) -> GroundData:
+def _noda(M: np.ndarray, scale: float) -> tuple[np.ndarray, int]:
+    """Perron vector of the Metzler matrix M by Noda's iteration.
+
+    Each step bounds the Perron root by the Collatz-Wielandt ratios
+    r = Mx/x, min r <= lambda <= max r, stops once that bracket is below
+    1e-13 * scale, and otherwise solves (max r I - M) y = x.  The shifted
+    matrix is an M-matrix, so y > 0, and max r falls monotonically to
+    lambda (Noda 1971; Elsner 1976).  The shift is raised by 1e-14 * scale,
+    below the stopping tolerance, so the solve stays nonsingular where
+    max r equals lambda before x has converged, as a reducible M allows.  Only the bracket certifies the tiny
+    entries of x, which keep improving after max r has settled.  A
+    singular, non-finite or non-positive solve ends the iteration, and
+    the caller's residual check gives the verdict.  Returns (x, steps),
+    x > 0 with unit sum.
+    """
+    d = M.shape[0]
+    x = np.full(d, 1.0 / d)
+    for steps in range(1, _NODA_STEPS + 1):
+        r = (M @ x) / x
+        sigma = float(r.max())
+        if sigma - float(r.min()) <= 1e-13 * scale:
+            break
+        try:
+            y = np.linalg.solve((sigma + 1e-14 * scale) * np.eye(d) - M, x)
+        except np.linalg.LinAlgError:
+            break
+        if not (np.all(np.isfinite(y)) and y.min() > 0):
+            break
+        y /= y.sum()
+        if y.min() == 0.0:  # an entry underflowed
+            break
+        x = y
+    return x, steps
+
+
+def principal_eigen(Q: Generator, V) -> GroundData:
     """Principal eigenvalue and eigenvectors of M = Q + diag(V).
 
-    Power iteration runs on P = exp(h M) with h = 1 / max|M_ii|, whose
-    entries are strictly positive for a connected generator, so the
-    iteration converges to the Perron pair from the uniform start vector.
-    Two inverse-iteration polish steps with the two-sided Rayleigh
-    quotient shift then push the residual to the round-off floor.
-    Output is deterministic: no random starts, fixed sign convention.
+    _noda runs on M for psi and on M^T for pi; lambda is the two-sided
+    Rayleigh quotient of the pair.  Raises ConvergenceFailure unless both
+    eigen-residuals are below 1e-9 * max|M_ij| and both vectors are
+    positive, and NonFinite when psi * pi underflows to zero.  Output is
+    deterministic: no random starts, fixed sign convention.
     """
     V = as_potential(V, Q.dim)
     M = Q.rates + np.diag(V.values)
-    d = Q.dim
-    if d == 1:
+    if Q.dim == 1:
         one = np.ones(1)
         return GroundData(lam=float(V.values[0]), psi=one,
                           pi=ProbMeasure(one), mu=ProbMeasure(one))
 
     scale = max(1.0, float(np.abs(M).max()))
-    h = 1.0 / max(float(np.abs(np.diag(M)).max()), 1e-30)
-    P = expm(h * M)
-
-    v = np.full(d, 1.0 / d)
-    w = np.full(d, 1.0 / d)
-    residual = np.inf
-    plateau_mark = np.inf
-    iterations = 0
-    for it in range(1, max_iterations + 1):
-        iterations = it
-        v = P @ v
-        v /= v.sum()
-        w = P.T @ w
-        w /= w.sum()
-        if it % 10 == 0 or it == max_iterations:
-            lam = float((w @ (M @ v)) / (w @ v))
-            residual = max(float(np.abs(M @ v - lam * v).max()),
-                           float(np.abs(M.T @ w - lam * w).max()))
-            if residual <= 1e-13 * scale:
-                break
-            if it % PLATEAU_WINDOW == 0:
-                if residual > 0.5 * plateau_mark:
-                    break  # stalled; the polish below finishes the job
-                plateau_mark = residual
-
-    for _ in range(2):
-        lam = float((w @ (M @ v)) / (w @ v))
-        shifted = M - (lam + 1e-14 * scale) * np.eye(d)
-        try:
-            v_new = np.linalg.solve(shifted, v)
-            w_new = np.linalg.solve(shifted.T, w)
-        except np.linalg.LinAlgError:
-            break
-        if not (np.all(np.isfinite(v_new)) and np.all(np.isfinite(w_new))):
-            break
-        v_new *= np.sign(v_new.sum()) or 1.0
-        w_new *= np.sign(w_new.sum()) or 1.0
-        if v_new.min() <= 0 or w_new.min() <= 0:
-            break
-        v = v_new / v_new.sum()
-        w = w_new / w_new.sum()
-
+    v, steps_v = _noda(M, scale)
+    w, steps_w = _noda(M.T, scale)
     lam = float((w @ (M @ v)) / (w @ v))
     residual = max(float(np.abs(M @ v - lam * v).max()),
                    float(np.abs(M.T @ w - lam * w).max()))
     if residual > 1e-9 * scale or v.min() <= 0 or w.min() <= 0:
-        raise ConvergenceFailure(iterations, residual)
+        raise ConvergenceFailure(steps_v + steps_w, residual)
 
     pi = w / w.sum()
     psi = v / float(v @ pi)
     mu = psi * pi
+    zeros = int(np.count_nonzero(mu == 0.0))
+    if zeros:
+        raise NonFinite(f"equilibrium measure underflows at {zeros} states")
     return GroundData(lam=lam, psi=psi, pi=ProbMeasure(pi), mu=ProbMeasure(mu))
 
 

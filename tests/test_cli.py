@@ -169,8 +169,19 @@ class TestMain:
         assert -1.0 <= by_task["ihk"]["I_HK"] < 0.5
 
     def test_multi_scenario_jobs(self, tmp_path):
-        p1 = write_scenario(tmp_path, dict(BASE, name="s1", tasks=["validate"]), "s1.json")
-        p2 = write_scenario(tmp_path, dict(BASE, name="s2", tasks=["spectral"]), "s2.json")
+        # concurrent scenarios share no mutable state, so each report
+        # equals the one a single-scenario run writes, up to timings
+        tasks = ["validate", "spectral", "rate", "averaging"]
+        body = dict(BASE, t_grid=[1.0, 2.0], tasks=tasks)
+        p1 = write_scenario(tmp_path, dict(body, name="s1"), "s1.json")
+        p2 = write_scenario(tmp_path, dict(body, name="s2", v=[0.0, 2.0]), "s2.json")
         out_dir = str(tmp_path / "reports")
         assert main(["run", p1, p2, "-o", out_dir, "--jobs", "2"]) == 0
         assert sorted(os.listdir(out_dir)) == ["s1.report.json", "s2.report.json"]
+        for stem, path in (("s1", p1), ("s2", p2)):
+            single = str(tmp_path / f"{stem}.single.json")
+            assert main(["run", path, "-o", single]) == 0
+            jobs = json.loads(open(os.path.join(out_dir, f"{stem}.report.json")).read())
+            alone = json.loads(open(single).read())
+            del jobs["timings"], alone["timings"]
+            assert json.dumps(jobs, sort_keys=True) == json.dumps(alone, sort_keys=True)

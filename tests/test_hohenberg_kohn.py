@@ -152,6 +152,29 @@ class TestReducedFunctional:
         assert total_variation(marginal(res.mu, sys), rho) <= 1e-8
         assert is_symmetric(res.mu, sys, tol=1e-9)
 
+    def test_inner_solves_do_not_chase_round_off(self, pair_system, monkeypatch):
+        # The projected gradient can stick at round-off above a gradient
+        # threshold; a stage stopped that way runs every Newton step with
+        # full backtracking on some last-bit changes of rho, over 1000
+        # inner solves instead of about 40.
+        from dvsemigroup import hohenberg_kohn, rate_function
+        sys, V0 = pair_system
+        _, _, rho = equilibrium_marginal(sys, V0, [0.0, 1.0])
+        calls = []
+        inner = rate_function._newton_min
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(rate_function, "_newton_min", counted)
+        monkeypatch.setattr(hohenberg_kohn, "_newton_min", counted)
+        for k in range(-4, 5):
+            calls.clear()
+            nudged = rho.weights * (1.0 + k * 1.1e-16 * np.array([1.0, -1.0]))
+            reduced_functional(sys, V0, nudged)
+            assert len(calls) <= 100, k
+
 
 class TestReducedVariational:
     def test_constant_external_no_interaction(self, two_state):

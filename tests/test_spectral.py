@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from dvsemigroup import (
+    NonFinite,
     ProbMeasure,
     doob_transform,
     expm,
@@ -20,6 +21,30 @@ from dvsemigroup import (
 )
 
 
+def birth_death(n):
+    """Unit-rate nearest-neighbour chain on n states."""
+    Q = np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
+    return Q - np.diag(Q.sum(axis=1))
+
+
+def weakly_coupled_blocks():
+    """Two 32-state complete blocks, unit rates inside, 1e-9 across."""
+    Q = np.full((64, 64), 1e-9)
+    Q[:32, :32] = Q[32:, 32:] = 1.0
+    np.fill_diagonal(Q, 0.0)
+    return Q - np.diag(Q.sum(axis=1))
+
+
+HARD_INSTANCES = [
+    pytest.param(birth_death(256), 0.01 * np.linspace(-1.0, 1.0, 256),
+                 0.00817247146611, id="birth_death_256"),
+    pytest.param(weakly_coupled_blocks(), 1e-3 * np.arange(64) / 64,
+                 7.42156152456e-4, id="weakly_coupled_blocks"),
+    pytest.param(np.array([[-1e6, 1e6, 0.0], [1.0, -2.0, 1.0], [0.0, 1e-6, -1e-6]]),
+                 np.array([0.0, 1.0, 2.0]), 1.9999995, id="stiff_three_state"),
+]
+
+
 class TestProbMeasure:
     def test_renormalizes(self):
         m = ProbMeasure(np.array([0.5, 0.5 + 4e-13]))
@@ -32,6 +57,11 @@ class TestProbMeasure:
     def test_rejects_bad_total(self):
         with pytest.raises(ValueError):
             ProbMeasure(np.array([0.6, 0.6]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError):
+            ProbMeasure(np.array([bad, 1.0]))
 
 
 class TestPrincipalEigen:
@@ -109,6 +139,26 @@ class TestPrincipalEigen:
         gd = principal_eigen(validate_generator([[0.0]]), [2.5])
         assert gd.lam == 2.5
         assert gd.psi.tolist() == [1.0]
+
+    @pytest.mark.parametrize("Q, V, lam", HARD_INSTANCES)
+    def test_hard_instances(self, Q, V, lam):
+        # slow mixing, near-reducibility and rates spanning 12 decades
+        gd = principal_eigen(validate_generator(Q), V)
+        scale = max(1.0, np.abs(Q + np.diag(V)).max())
+        assert abs(gd.lam - lam) <= 1e-9 * scale
+        assert gd.psi.min() > 0 and gd.pi.weights.min() > 0
+
+    def test_absorbing_state(self):
+        # reducible M: the uniform start already has max(Mx/x) = lambda
+        gd = principal_eigen(validate_generator([[0.0, 0.0], [1.0, -1.0]]), [1.0, 0.0])
+        assert gd.lam == pytest.approx(1.0, abs=1e-12)
+        assert np.abs(gd.psi / gd.psi[1] - [2.0, 1.0]).max() <= 1e-12
+
+    def test_underflowing_equilibrium_measure_is_reported(self):
+        # psi * pi falls below the smallest double at the far end of the chain
+        V = 4.0 * np.cos(np.linspace(0.0, np.pi, 256))
+        with pytest.raises(NonFinite, match="underflows"):
+            principal_eigen(validate_generator(birth_death(256)), V)
 
 
 class TestDoobTransform:
