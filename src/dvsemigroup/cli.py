@@ -54,9 +54,10 @@ from .multiparticle import (
     pairwise_potential,
     separable_potential,
 )
-from .rate_function import SolverOptions, dv_sup, rate_I, rate_IV, relative_entropy
+from .rate_function import SolverOptions, dv_sup, rate_I, relative_entropy
 from .semigroup import growth_bound, make_operator
 from .spectral import (
+    as_measure,
     ground_measure_by_averaging,
     ground_measure_by_evolution,
     principal_eigen,
@@ -239,9 +240,12 @@ def _task_rate(sc: Scenario, options: dict) -> dict:
     gd = principal_eigen(Q, V)
     mu = gd.mu if opts["mu"] is None else np.asarray(opts["mu"], dtype=float)
     lam_dual, mu_star = dv_sup(Q, V, SolverOptions(seed=sc.seed))
+    # rate_IV's I - mu(V) + lambda, reusing this task's rate and Perron solves
+    mu = as_measure(mu, Q.dim)
+    I = rate_I(Q, mu).value
     return {
-        "I": rate_I(Q, mu).value,
-        "IV": rate_IV(Q, V, mu),
+        "I": I,
+        "IV": I - float(mu.weights @ V.values) + gd.lam,
         "lambda_dual": lam_dual,
         "mu_star": mu_star.weights.tolist(),
     }

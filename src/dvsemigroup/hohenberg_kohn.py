@@ -2,9 +2,9 @@
 
 For a symmetric product system with fixed interaction V0, the separable
 external potential built from v on the single-particle space determines
-an equilibrium measure on d^N states; its symmetrization has a
-1-particle marginal rho.  The map v -> rho is injective up to additive
-constants, which this module verifies quantitatively and inverts.
+an equilibrium measure on d^N states, with 1-particle marginal rho.  The
+map v -> rho is injective up to additive constants, which this module
+verifies quantitatively and inverts.
 
 The reduced functional
 
@@ -14,16 +14,17 @@ collapses the d^N-state variational principle to the d-simplex:
 
     lambda_{V0 + V} = sup_rho ( rho(v) - I_HK(rho) ).
 
-I_HK is evaluated by an augmented-Lagrangian method over orbit masses of
-the permutation action (a symmetric measure is constant on orbits), with
-damped Newton inner solves reusing the rate-function derivatives.  The
-multiplier of the marginal constraint is the gradient -grad I_HK(rho),
+These maps run on the product chain lumped onto its C(d+N-1, N)
+permutation orbits (TensorSystem.lumped_QN), which is exact only for a
+permutation-symmetric V0; any other V0 raises ValueError.  I_HK is
+evaluated there by an augmented-Lagrangian method over orbit masses,
+with damped Newton inner solves reusing the rate-function derivatives.
+The multiplier of the marginal constraint is the gradient -grad I_HK(rho),
 which drives the outer ascent of reduced_variational.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -31,11 +32,9 @@ import numpy as np
 
 from .errors import NotConverged, StateSpaceTooLarge
 from .generator import Generator, Potential, as_potential, carre_du_champ
-from .multiparticle import TensorSystem, marginal, separable_potential, symmetrize_measure
+from .multiparticle import TensorSystem, is_symmetric
 from .rate_function import _newton_min, _rate_parts, hessian_of_rate, rate_I
 from .spectral import ProbMeasure, as_measure, principal_eigen, total_variation
-
-I_HK_STATE_CAP = 256
 
 
 class HKConclusion(Enum):
@@ -87,7 +86,8 @@ class ReducedOptions:
 
     tol is the outer accuracy target; constraint_tol bounds the residual
     of the marginal constraint at return; beta0 seeds the doubling
-    penalty schedule of the augmented Lagrangian.
+    penalty schedule of the augmented Lagrangian; cap bounds the number
+    of permutation orbits the minimization runs on.
     """
 
     tol: float = 1e-4
@@ -97,7 +97,7 @@ class ReducedOptions:
     max_stages: int = 30
     max_newton: int = 60
     max_iter: int = 300
-    cap: int = I_HK_STATE_CAP
+    cap: int = 256
 
 
 @dataclass(frozen=True)
@@ -109,14 +109,21 @@ class ReducedResult:
     orbit_masses: np.ndarray
 
 
-def equilibrium_marginal(sys: TensorSystem, V0, v):
-    """Forward map: (lambda, symmetrized equilibrium measure, its marginal)."""
+def _orbit_V0(sys: TensorSystem, V0) -> np.ndarray:
+    """V0 on the orbits; lumping is exact only for a symmetric V0."""
     V0 = as_potential(V0, sys.size)
+    if not is_symmetric(V0, sys):
+        raise ValueError("interaction V0 must be symmetric under particle permutations")
+    return V0.values[sys.orbits.reps]
+
+
+def equilibrium_marginal(sys: TensorSystem, V0, v):
+    """Forward map: (lambda, symmetric equilibrium measure, its marginal)."""
     v = as_potential(v, sys.d)
-    total = Potential(V0.values + separable_potential(v, sys.N).values)
-    gd = principal_eigen(sys.QN, total)
-    mu_sym = symmetrize_measure(gd.mu, sys)
-    return gd.lam, mu_sym, marginal(mu_sym, sys)
+    counts = sys.orbits.counts
+    gd = principal_eigen(sys.lumped_QN, _orbit_V0(sys, V0) + counts @ v.values / sys.N)
+    p = gd.mu.weights
+    return gd.lam, ProbMeasure(sys.orbits.spread(p)), ProbMeasure(counts.T @ p / sys.N)
 
 
 def hk_verify(sys: TensorSystem, V0, v1, v2, tol: float = 1e-10,
@@ -200,69 +207,41 @@ def invert_potential(sys: TensorSystem, V0, rho_target,
 # reduced functional
 
 
-def _orbit_basis(sys: TensorSystem) -> np.ndarray:
-    """Columns average to one symmetric unit mass per orbit (multiset)."""
-    reps: dict[tuple[int, ...], int] = {}
-    orbit_of = np.empty(sys.size, dtype=np.intp)
-    for flat, x in enumerate(itertools.product(range(sys.d), repeat=sys.N)):
-        key = tuple(sorted(x))
-        orbit_of[flat] = reps.setdefault(key, len(reps))
-    E = np.zeros((sys.size, len(reps)))
-    E[np.arange(sys.size), orbit_of] = 1.0
-    return E / E.sum(axis=0, keepdims=True)
-
-
-def _marginal_matrix(sys: TensorSystem) -> np.ndarray:
-    A = np.zeros((sys.d, sys.size))
-    block = sys.size // sys.d
-    for j in range(sys.d):
-        A[j, j * block:(j + 1) * block] = 1.0
-    return A
-
-
-def _product_orbit_masses(rho: np.ndarray, E: np.ndarray, N: int) -> np.ndarray:
-    prod = np.ones(1)
-    for _ in range(N):
-        prod = np.kron(prod, rho)
-    return (E > 0).T @ prod
-
-
 def reduced_functional(sys: TensorSystem, V0, rho,
                        opts: ReducedOptions | None = None,
                        warm: tuple[np.ndarray, np.ndarray] | None = None) -> ReducedResult:
     """Constrained minimum of I(mu) - mu(V0) over symmetric mu with marginal rho.
 
-    Augmented Lagrangian over orbit masses p (mu = E p):
+    Augmented Lagrangian over orbit masses p, with I(mu) the lumped
+    chain's rate at p and C = counts^T / N the marginal map:
 
-        phi(p) = I(Ep) - (Ep) V0 + y (AEp - rho) + beta ||AEp - rho||^2,
+        phi(p) = I(p) - p V0 + y (Cp - rho) + beta ||Cp - rho||^2,
 
     minimized by damped Newton with fraction-to-boundary steps keeping
-    p > 0; the multiplier update y += 2 beta (AEp - rho) runs on a
+    p > 0; the multiplier update y += 2 beta (Cp - rho) runs on a
     doubling beta schedule until the constraint residual is below
     constraint_tol.  The product measure rho x ... x rho is feasible and
     is the default start, so the constraint set is never empty for a
     strictly positive rho.
     """
     opts = opts or ReducedOptions()
-    if sys.size > opts.cap:
-        raise StateSpaceTooLarge(sys.size, opts.cap)
-    V0 = as_potential(V0, sys.size)
+    o = sys.orbits
+    m = len(o.reps)
+    if m > opts.cap:
+        raise StateSpaceTooLarge(m, opts.cap)
+    V0v = _orbit_V0(sys, V0)
     rho = as_measure(rho, sys.d)
     if (rho.weights <= 0).any():
         raise ValueError("marginal must be strictly positive")
 
-    QN = sys.QN.rates
-    V0v = V0.values
-    E = _orbit_basis(sys)
-    A = _marginal_matrix(sys)
-    AE = A @ E
-    m = E.shape[1]
+    Q = sys.lumped_QN.rates
+    C = o.counts.T / sys.N
     rho_v = rho.weights
 
     if warm is not None:
         p, y = warm[0].copy(), warm[1].copy()
     else:
-        p = _product_orbit_masses(rho_v, E, sys.N)
+        p = o.sizes * np.prod(rho_v ** o.counts, axis=1)
         y = np.zeros(sys.d)
     p = np.maximum(p, 1e-300)
     p /= p.sum()
@@ -271,13 +250,10 @@ def reduced_functional(sys: TensorSystem, V0, rho,
     w0 = None
     for _ in range(opts.max_stages):
         for _ in range(opts.max_newton):
-            mu = E @ p
-            I, w0, h, Lw, H = _rate_parts(QN, mu, opts.inner_tol, 100, w0)
-            r = AE @ p - rho_v
-            grad_mu = -h - V0v + A.T @ y + 2.0 * beta * (A.T @ r)
-            g = E.T @ grad_mu
-            HI = hessian_of_rate(Lw, H)
-            Hphi = E.T @ (HI + 2.0 * beta * (A.T @ A)) @ E
+            I, w0, h, Lw, H = _rate_parts(Q, p, opts.inner_tol, 100, w0)
+            r = C @ p - rho_v
+            g = -h - V0v + C.T @ y + 2.0 * beta * (C.T @ r)
+            Hphi = hessian_of_rate(Lw, H) + 2.0 * beta * (C.T @ C)
             K = np.zeros((m + 1, m + 1))
             K[:m, :m] = Hphi + 1e-12 * max(float(np.trace(Hphi)) / m, 1.0) * np.eye(m)
             K[:m, m] = 1.0
@@ -288,7 +264,7 @@ def reduced_functional(sys: TensorSystem, V0, rho,
                 step = np.linalg.solve(K, rhs)[:m]
             except np.linalg.LinAlgError:
                 step = -(g - g.mean())
-            phi0 = I - mu @ V0v + y @ r + beta * float(r @ r)
+            phi0 = I - p @ V0v + y @ r + beta * float(r @ r)
             descent = float(g @ step)
             # Newton-decrement stop: once the predicted decrease is at
             # round-off, backtracking can only chase noise in phi
@@ -302,30 +278,28 @@ def reduced_functional(sys: TensorSystem, V0, rho,
             for _ in range(50):
                 p_try = p + s * step
                 if p_try.min() > 0:
-                    mu_try = E @ p_try
-                    F_try, w_try, _, _, _ = _newton_min(QN, mu_try, opts.inner_tol, 100, w0)
-                    r_try = AE @ p_try - rho_v
-                    phi_try = (-F_try) - mu_try @ V0v + y @ r_try + beta * float(r_try @ r_try)
+                    F_try, w_try, _, _, _ = _newton_min(Q, p_try, opts.inner_tol, 100, w0)
+                    r_try = C @ p_try - rho_v
+                    phi_try = (-F_try) - p_try @ V0v + y @ r_try + beta * float(r_try @ r_try)
                     if phi_try <= phi0 + 1e-4 * s * descent:
                         p, w0, moved = p_try, w_try, True
                         break
                 s *= 0.5
             if not moved:
                 break
-        r = AE @ p - rho_v
+        r = C @ p - rho_v
         cviol = float(np.abs(r).max())
         if cviol <= opts.constraint_tol:
             break
         y = y + 2.0 * beta * r
         beta *= 2.0
 
-    mu = E @ p
-    I, w0, h, _, _ = _rate_parts(QN, mu, opts.inner_tol, 100, w0)
-    value = float(I - mu @ V0v)
-    cviol = float(np.abs(AE @ p - rho_v).max())
+    I, w0, h, _, _ = _rate_parts(Q, p, opts.inner_tol, 100, w0)
+    value = float(I - p @ V0v)
+    cviol = float(np.abs(C @ p - rho_v).max())
     if cviol > 1e3 * opts.constraint_tol:
         raise NotConverged(value, cviol)
-    return ReducedResult(value=value, mu=ProbMeasure(mu), multiplier=y.copy(),
+    return ReducedResult(value=value, mu=ProbMeasure(o.spread(p)), multiplier=y.copy(),
                          constraint_violation=cviol, orbit_masses=p.copy())
 
 

@@ -8,14 +8,18 @@ so exp(t Q_N) is the N-fold Kronecker product of exp(t Q1).  Flat indices
 are row-major with coordinate 1 slowest: flattening (x1, ..., xN) gives
 x1 d^{N-1} + ... + xN, which makes the first-coordinate marginal a
 contiguous block sum.
+
+Permutation symmetry is held once, as orbits: multisets of coordinates,
+C(d+N-1, N) of them.  Symmetrizing averages over an orbit, and since Q_N
+commutes with coordinate permutations its chain is exactly lumpable onto
+the orbits (Kemeny & Snell 1960).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb, factorial
+from math import comb
 
 import numpy as np
 
@@ -24,7 +28,26 @@ from .generator import Generator, Potential, as_potential, validate_generator
 from .spectral import ProbMeasure, as_measure
 
 DEFAULT_STATE_CAP = 20000
-MAX_ENUMERATED_PARTICLES = 6
+
+
+@dataclass(frozen=True)
+class Orbits:
+    """Orbits of the coordinate permutations on d^N states.
+
+    of      orbit id of each flat state,
+    reps    one flat state per orbit,
+    counts  occupation numbers, counts[a, j] particles at state j,
+    sizes   number of flat states in each orbit.
+    """
+
+    of: np.ndarray
+    reps: np.ndarray
+    counts: np.ndarray
+    sizes: np.ndarray
+
+    def spread(self, masses: np.ndarray) -> np.ndarray:
+        """Vector on d^N, constant on each orbit, with the given orbit sums."""
+        return (masses / self.sizes)[self.of]
 
 
 @dataclass(frozen=True)
@@ -61,21 +84,21 @@ class TensorSystem:
         return tuple(reversed(out))
 
     @cached_property
-    def permutation_arrays(self) -> list[np.ndarray]:
-        """Index arrays realizing all N! coordinate permutations.
+    def orbits(self) -> Orbits:
+        """Orbits as the distinct sorted rows of the multi-index grid."""
+        grid = np.indices((self.d,) * self.N).reshape(self.N, -1).T
+        keys, reps, of, sizes = np.unique(np.sort(grid, axis=1), axis=0,
+                                          return_index=True, return_inverse=True,
+                                          return_counts=True)
+        counts = (keys[:, :, None] == np.arange(self.d)).sum(axis=1)
+        return Orbits(of=of.reshape(-1), reps=reps, counts=counts, sizes=sizes)
 
-        Entry sigma maps flat(x) to flat(x composed with sigma); summing a
-        vector over these arrays symmetrizes it.
-        """
-        if self.N > MAX_ENUMERATED_PARTICLES:
-            raise StateSpaceTooLarge(factorial(self.N),
-                                     factorial(MAX_ENUMERATED_PARTICLES))
-        grids = np.array(list(itertools.product(range(self.d), repeat=self.N)))
-        weights = self.d ** np.arange(self.N - 1, -1, -1)
-        arrays = []
-        for sigma in itertools.permutations(range(self.N)):
-            arrays.append((grids[:, sigma] @ weights).astype(np.intp))
-        return arrays
+    @cached_property
+    def lumped_QN(self) -> Generator:
+        """QN lumped onto orbits: row a is QN[rep a] summed over orbit columns."""
+        o = self.orbits
+        return validate_generator([np.bincount(o.of, weights=row)
+                                   for row in self.QN.rates[o.reps]])
 
 
 def kronecker_sum(Q1: Generator, N: int, cap: int = DEFAULT_STATE_CAP) -> TensorSystem:
@@ -140,10 +163,8 @@ def pairwise_potential(w, N: int, cap: int = DEFAULT_STATE_CAP) -> Potential:
 def symmetrize_measure(mu, sys: TensorSystem) -> ProbMeasure:
     """Average of mu over all coordinate permutations; idempotent."""
     mu = as_measure(mu, sys.size)
-    acc = np.zeros(sys.size)
-    for perm in sys.permutation_arrays:
-        acc += mu.weights[perm]
-    return ProbMeasure(acc / len(sys.permutation_arrays))
+    o = sys.orbits
+    return ProbMeasure(o.spread(np.bincount(o.of, weights=mu.weights)))
 
 
 def marginal(mu, sys: TensorSystem) -> ProbMeasure:
@@ -160,5 +181,5 @@ def is_symmetric(values, sys: TensorSystem, tol: float = 1e-10) -> bool:
     if vec.shape != (sys.size,):
         raise DimensionMismatch(f"expected vector of length {sys.size}")
     band = tol * max(1.0, float(np.abs(vec).max()))
-    return all(float(np.abs(vec[perm] - vec).max()) <= band
-               for perm in sys.permutation_arrays)
+    o = sys.orbits
+    return float(np.abs(o.spread(np.bincount(o.of, weights=vec)) - vec).max()) <= band

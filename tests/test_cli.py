@@ -102,6 +102,35 @@ class TestRun:
         assert report["tasks"][0]["status"] == "error"
         assert report["tasks"][0]["error"]["type"] == "UnsupportedSupport"
 
+    def test_rate_task_solves_perron_once(self, tmp_path, monkeypatch):
+        from dvsemigroup import cli, rate_function, spectral
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return spectral.principal_eigen(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "principal_eigen", counted)
+        monkeypatch.setattr(rate_function, "principal_eigen", counted)
+        for options in ({}, {"mu": [0.3, 0.7]}):
+            calls.clear()
+            body = dict(BASE, tasks=[{"name": "rate", "options": options}])
+            assert run(write_scenario(tmp_path, body), str(tmp_path / "r.json")) == 0
+            assert len(calls) == 1
+
+    def test_non_symmetric_V0_fails_hk_tasks_only(self, tmp_path):
+        # V0(0, 1) != V0(1, 0): the full-chain spectral task still runs,
+        # the orbit-lumped hk tasks reject the interaction
+        body = dict(BASE, N=2, V0=[0.0, 1.0, 0.0, 0.0],
+                    tasks=["spectral", {"name": "hk-verify", "options": {"v2": [0.0, 2.0]}}])
+        out = str(tmp_path / "report.json")
+        assert run(write_scenario(tmp_path, body), out) == 1
+        report = json.loads(open(out).read())
+        spectral, verify = report["tasks"]
+        assert spectral["status"] == "ok"
+        assert verify["status"] == "error"
+        assert verify["error"]["type"] == "ValueError"
+
     def test_csv_emission(self, tmp_path):
         body = dict(BASE, tasks=["spectral"])
         out = str(tmp_path / "report.json")

@@ -208,6 +208,75 @@ class TestReducedVariational:
         assert lam_hat <= lam + 1e-9
 
 
+def _pair_system(d, N, rng):
+    Q1 = validate_generator(oracles.rand_rate_matrix(d, rng))
+    w = rng.uniform(0, 1, (d, d))
+    return kronecker_sum(Q1, N), pairwise_potential(0.5 * (w + w.T), N)
+
+
+class TestOrbitChain:
+    @pytest.mark.parametrize("d, N", [(3, 3), (2, 5)])
+    def test_equilibrium_marginal_matches_dense(self, d, N, rng):
+        for _ in range(3):
+            sys, V0 = _pair_system(d, N, rng)
+            v = rng.uniform(-1, 1, d)
+            lam, mu, rho = equilibrium_marginal(sys, V0, v)
+            gd = principal_eigen(sys.QN, V0.values + separable_potential(v, N).values)
+            grid = gd.mu.weights.reshape((d,) * N)
+            coords = [grid.sum(axis=tuple(j for j in range(N) if j != k)) for k in range(N)]
+            assert abs(lam - gd.lam) <= 1e-12
+            assert np.abs(rho.weights - np.mean(coords, axis=0)).max() <= 1e-12
+            assert np.abs(mu.weights - gd.mu.weights).max() <= 1e-12
+
+    def test_i_hk_beyond_256_states(self, rng):
+        # 1296 states, 126 orbits: the reduced principle at the equilibrium
+        # marginal, rho(v) - I_HK(rho) = lambda, within criterion 9's 1e-4
+        sys, V0 = _pair_system(6, 4, rng)
+        v = rng.uniform(-1, 1, 6)
+        lam, _, rho = equilibrium_marginal(sys, V0, v)
+        assert abs(float(rho.weights @ v) - i_hk(sys, V0, rho) - lam) <= 1e-4
+
+    def test_cap_bounds_orbits(self, rng):
+        from dvsemigroup import ReducedOptions, StateSpaceTooLarge
+        sys, V0 = _pair_system(4, 4, rng)
+        rho = np.full(4, 0.25)
+        reduced_functional(sys, V0, rho, ReducedOptions(cap=35))
+        with pytest.raises(StateSpaceTooLarge):
+            reduced_functional(sys, V0, rho, ReducedOptions(cap=34))
+
+    def test_solves_run_at_orbit_size(self, rng, monkeypatch):
+        from dvsemigroup import hohenberg_kohn, rate_function
+        sys, V0 = _pair_system(4, 4, rng)
+        dims = []
+        eigen, newton = hohenberg_kohn.principal_eigen, hohenberg_kohn._newton_min
+
+        def seen_eigen(Q, V):
+            dims.append(("eigen", Q.dim))
+            return eigen(Q, V)
+
+        def seen_newton(Q, mu, *args):
+            dims.append(("newton", len(mu)))
+            return newton(Q, mu, *args)
+
+        monkeypatch.setattr(hohenberg_kohn, "principal_eigen", seen_eigen)
+        monkeypatch.setattr(hohenberg_kohn, "_newton_min", seen_newton)
+        monkeypatch.setattr(rate_function, "_newton_min", seen_newton)
+        _, _, rho = equilibrium_marginal(sys, V0, rng.uniform(-1, 1, 4))
+        assert dims == [("eigen", 35)]
+        res = reduced_functional(sys, V0, rho)
+        assert len(res.orbit_masses) == 35
+        assert {dim for name, dim in dims if name == "newton"} == {35}
+
+    def test_rejects_non_symmetric_V0(self, pair_system):
+        sys, _ = pair_system
+        V0 = np.zeros(4)
+        V0[sys.flat_index((0, 1))] = 1.0
+        with pytest.raises(ValueError, match="symmetric"):
+            equilibrium_marginal(sys, V0, [0.0, 1.0])
+        with pytest.raises(ValueError, match="symmetric"):
+            reduced_functional(sys, V0, [0.5, 0.5])
+
+
 class TestGammaOverlap:
     def test_constant_shift_vanishes(self, rng):
         for _ in range(10):

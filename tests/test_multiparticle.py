@@ -1,4 +1,6 @@
-"""Kronecker sums, separable potentials, symmetrization, marginals."""
+"""Kronecker sums, separable potentials, orbits, symmetrization, marginals."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from dvsemigroup import (
     marginal,
     pairwise_potential,
     principal_eigen,
+    rate_I,
     separable_potential,
     symmetrize_measure,
     validate_generator,
@@ -184,7 +187,52 @@ class TestSemigroupSymmetry:
     def test_commutes_with_permutations(self, two_state, rng):
         sys = kronecker_sum(two_state, 3)
         P = expm(0.8 * sys.QN.rates)
+        shape = (sys.d,) * sys.N
         for _ in range(10):
             f = rng.normal(0, 1, sys.size)
-            for perm in sys.permutation_arrays:
-                assert np.abs((P @ f)[perm] - P @ f[perm]).max() <= 1e-12
+            for sigma in itertools.permutations(range(sys.N)):
+                def permute(g):
+                    return np.transpose(g.reshape(shape), sigma).reshape(-1)
+                assert np.abs(permute(P @ f) - P @ permute(f)).max() <= 1e-12
+
+
+class TestOrbits:
+    def test_orbit_structure(self):
+        Q1 = validate_generator(oracles.rand_rate_matrix(3, np.random.default_rng(5)))
+        sys = kronecker_sum(Q1, 4)
+        o = sys.orbits
+        assert len(o.reps) == 15                          # C(3 + 4 - 1, 4)
+        assert o.sizes.sum() == sys.size
+        assert np.array_equal(np.bincount(o.of), o.sizes)
+        assert np.array_equal(o.counts.sum(axis=1), np.full(15, 4))
+        for flat in range(sys.size):
+            x = sys.multi_index(flat)
+            a = o.of[flat]
+            assert sorted(x) == sorted(sys.multi_index(int(o.reps[a])))
+            assert np.array_equal(np.bincount(x, minlength=3), o.counts[a])
+
+    @pytest.mark.parametrize("d, N", [(2, 3), (3, 3)])
+    def test_lumped_rate_identity(self, d, N, rng):
+        # I(mu) of a symmetric mu on d^N equals the lumped chain's rate at
+        # its orbit masses p
+        Q1 = validate_generator(oracles.rand_rate_matrix(d, rng))
+        sys = kronecker_sum(Q1, N)
+        o = sys.orbits
+        for _ in range(5):
+            p = oracles.rand_measure(len(o.reps), rng)
+            mu = (p / o.sizes)[o.of]
+            full = rate_I(sys.QN, mu).value
+            lumped = rate_I(sys.lumped_QN, p).value
+            assert abs(full - lumped) <= 1e-12 * max(1.0, full)
+
+    def test_seven_particles(self, two_state, rng):
+        # d = 2: the orbit of a state is its number of ones
+        sys = kronecker_sum(two_state, 7)
+        ones = np.array([bin(flat).count("1") for flat in range(sys.size)])
+        mu = oracles.rand_measure(sys.size, rng)
+        sym = symmetrize_measure(mu, sys)
+        expected = np.array([mu[ones == k].mean() for k in range(8)])[ones]
+        assert np.abs(sym.weights - expected).max() <= 1e-15
+        assert is_symmetric(sym, sys)
+        assert not is_symmetric(mu, sys)
+        assert is_symmetric(separable_potential(rng.normal(0, 1, 2), 7), sys)
