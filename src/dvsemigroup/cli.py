@@ -14,13 +14,13 @@ A scenario is a JSON object describing one system and a list of tasks:
       "tasks": ["validate", "spectral", {"name": "mc", "options": {"t": 50}}]
     }
 
-Unknown keys anywhere are rejected.  `run` executes the tasks in order
-and writes a single JSON report with a config echo, a section per task,
-the library version, and wall-clock timings.  Exit codes: 0 success,
-1 a task failed, 2 the scenario itself is invalid.  Reports are
-deterministic for fixed scenario and seed, apart from the timings
-section; non-finite numbers are emitted as the strings "infinity",
-"-infinity", or "nan".
+Unknown keys anywhere, and the tokens NaN, Infinity and -Infinity, are
+rejected.  `run` executes the tasks in order and writes a single JSON
+report with a config echo, a section per task, the library version, and
+wall-clock timings.  Exit codes: 0 success, 1 a task failed, 2 the
+scenario itself is invalid.  Reports are deterministic for fixed
+scenario and seed, apart from the timings section; non-finite numbers
+are emitted as the strings "infinity", "-infinity", or "nan".
 """
 
 from __future__ import annotations
@@ -29,10 +29,12 @@ import argparse
 import concurrent.futures
 import json
 import logging
+import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -57,6 +59,7 @@ from .multiparticle import (
 from .rate_function import SolverOptions, dv_sup, rate_I, relative_entropy
 from .semigroup import growth_bound, make_operator
 from .spectral import (
+    GroundData,
     as_measure,
     ground_measure_by_averaging,
     ground_measure_by_evolution,
@@ -85,22 +88,27 @@ class Scenario:
     seed: int
     tolerances: dict
     tasks: list[tuple[str, dict]]
-    _sys: TensorSystem | None = field(default=None, repr=False)
 
+    @cached_property
     def system(self) -> TensorSystem:
-        if self._sys is None:
-            self._sys = kronecker_sum(self.Q1, self.N)
-        return self._sys
+        return kronecker_sum(self.Q1, self.N)
 
-    def full_potential(self) -> Potential:
+    @cached_property
+    def generator(self) -> Generator:
+        return self.Q1 if self.N == 1 else self.system.QN
+
+    @cached_property
+    def potential(self) -> Potential:
         """V0 + separable(v) on the product space (just v when N = 1)."""
         sep = separable_potential(self.v, self.N)
         if self.V0 is None:
             return sep
         return Potential(self.V0.values + sep.values)
 
-    def full_generator(self) -> Generator:
-        return self.Q1 if self.N == 1 else self.system().QN
+    @cached_property
+    def ground(self) -> GroundData:
+        """The Perron eigentriple of generator + potential, solved once."""
+        return principal_eigen(self.generator, self.potential)
 
 
 def _require(cond: bool, message: str, key: str | None = None):
@@ -108,10 +116,14 @@ def _require(cond: bool, message: str, key: str | None = None):
         raise ConfigError(message, key=key)
 
 
+def _non_finite_token(token: str):
+    raise ConfigError(f"scenario holds the non-finite number {token}")
+
+
 def load_scenario(path: str) -> Scenario:
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_constant=_non_finite_token)
     except OSError as exc:
         raise ConfigError(f"cannot read scenario file: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -165,16 +177,20 @@ def load_scenario(path: str) -> Scenario:
 
     t_grid = raw.get("t_grid", [])
     _require(isinstance(t_grid, list) and
-             all(isinstance(x, (int, float)) and x >= 0 for x in t_grid),
-             "t_grid must be a list of nonnegative numbers", key="t_grid")
+             all(isinstance(x, (int, float)) and 0 <= x < math.inf for x in t_grid),
+             "t_grid must be a list of finite nonnegative numbers", key="t_grid")
 
     seed = raw.get("seed", 0)
     _require(isinstance(seed, int), "seed must be an integer", key="seed")
 
     tolerances = raw.get("tolerances", {})
-    _require(isinstance(tolerances, dict) and
-             all(isinstance(x, (int, float)) for x in tolerances.values()),
-             "tolerances must map names to numbers", key="tolerances")
+    _require(isinstance(tolerances, dict), "tolerances must be an object",
+             key="tolerances")
+    unknown = set(tolerances) - {"hk_tol"}
+    _require(not unknown, "unknown tolerances", key=",".join(sorted(unknown)))
+    _require(all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                 and 0 < x < math.inf for x in tolerances.values()),
+             "hk_tol must be a positive finite number", key="hk_tol")
 
     tasks = []
     for entry in raw.get("tasks", []):
@@ -228,19 +244,18 @@ def _task_validate(sc: Scenario, options: dict) -> dict:
 
 def _task_spectral(sc: Scenario, options: dict) -> dict:
     _opt(options, {}, "spectral")
-    gd = principal_eigen(sc.full_generator(), sc.full_potential())
+    gd = sc.ground
     return {"lambda": gd.lam, "psi": gd.psi.tolist(),
             "pi": gd.pi.weights.tolist(), "mu": gd.mu.weights.tolist()}
 
 
 def _task_rate(sc: Scenario, options: dict) -> dict:
     opts = _opt(options, {"mu": None}, "rate")
-    Q = sc.full_generator()
-    V = sc.full_potential()
-    gd = principal_eigen(Q, V)
+    Q, V, gd = sc.generator, sc.potential, sc.ground
     mu = gd.mu if opts["mu"] is None else np.asarray(opts["mu"], dtype=float)
     lam_dual, mu_star = dv_sup(Q, V, SolverOptions(seed=sc.seed))
-    # rate_IV's I - mu(V) + lambda, reusing this task's rate and Perron solves
+    # rate_IV's I - mu(V) + lambda, reusing this task's rate solve and the
+    # scenario's ground data
     mu = as_measure(mu, Q.dim)
     I = rate_I(Q, mu).value
     return {
@@ -254,9 +269,7 @@ def _task_rate(sc: Scenario, options: dict) -> dict:
 def _task_averaging(sc: Scenario, options: dict) -> dict:
     opts = _opt(options, {"n_grid": 1025}, "averaging")
     _require(len(sc.t_grid) > 0, "averaging needs a t_grid", key="t_grid")
-    Q = sc.full_generator()
-    V = sc.full_potential()
-    gd = principal_eigen(Q, V)
+    Q, V, gd = sc.generator, sc.potential, sc.ground
     op = make_operator(Q, V)
     C = growth_bound(op, gd.lam, np.linspace(0.0, max(sc.t_grid), 201))
     rows = []
@@ -274,7 +287,7 @@ def _task_averaging(sc: Scenario, options: dict) -> dict:
 
 
 def _hk_system(sc: Scenario) -> tuple[TensorSystem, Potential]:
-    sys = sc.system()
+    sys = sc.system
     V0 = sc.V0 if sc.V0 is not None else Potential(np.zeros(sys.size))
     return sys, V0
 
@@ -333,12 +346,11 @@ def _task_ihk(sc: Scenario, options: dict) -> dict:
 
 def _task_mc(sc: Scenario, options: dict) -> dict:
     opts = _opt(options, {"t": 50.0, "paths": 1000, "seed": sc.seed}, "mc")
-    Q = sc.full_generator()
-    V = sc.full_potential()
-    estimate, stderr = estimate_lambda(Q, V, float(opts["t"]),
-                                       int(opts["paths"]), int(opts["seed"]))
+    estimate, stderr = estimate_lambda(sc.generator, sc.potential,
+                                       float(opts["t"]), int(opts["paths"]),
+                                       int(opts["seed"]))
     return {"lambda_mc": estimate, "stderr": stderr,
-            "lambda_spectral": principal_eigen(Q, V).lam,
+            "lambda_spectral": sc.ground.lam,
             "t": float(opts["t"]), "paths": int(opts["paths"])}
 
 
@@ -359,26 +371,18 @@ _TASK_RUNNERS = {
 
 
 def sanitize(obj):
-    """Make a report JSON-safe; non-finite numbers become strings."""
+    """Make a report JSON-safe: numpy values become Python ones, and
+    non-finite floats become the strings "nan", "infinity", "-infinity"."""
     if isinstance(obj, dict):
         return {str(k): sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [sanitize(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if np.isnan(x):
-            return "nan"
-        if np.isposinf(x):
-            return "infinity"
-        if np.isneginf(x):
-            return "-infinity"
-        return x
     if isinstance(obj, np.ndarray):
         return sanitize(obj.tolist())
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "nan" if math.isnan(obj) else "infinity" if obj > 0 else "-infinity"
     return obj
 
 
@@ -452,34 +456,26 @@ def run(scenario_path: str, out_path: str | None = None,
 # argument parsing
 
 
-def _single_task_run(path: str, task: str, options: dict, out: str | None) -> int:
+def _single_task_run(path: str, task: str, flags: dict, out: str | None) -> int:
     """Emit the bare result object of one task (plus timing for hk tasks).
 
-    Options come from the scenario's own entry for the task, overridden by
-    any command-line flags.
+    Options come from the scenario's first entry for the task, overridden
+    by the command-line flags given.
     """
     try:
         sc = load_scenario(path)
-        for name, scenario_options in sc.tasks:
-            if name == task:
-                options = {**scenario_options, **options}
-                break
-        t0 = time.perf_counter()
-        try:
-            result = _TASK_RUNNERS[task](sc, options)
-        except (DVSemigroupError, ValueError) as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            write_report(sanitize({"error": {"type": type(exc).__name__,
-                                             "message": str(exc)}}), out)
-            return 1
-        if task in ("hk-verify", "hk-invert", "ihk"):
-            result["timing_seconds"] = time.perf_counter() - t0
+        options = next((opts for name, opts in sc.tasks if name == task), {})
+        sc.tasks = [(task, {**options, **flags})]
+        report, ok = run_scenario(sc)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    write_report(sanitize(result), out)
-    return 0
+    section = report["tasks"][0]
+    result = section["result"] if ok else {"error": section["error"]}
+    if ok and task in ("hk-verify", "hk-invert", "ihk"):
+        result["timing_seconds"] = report["timings"][task]
+    write_report(result, out)
+    return 0 if ok else 1
 
 
 def main(argv=None) -> int:
@@ -509,8 +505,8 @@ def main(argv=None) -> int:
     p_mc = sub.add_parser("mc", help="Monte Carlo eigenvalue estimate")
     p_mc.add_argument("scenario")
     p_mc.add_argument("-o", "--out", default=None)
-    p_mc.add_argument("--t", type=float, default=50.0)
-    p_mc.add_argument("--paths", type=int, default=1000)
+    p_mc.add_argument("--t", type=float, default=None)
+    p_mc.add_argument("--paths", type=int, default=None)
     p_mc.add_argument("--seed", type=int, default=None)
 
     args = parser.parse_args(argv)
@@ -529,13 +525,9 @@ def main(argv=None) -> int:
             codes = list(pool.map(one, args.scenarios))
         return max(codes)
 
-    if args.command == "mc":
-        options = {"t": args.t, "paths": args.paths}
-        if args.seed is not None:
-            options["seed"] = args.seed
-        return _single_task_run(args.scenario, "mc", options, args.out)
-
-    return _single_task_run(args.scenario, args.command, {}, args.out)
+    flags = {key: getattr(args, key) for key in ("t", "paths", "seed")
+             if getattr(args, key, None) is not None}
+    return _single_task_run(args.scenario, args.command, flags, args.out)
 
 
 if __name__ == "__main__":

@@ -92,11 +92,11 @@ def _noda(M: np.ndarray, scale: float) -> tuple[np.ndarray, int]:
     matrix is an M-matrix, so y > 0, and max r falls monotonically to
     lambda (Noda 1971; Elsner 1976).  The shift is raised by 1e-14 * scale,
     below the stopping tolerance, so the solve stays nonsingular where
-    max r equals lambda before x has converged, as a reducible M allows.  Only the bracket certifies the tiny
-    entries of x, which keep improving after max r has settled.  A
-    singular, non-finite or non-positive solve ends the iteration, and
-    the caller's residual check gives the verdict.  Returns (x, steps),
-    x > 0 with unit sum.
+    max r equals lambda before x has converged, as a reducible M allows.
+    Only the bracket certifies the tiny entries of x, which keep improving
+    after max r has settled.  A singular, non-finite or non-positive solve
+    ends the iteration, and the caller's residual check gives the verdict.
+    Returns (x, steps), x > 0 with unit sum.
     """
     d = M.shape[0]
     x = np.full(d, 1.0 / d)

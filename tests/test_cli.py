@@ -52,6 +52,37 @@ class TestLoadScenario:
         sc = load_scenario(write_scenario(tmp_path, body))
         assert sc.V0.values.tolist() == [0.0, 1.0, 1.0, 0.0]
 
+    def test_tolerances_accept_only_positive_finite_hk_tol(self, tmp_path):
+        for ok in ({}, {"hk_tol": 1e-8}, {"hk_tol": 1}):
+            sc = load_scenario(write_scenario(tmp_path, dict(BASE, tolerances=ok)))
+            assert sc.tolerances == ok
+        for bad in ({"bogus": 1}, {"bogus": 1, "hk_tol": 1e-10}, {"hk_tol": True},
+                    {"hk_tol": 0}, {"hk_tol": -1e-10}, {"hk_tol": "1e-10"},
+                    {"hk_tol": 1e999}, [1e-10]):
+            with pytest.raises(ConfigError):
+                load_scenario(write_scenario(tmp_path, dict(BASE, tolerances=bad)))
+
+    def test_non_finite_tokens_rejected(self, tmp_path, capsys):
+        # json.dumps writes NaN, Infinity and -Infinity, which are not JSON.
+        # Once loaded, a NaN hk_tol read v2 = v1 + 5 as distinct marginals
+        # at distance 0, and an infinite t_grid failed averaging.
+        for body in (dict(BASE, tolerances={"hk_tol": float("nan")}),
+                     dict(BASE, t_grid=[1.0, float("-inf")]),
+                     dict(BASE, tasks=[{"name": "mc", "options": {"t": float("inf")}}])):
+            with pytest.raises(ConfigError) as exc:
+                load_scenario(write_scenario(tmp_path, body))
+            assert "non-finite" in str(exc.value)
+        with pytest.raises(ConfigError):
+            load_scenario(write_scenario(tmp_path, dict(BASE, t_grid=[1e999])))
+        body = dict(BASE, N=2, tolerances={"hk_tol": float("nan")},
+                    tasks=[{"name": "hk-verify", "options": {"v2": [6.0, 5.0]}}])
+        out = str(tmp_path / "out.json")
+        assert main(["hk-verify", write_scenario(tmp_path, body), "-o", out]) == 2
+        body = dict(BASE, t_grid=[float("inf")], tasks=["averaging"])
+        assert main(["run", write_scenario(tmp_path, body), "-o", out]) == 2
+        assert not os.path.exists(out)
+        assert capsys.readouterr().err.count("non-finite number") == 2
+
     def test_unknown_task_option_rejected(self, tmp_path):
         body = dict(BASE, tasks=[{"name": "mc", "options": {"bogus": 1}}])
         sc = load_scenario(write_scenario(tmp_path, body))
@@ -145,12 +176,15 @@ class TestRun:
 class TestSanitize:
     def test_nonfinite_values(self):
         out = sanitize({"a": float("inf"), "b": float("-inf"),
-                        "c": float("nan"), "d": [1.0, np.float64(2.5)]})
-        assert out == {"a": "infinity", "b": "-infinity", "c": "nan", "d": [1.0, 2.5]}
+                        "c": float("nan"), "d": [1.0, np.float64(2.5)],
+                        "e": np.array(np.nan), "g": np.array([[1.0, np.inf], [-np.inf, 0.0]])})
+        assert out == {"a": "infinity", "b": "-infinity", "c": "nan", "d": [1.0, 2.5],
+                       "e": "nan", "g": [[1.0, "infinity"], ["-infinity", 0.0]]}
 
     def test_numpy_types(self):
-        out = sanitize({"n": np.int64(3), "x": np.array([0.5, 0.5]), "f": np.bool_(True)})
-        assert out == {"n": 3, "x": [0.5, 0.5], "f": True}
+        out = sanitize({"n": np.int64(3), "x": np.array([0.5, 0.5]), "f": np.bool_(True),
+                        "t": (1, np.float64(0.25)), "s": np.float32(0.5)})
+        assert out == {"n": 3, "x": [0.5, 0.5], "f": True, "t": [1, 0.25], "s": 0.5}
 
 
 class TestMain:
@@ -158,14 +192,44 @@ class TestMain:
         path = write_scenario(tmp_path, dict(BASE, tasks=["validate"]))
         assert main(["run", path, "-o", str(tmp_path / "r.json")]) == 0
 
-    def test_single_task_subcommands_emit_bare_results(self, tmp_path):
-        path = write_scenario(tmp_path, BASE)
-        out = str(tmp_path / "spectral.json")
-        assert main(["spectral", path, "-o", out]) == 0
-        assert set(json.loads(open(out).read())) == {"lambda", "psi", "pi", "mu"}
-        out = str(tmp_path / "rate.json")
-        assert main(["rate", path, "-o", out]) == 0
-        assert set(json.loads(open(out).read())) == {"I", "IV", "lambda_dual", "mu_star"}
+    def test_single_task_subcommands_emit_bare_results(self, tmp_path, capsys):
+        # each subcommand writes its task's bare result, and only the three
+        # hk tasks add their wall time; a failed task writes its error alone
+        # and exits 1, and an invalid scenario exits 2 without output
+        body = dict(BASE, N=2, V0={"pairwise": [[0.0, 1.0], [1.0, 0.0]]},
+                    tasks=[{"name": "hk-verify", "options": {"v2": [0.0, 2.0]}},
+                           {"name": "hk-invert", "options": {"v_star": [0.0, 1.0]}},
+                           {"name": "mc", "options": {"t": 5.0, "paths": 32}}])
+        path = write_scenario(tmp_path, body)
+        expected = {
+            "spectral": {"lambda", "psi", "pi", "mu"},
+            "rate": {"I", "IV", "lambda_dual", "mu_star"},
+            "hk-verify": {"marginal_distance", "potential_residual", "lambdas",
+                          "conclusion", "kappa", "inequality_margins"},
+            "hk-invert": {"v_recovered", "iterations", "marginal_error", "converged"},
+            "ihk": {"rho", "I_HK"},
+            "mc": {"lambda_mc", "stderr", "lambda_spectral", "t", "paths"},
+        }
+        for task, keys in expected.items():
+            out = str(tmp_path / f"{task}.json")
+            assert main([task, path, "-o", out]) == 0
+            result = json.loads(open(out).read())
+            if task.startswith(("hk-", "ihk")):
+                assert result.pop("timing_seconds") >= 0.0
+            assert set(result) == keys, task
+
+        body = dict(BASE, tasks=[{"name": "rate", "options": {"mu": [1.0, 0.0]}}])
+        out = str(tmp_path / "failed.json")
+        assert main(["rate", write_scenario(tmp_path, body, "f.json"), "-o", out]) == 1
+        result = json.loads(open(out).read())
+        assert set(result) == {"error"} and set(result["error"]) == {"type", "message"}
+        assert result["error"]["type"] == "UnsupportedSupport"
+
+        # hk-verify without a v2 option cannot run
+        out = str(tmp_path / "invalid.json")
+        assert main(["hk-verify", write_scenario(tmp_path, BASE, "b.json"), "-o", out]) == 2
+        assert not os.path.exists(out)
+        assert "config error" in capsys.readouterr().err
 
     def test_mc_subcommand_flags(self, tmp_path):
         path = write_scenario(tmp_path, BASE)
@@ -175,6 +239,21 @@ class TestMain:
         result = json.loads(open(out).read())
         assert set(result) >= {"lambda_mc", "stderr", "lambda_spectral"}
         assert result["paths"] == 64
+
+    def test_mc_scenario_options_and_flags(self, tmp_path):
+        # the scenario's mc options apply without flags; a given flag wins
+        body = dict(BASE, tasks=[{"name": "mc", "options": {"t": 5.0, "paths": 32}}])
+        path = write_scenario(tmp_path, body)
+        out = str(tmp_path / "mc.json")
+        assert main(["mc", path, "-o", out]) == 0
+        result = json.loads(open(out).read())
+        assert (result["t"], result["paths"]) == (5.0, 32)
+        assert main(["mc", path, "-o", out, "--paths", "64"]) == 0
+        result = json.loads(open(out).read())
+        assert (result["t"], result["paths"]) == (5.0, 64)
+        assert main(["mc", path, "-o", out, "--t", "2", "--paths", "16"]) == 0
+        result = json.loads(open(out).read())
+        assert (result["t"], result["paths"]) == (2.0, 16)
 
     def test_mc_nonfinite_horizon_exits_1(self, tmp_path):
         path = write_scenario(tmp_path, BASE)
