@@ -120,6 +120,43 @@ def _non_finite_token(token: str):
     raise ConfigError(f"scenario holds the non-finite number {token}")
 
 
+def _to_float(x) -> float:
+    """float(x), reading an int too large for a float as infinity."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf
+
+
+def _real(value, key: str, low: float | None = None) -> float:
+    """A number (not a bool) as a float; with low given, low < value < inf."""
+    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
+             f"{key} must be a number", key=key)
+    x = _to_float(value)
+    _require(low is None or low < x < math.inf,
+             f"{key} must be finite and above {low}", key=key)
+    return x
+
+
+def _count(value, key: str, least: int) -> int:
+    """An integer (not a bool) in [least, 2**63)."""
+    _require(isinstance(value, int) and not isinstance(value, bool)
+             and least <= value < 2 ** 63,
+             f"{key} must be an integer from {least} below 2**63", key=key)
+    return value
+
+
+def _vector(value, key: str) -> np.ndarray:
+    """A list of finite numbers as a float vector."""
+    try:
+        vec = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{key} must be a list of numbers: {exc}", key=key) from exc
+    _require(vec.ndim == 1 and bool(np.all(np.isfinite(vec))),
+             f"{key} must be a list of finite numbers", key=key)
+    return vec
+
+
 def load_scenario(path: str) -> Scenario:
     try:
         with open(path) as fh:
@@ -136,7 +173,7 @@ def load_scenario(path: str) -> Scenario:
 
     try:
         Q1 = validate_generator(raw["Q"])
-    except (DVSemigroupError, ValueError) as exc:
+    except (DVSemigroupError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid rate matrix: {exc}", key="Q") from exc
 
     N = raw.get("N", 1)
@@ -144,15 +181,9 @@ def load_scenario(path: str) -> Scenario:
 
     _require(not ("V" in raw and "v" in raw),
              "give either V or v, not both", key="V")
-    vec = raw.get("v", raw.get("V"))
-    if vec is None:
-        v = np.zeros(Q1.dim)
-    else:
-        v = np.asarray(vec, dtype=float)
-        _require(v.shape == (Q1.dim,),
-                 f"potential must have {Q1.dim} entries", key="v" if "v" in raw else "V")
-        _require(bool(np.all(np.isfinite(v))), "potential entries must be finite",
-                 key="v" if "v" in raw else "V")
+    key = "v" if "v" in raw else "V"
+    v = _vector(raw[key], key) if key in raw else np.zeros(Q1.dim)
+    _require(v.shape == (Q1.dim,), f"potential must have {Q1.dim} entries", key=key)
 
     V0 = None
     if "V0" in raw:
@@ -170,27 +201,26 @@ def load_scenario(path: str) -> Scenario:
                 _require(arr.shape == (size,),
                          f"V0 must have {size} entries", key="V0")
                 V0 = Potential(arr)
-        except (DVSemigroupError, ValueError) as exc:
+        except (DVSemigroupError, TypeError, ValueError, OverflowError) as exc:
             if isinstance(exc, ConfigError):
                 raise
             raise ConfigError(f"invalid V0: {exc}", key="V0") from exc
 
     t_grid = raw.get("t_grid", [])
     _require(isinstance(t_grid, list) and
-             all(isinstance(x, (int, float)) and 0 <= x < math.inf for x in t_grid),
+             all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                 and 0 <= _to_float(x) < math.inf for x in t_grid),
              "t_grid must be a list of finite nonnegative numbers", key="t_grid")
 
-    seed = raw.get("seed", 0)
-    _require(isinstance(seed, int), "seed must be an integer", key="seed")
+    seed = _count(raw.get("seed", 0), "seed", 0)
 
     tolerances = raw.get("tolerances", {})
     _require(isinstance(tolerances, dict), "tolerances must be an object",
              key="tolerances")
     unknown = set(tolerances) - {"hk_tol"}
     _require(not unknown, "unknown tolerances", key=",".join(sorted(unknown)))
-    _require(all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                 and 0 < x < math.inf for x in tolerances.values()),
-             "hk_tol must be a positive finite number", key="hk_tol")
+    for x in tolerances.values():
+        _real(x, "hk_tol", low=0.0)
 
     tasks = []
     for entry in raw.get("tasks", []):
@@ -231,7 +261,7 @@ def _task_validate(sc: Scenario, options: dict) -> dict:
     opts = _opt(options, {"T": 1.0}, "validate")
     # condition A clamps only negative round-off to zero, so its ratio is
     # positive exactly when every entry of exp(TQ) is: that is condition B
-    epsilon_A = check_condition_A(sc.Q1, float(opts["T"]))
+    epsilon_A = check_condition_A(sc.Q1, _real(opts["T"], "T", low=0.0))
     return {
         "d": sc.Q1.dim,
         "N": sc.N,
@@ -252,7 +282,7 @@ def _task_spectral(sc: Scenario, options: dict) -> dict:
 def _task_rate(sc: Scenario, options: dict) -> dict:
     opts = _opt(options, {"mu": None}, "rate")
     Q, V, gd = sc.generator, sc.potential, sc.ground
-    mu = gd.mu if opts["mu"] is None else np.asarray(opts["mu"], dtype=float)
+    mu = gd.mu if opts["mu"] is None else _vector(opts["mu"], "mu")
     lam_dual, mu_star = dv_sup(Q, V, SolverOptions(seed=sc.seed))
     # rate_IV's I - mu(V) + lambda, reusing this task's rate solve and the
     # scenario's ground data
@@ -268,13 +298,14 @@ def _task_rate(sc: Scenario, options: dict) -> dict:
 
 def _task_averaging(sc: Scenario, options: dict) -> dict:
     opts = _opt(options, {"n_grid": 1025}, "averaging")
+    n_grid = _count(opts["n_grid"], "n_grid", 2)
     _require(len(sc.t_grid) > 0, "averaging needs a t_grid", key="t_grid")
     Q, V, gd = sc.generator, sc.potential, sc.ground
     op = make_operator(Q, V)
     C = growth_bound(op, gd.lam, np.linspace(0.0, max(sc.t_grid), 201))
     rows = []
     for T in sc.t_grid:
-        avg = ground_measure_by_averaging(Q, V, gd.mu, T, int(opts["n_grid"]))
+        avg = ground_measure_by_averaging(Q, V, gd.mu, T, n_grid)
         end = ground_measure_by_evolution(Q, V, gd.mu, T)
         rows.append({
             "T": T,
@@ -297,9 +328,9 @@ def _task_hk_verify(sc: Scenario, options: dict) -> dict:
                           "tol": sc.tolerances.get("hk_tol", 1e-10)}, "hk-verify")
     _require(opts["v2"] is not None, "hk-verify needs option v2", key="v2")
     sys, V0 = _hk_system(sc)
-    v1 = sc.v if opts["v1"] is None else np.asarray(opts["v1"], dtype=float)
-    report = hk_verify(sys, V0, v1, np.asarray(opts["v2"], dtype=float),
-                       tol=float(opts["tol"]))
+    v1 = sc.v if opts["v1"] is None else _vector(opts["v1"], "v1")
+    report = hk_verify(sys, V0, v1, _vector(opts["v2"], "v2"),
+                       tol=_real(opts["tol"], "tol", low=0.0))
     return {
         "marginal_distance": report.marginal_distance,
         "potential_residual": report.potential_residual,
@@ -311,20 +342,19 @@ def _task_hk_verify(sc: Scenario, options: dict) -> dict:
 
 
 def _task_hk_invert(sc: Scenario, options: dict) -> dict:
-    opts = _opt(options, {"rho_target": None, "v_star": None, "step": 0.5,
-                          "tol": 1e-8, "max_iter": 500}, "hk-invert")
+    opts = _opt(options, {"rho_target": None, "v_star": None, "tol": 1e-8,
+                          "max_iter": 500}, "hk-invert")
+    inv = InversionOptions(tol=_real(opts["tol"], "tol", low=0.0),
+                           max_iter=_count(opts["max_iter"], "max_iter", 1))
     sys, V0 = _hk_system(sc)
     if opts["rho_target"] is not None:
-        rho_target = np.asarray(opts["rho_target"], dtype=float)
+        rho_target = _vector(opts["rho_target"], "rho_target")
     elif opts["v_star"] is not None:
-        _, _, rho = equilibrium_marginal(sys, V0, np.asarray(opts["v_star"], dtype=float))
+        _, _, rho = equilibrium_marginal(sys, V0, _vector(opts["v_star"], "v_star"))
         rho_target = rho.weights
     else:
         raise ConfigError("hk-invert needs rho_target or v_star", key="rho_target")
-    result = invert_potential(sys, V0, rho_target,
-                              InversionOptions(step=float(opts["step"]),
-                                               tol=float(opts["tol"]),
-                                               max_iter=int(opts["max_iter"])))
+    result = invert_potential(sys, V0, rho_target, inv)
     return {
         "v_recovered": result.v_recovered.values.tolist(),
         "iterations": result.iterations,
@@ -340,18 +370,18 @@ def _task_ihk(sc: Scenario, options: dict) -> dict:
         _, _, rho = equilibrium_marginal(sys, V0, sc.v)
         rho = rho.weights
     else:
-        rho = np.asarray(opts["rho"], dtype=float)
+        rho = _vector(opts["rho"], "rho")
     return {"rho": rho.tolist(), "I_HK": i_hk(sys, V0, rho, ReducedOptions())}
 
 
 def _task_mc(sc: Scenario, options: dict) -> dict:
     opts = _opt(options, {"t": 50.0, "paths": 1000, "seed": sc.seed}, "mc")
-    estimate, stderr = estimate_lambda(sc.generator, sc.potential,
-                                       float(opts["t"]), int(opts["paths"]),
-                                       int(opts["seed"]))
+    # the horizon's range is the sampler's to check (ValueError)
+    t, paths = _real(opts["t"], "t"), _count(opts["paths"], "paths", 2)
+    estimate, stderr = estimate_lambda(sc.generator, sc.potential, t, paths,
+                                       _count(opts["seed"], "seed", 0))
     return {"lambda_mc": estimate, "stderr": stderr,
-            "lambda_spectral": sc.ground.lam,
-            "t": float(opts["t"]), "paths": int(opts["paths"])}
+            "lambda_spectral": sc.ground.lam, "t": t, "paths": paths}
 
 
 _TASK_RUNNERS = {

@@ -1,10 +1,10 @@
 """Marginal-to-potential uniqueness, inversion, and the reduced functional.
 
 For a symmetric product system with fixed interaction V0, the separable
-external potential built from v on the single-particle space determines
-an equilibrium measure on d^N states, with 1-particle marginal rho.  The
-map v -> rho is injective up to additive constants, which this module
-verifies quantitatively and inverts.
+external potential v on the single-particle space determines an
+equilibrium measure on d^N states with 1-particle marginal rho.  The map
+v -> rho is injective up to constants, which this module verifies; it is
+inverted by Newton ascent on the concave dual rho(v) - lambda_{V0+v}.
 
 The reduced functional
 
@@ -33,7 +33,7 @@ import numpy as np
 from .errors import NotConverged, StateSpaceTooLarge
 from .generator import Generator, Potential, as_potential, carre_du_champ
 from .multiparticle import TensorSystem, is_symmetric
-from .rate_function import _newton_min, _rate_parts, hessian_of_rate, rate_I
+from .rate_function import _legendre_newton, _newton_min, _rate_parts, hessian_of_rate, rate_I
 from .spectral import ProbMeasure, as_measure, principal_eigen, total_variation
 
 
@@ -75,7 +75,6 @@ class InversionResult:
 
 @dataclass(frozen=True)
 class InversionOptions:
-    step: float = 0.5
     tol: float = 1e-8
     max_iter: int = 500
 
@@ -168,39 +167,19 @@ def invert_potential(sys: TensorSystem, V0, rho_target,
                      opts: InversionOptions | None = None) -> InversionResult:
     """Recover the external potential from a target marginal.
 
-    Damped log-density fixed point: v <- v + alpha (log rho_target - log rho(v)),
-    recentered to zero mean each step.  The step alpha halves whenever the
-    marginal error increases and recovers slowly afterwards.  Returns the
-    best iterate with a converged flag rather than raising; feasibility of
-    arbitrary targets is an open question, so non-convergence is data.
+    The potential maximizes the concave dual rho_target(v) - lambda_{V0+v}
+    (Lieb 1983; Wu & Yang 2003); _legendre_newton solves it on the orbit
+    chain with F = counts / N.  Returns the last iterate and a converged
+    flag: feasibility of arbitrary targets is open, so failure is data.
     """
     opts = opts or InversionOptions()
     rho_target = as_measure(rho_target, sys.d)
     if (rho_target.weights <= 0).any():
         raise ValueError("target marginal must be strictly positive")
-
-    v = np.zeros(sys.d)
-    _, _, rho = equilibrium_marginal(sys, V0, v)
-    err = total_variation(rho, rho_target)
-    alpha = opts.step
-    log_target = np.log(rho_target.weights)
-    iterations = 0
-    for iterations in range(1, opts.max_iter + 1):
-        if err <= opts.tol:
-            break
-        v_next = v + alpha * (log_target - np.log(rho.weights))
-        v_next -= v_next.mean()
-        _, _, rho_next = equilibrium_marginal(sys, V0, v_next)
-        err_next = total_variation(rho_next, rho_target)
-        if err_next < err:
-            v, rho, err = v_next, rho_next, err_next
-            alpha = min(alpha * 1.2, 1.0)
-        else:
-            alpha *= 0.5
-            if alpha < 1e-8:
-                break
-    return InversionResult(v_recovered=Potential(v), iterations=iterations,
-                           marginal_error=err, converged=err <= opts.tol)
+    v, _, err, steps = _legendre_newton(sys.lumped_QN, _orbit_V0(sys, V0),
+                                        sys.orbits.counts / sys.N, rho_target.weights,
+                                        opts.tol, opts.max_iter)
+    return InversionResult(Potential(v), steps, err, converged=err <= opts.tol)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ feed the concave maximizations
     I(mu)    = sup_V  ( mu(V) - lambda_V )       [legendre_I]
 
 the first solved by envelope-gradient ascent over the simplex with Newton
-curvature, the second by Barzilai-Borwein ascent using the fact that the
+curvature, the second by Newton ascent using the fact that the
 equilibrium measure of V is the gradient of lambda_V.
 
 Every candidate mu gives the rigorous lower bound mu(V) - I(mu) <= lambda_V,
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotConverged, UnsupportedSupport
+from .errors import ConvergenceFailure, NonFinite, NotConverged, UnsupportedSupport
 from .generator import Generator, as_potential
 from .spectral import ProbMeasure, as_measure, principal_eigen
 
@@ -319,46 +319,67 @@ def _try_steps(Q, Vv, opts, mu, w0, value, candidate, s0):
     return None
 
 
+def _legendre_newton(Q: Generator, V0: np.ndarray, F: np.ndarray, target: np.ndarray,
+                     tol: float, max_steps: int):
+    """Newton ascent on the concave dual G(v) = target.v - lambda(V0 + F v).
+
+    One principal_eigen call per point gives grad G = target - F^T mu and
+    Hess G = -F^T (A + A^T) F, A = diag(pi) S diag(psi), with S = (lambda I
+    - M + psi pi^T)^{-1} - psi pi^T the group inverse (Meyer 1975).  Rows of
+    F sum to one, so G is flat along constants: v is kept mean-zero and a
+    rank-one term fixes that gauge in the solve.  A full step that halves
+    the gradient passes unless G drops beyond round-off, else Armijo
+    backtracking runs; a failed eigenproblem rejects a trial.  Returns
+    (v, G, TV(target, F^T mu), steps), stopping once that TV <= tol.
+    """
+    def point(v):
+        v = v - v.mean()
+        gd = principal_eigen(Q, V0 + F @ v)
+        g = target - F.T @ gd.mu.weights
+        return v, gd, float(target @ v - gd.lam), g, 0.5 * float(np.abs(g).sum())
+
+    v, gd, G, g, err = point(np.zeros_like(target))
+    steps = 0
+    while err > tol and steps < max_steps:
+        B = np.diag(gd.lam - V0 - F @ v) - Q.rates + np.outer(gd.psi, gd.pi.weights)
+        half = (gd.pi.weights[:, None] * F).T @ np.linalg.solve(B, gd.psi[:, None] * F)
+        K = half + half.T - 2.0 * np.outer(target - g, target - g)    # F^T mu = target - g
+        step = np.linalg.solve(K + np.full(K.shape, max(np.trace(K), 1e-300) / K.size), g)
+        ascent = float(g @ step)
+        if not ascent > 0:
+            step, ascent = g, float(g @ g)
+        for s in 0.5 ** np.arange(60):
+            try:
+                trial = point(v + s * step)
+            except (ConvergenceFailure, NonFinite):
+                continue
+            G_try, err_try = trial[2], trial[4]
+            if (G_try >= G + 1e-4 * s * ascent or s == 1.0 and err_try < 0.5 * err
+                    and G_try >= G - 1e-12 * max(1.0, abs(G))):
+                break
+        else:
+            break
+        v, gd, G, g, err = trial
+        steps += 1
+    return v, G, err, steps
+
+
 def legendre_I(Q: Generator, mu, opts: SolverOptions | None = None) -> float:
     """Legendre route to the rate: sup_V (mu(V) - lambda_V), gauge sum V = 0.
 
-    The gradient of the concave objective is mu minus the equilibrium
-    measure of the current V, so Barzilai-Borwein steps with the spectral
-    solver as inner oracle converge to stationarity mu = mu_V.  Serves as
-    an independent cross-check of rate_I; the shift covariance of lambda
+    The concave objective has gradient mu - mu_V, so _legendre_newton with
+    F = I, V0 = 0 climbs to stationarity mu = mu_V.  Serves as an
+    independent cross-check of rate_I; the shift covariance of lambda
     makes the zero-mean gauge harmless.
     """
     opts = opts or DEFAULT_OPTIONS
     mu = as_measure(mu, Q.dim)
     if (mu.weights <= 0).any():
         raise UnsupportedSupport("legendre_I needs a strictly positive measure")
-    m = mu.weights
-    d = Q.dim
-
-    V = np.zeros(d)
-    g_prev = None
-    V_prev = None
-    step = 1.0
-    value = 0.0
-    gnorm = np.inf
-    for it in range(max(opts.max_iter, 2000)):
-        gd = principal_eigen(Q, V)
-        g = m - gd.mu.weights
-        value = float(m @ V - gd.lam)
-        gnorm = float(np.abs(g).max())
-        if gnorm <= max(opts.tol, 1e-11):
-            break
-        if g_prev is not None:
-            dV = V - V_prev
-            dg = g - g_prev
-            denom = float(dg @ dg)
-            if denom > 0:
-                step = abs(float(dV @ dg)) / denom
-        V_prev, g_prev = V.copy(), g.copy()
-        V = V + step * g
-        V -= V.mean()
-    if gnorm > 1e-6:
-        raise NotConverged(value, gnorm, iterations=it)
+    _, value, err, steps = _legendre_newton(Q, np.zeros(Q.dim), np.eye(Q.dim), mu.weights,
+                                            max(opts.tol, 1e-11), opts.max_iter)
+    if err > 1e-6:
+        raise NotConverged(value, err, iterations=steps)
     return value
 
 

@@ -116,10 +116,14 @@ def evolve(M: SchrodingerOperator, t: float, f) -> np.ndarray:
     f = _as_vector(f, M.dim)
     if t == 0:
         return f.copy()
-    out = expm(t * M.matrix) @ f
+    return _clamped(expm(t * M.matrix) @ f, t, bool(np.all(f >= 0)))
+
+
+def _clamped(out: np.ndarray, t: float, nonnegative: bool) -> np.ndarray:
+    """Check P_t f for overflow and, for f >= 0, zero its round-off negatives."""
     if not np.all(np.isfinite(out)):
         raise NonFinite(f"P_t f overflowed at t={t}")
-    if np.all(f >= 0):
+    if nonnegative:
         band = CLAMP_BAND * max(1.0, float(np.abs(out).max()))
         out[(out < 0) & (out > -band)] = 0.0
     return out
@@ -178,18 +182,28 @@ def growth_bound(M: SchrodingerOperator, lam: float, t_grid) -> float:
 
     With lam the principal eigenvalue this is a lower bound for
     C = sup_{t>=0} e^{-lam t} ||P_t^V||, and under assumption (A) it
-    stabilizes as the grid extends instead of diverging.
+    stabilizes as the grid extends instead of diverging.  Where t grows,
+    P_t^V 1 advances from the previous grid point by one step matrix
+    exp(h M), reused while consecutive gaps h agree to 1e-12 relative;
+    elsewhere it is evolved from t = 0.
     """
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if t_grid.size == 0:
         raise ValueError("t_grid must be nonempty")
     if (t_grid < 0).any():
         raise ValueError("t_grid entries must be nonnegative")
-    ones = np.ones(M.dim)
     best = -np.inf
-    for t in t_grid:
-        val = np.exp(-lam * float(t)) * float(evolve(M, float(t), ones).max())
-        best = max(best, val)
+    t_prev, h, E = None, None, None
+    for t in t_grid.tolist():
+        if t_prev is None or t <= t_prev:
+            u = evolve(M, t, np.ones(M.dim))
+        else:
+            if h is None or abs((t - t_prev) - h) > 1e-12 * h:
+                h = t - t_prev
+                E = expm(h * M.matrix)
+            u = _clamped(E @ u, t, True)
+        t_prev = t
+        best = max(best, np.exp(-lam * t) * float(u.max()))
     return float(best)
 
 

@@ -224,7 +224,7 @@ def test_criterion_07_marginal_uniqueness():
 
 
 def test_criterion_08_inversion_round_trip():
-    """The damped log-density fixed point recovers the centered potential."""
+    """Newton ascent on the concave dual recovers the centered potential."""
     rng = np.random.default_rng(808)
     worst, worst_it = 0.0, 0
     for _ in range(10):

@@ -89,6 +89,36 @@ class TestLoadScenario:
         with pytest.raises(ConfigError):
             run_scenario(sc)
 
+    def test_hk_invert_step_option_rejected(self, tmp_path):
+        # the Newton inversion has no step length to set
+        body = dict(BASE, N=2, tasks=[{"name": "hk-invert",
+                                       "options": {"v_star": [0.0, 1.0], "step": 0.5}}])
+        out = str(tmp_path / "out.json")
+        assert main(["run", write_scenario(tmp_path, body), "-o", out]) == 2
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("text", [
+        # 1e999 parses as an infinite float, and a 400-digit integer
+        # overflows float(); each once ended in a traceback
+        '"tasks": [{"name": "mc", "options": {"paths": 1e999}}]',
+        '"tasks": [{"name": "mc", "options": {"t": [5]}}]',
+        '"N": 2, "tasks": [{"name": "hk-invert", '
+        '"options": {"v_star": [0.0, 1.0], "max_iter": 1e999}}]',
+        '"t_grid": [1.0], "tasks": [{"name": "averaging", "options": {"n_grid": 1e999}}]',
+        '"t_grid": [1' + "0" * 400 + '], "tasks": ["averaging"]',
+        # a negative seed once loaded and then failed the rate task
+        '"seed": -1, "tasks": ["rate"]',
+        '"t_grid": [true], "tasks": ["averaging"]',
+    ], ids=["mc-paths", "mc-t", "hk-invert-max_iter", "averaging-n_grid", "t_grid", "seed",
+            "t_grid-bool"])
+    def test_bad_numeric_options_exit_2(self, tmp_path, capsys, text):
+        path = tmp_path / "scenario.json"
+        path.write_text('{"Q": [[-1.0, 1.0], [2.0, -2.0]], ' + text + "}")
+        out = str(tmp_path / "out.json")
+        assert main(["run", str(path), "-o", out]) == 2
+        assert not os.path.exists(out)
+        assert "config error" in capsys.readouterr().err
+
 
 class TestRun:
     def test_two_state_demo_matches_closed_form(self, tmp_path):

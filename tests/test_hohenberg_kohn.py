@@ -99,8 +99,31 @@ class TestInvertPotential:
         _, _, rho = equilibrium_marginal(sys, V0, v_star)
         res = invert_potential(sys, V0, rho)
         assert res.converged and res.iterations <= 500
+        assert res.iterations <= 10
         centered = v_star - v_star.mean()
         assert np.abs(res.v_recovered.values - centered).max() <= 1e-4
+
+    def test_seeded_sweep_converges(self):
+        # rates over four decades, strong pair interactions, and targets
+        # that are reachable marginals or Dirichlet draws floored at 1e-6
+        rng = np.random.default_rng(1)
+        for i in range(30):
+            d, N = int(rng.integers(2, 6)), int(rng.integers(2, 5))
+            if d ** N > 700:
+                N = 2
+            Q1 = validate_generator(oracles.rand_rate_matrix(d, rng)
+                                    * 10 ** rng.uniform(-2, 2))
+            sys = kronecker_sum(Q1, N)
+            w = rng.uniform(0, 3, (d, d))
+            V0 = pairwise_potential(0.5 * (w + w.T), N)
+            if i % 3 == 0:
+                target = equilibrium_marginal(sys, V0, rng.uniform(-6, 6, d))[2].weights
+            else:
+                target = np.maximum(rng.dirichlet(np.full(d, 0.3 if i % 3 == 1 else 2.0)),
+                                    1e-6)
+                target /= target.sum()
+            res = invert_potential(sys, V0, target)
+            assert res.converged and res.marginal_error <= 1e-8, (i, d, N)
 
     def test_strict_positivity_required(self, pair_system):
         sys, V0 = pair_system

@@ -173,6 +173,20 @@ class TestLegendre:
             mu = oracles.rand_measure(4, rng)
             assert abs(legendre_I(Q, mu) - rate_I(Q, mu).value) <= 1e-7
 
+    def test_few_perron_solves_d32(self, rng, monkeypatch):
+        from dvsemigroup import rate_function, spectral
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return spectral.principal_eigen(*args, **kwargs)
+
+        monkeypatch.setattr(rate_function, "principal_eigen", counted)
+        Q = validate_generator(oracles.rand_rate_matrix(32, rng))
+        mu = oracles.rand_measure(32, rng)
+        assert abs(legendre_I(Q, mu) - rate_I(Q, mu).value) <= 1e-7
+        assert len(calls) <= 20
+
 
 class TestRelativeEntropy:
     def test_identical_measures(self, rng):

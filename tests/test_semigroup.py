@@ -153,6 +153,12 @@ class TestGrowthBound:
         T = 1.0
         eps = check_condition_A(two_state, T)
         eps_prime = eps * np.exp(2 * T * (V.min() - V.max()))
-        C = growth_bound(op, lam, np.linspace(0, 50, 201))
-        assert C <= 1.0 / eps_prime + 1e-9
-        assert C >= 1.0  # value at t = 0
+        # the second grid changes gaps and steps back in t, so growth_bound
+        # rebuilds its step matrix and restarts from t = 0
+        for t_grid in (np.linspace(0, 50, 201),
+                       [3.0, 0.0, 0.5, 1.0, 1.5, 7.0, 2.0, 2.25, 2.5, 50.0, 12.5, 25.0]):
+            C = growth_bound(op, lam, t_grid)
+            assert C <= 1.0 / eps_prime + 1e-9
+            assert C >= 1.0  # value at t = 0
+            per_t = max(np.exp(-lam * t) * evolve(op, t, np.ones(2)).max() for t in t_grid)
+            assert C == pytest.approx(per_t, rel=1e-12)
