@@ -52,6 +52,7 @@ from .hohenberg_kohn import (
 )
 from .multiparticle import (
     TensorSystem,
+    is_symmetric,
     kronecker_sum,
     pairwise_potential,
     separable_potential,
@@ -107,7 +108,12 @@ class Scenario:
 
     @cached_property
     def ground(self) -> GroundData:
-        """The Perron eigentriple of generator + potential, solved once."""
+        """The Perron eigentriple of generator + potential, solved once: for
+        N > 1 and a symmetric potential, on the orbit chain and lifted."""
+        system = self.system
+        if self.N > 1 and is_symmetric(self.potential, system):
+            V = self.potential.values[system.orbits.reps]
+            return system.lift(principal_eigen(system.lumped_QN, V))
         return principal_eigen(self.generator, self.potential)
 
 
@@ -170,6 +176,8 @@ def load_scenario(path: str) -> Scenario:
     unknown = set(raw) - SCENARIO_KEYS
     _require(not unknown, "unknown scenario keys", key=",".join(sorted(unknown)))
     _require("Q" in raw, "scenario must define a rate matrix", key="Q")
+    scenario_name = raw.get("name", os.path.basename(path))
+    _require(isinstance(scenario_name, str), "name must be a string", key="name")
 
     try:
         Q1 = validate_generator(raw["Q"])
@@ -239,7 +247,7 @@ def load_scenario(path: str) -> Scenario:
         _require(name in TASK_NAMES, f"unknown task '{name}'", key="tasks")
         tasks.append((name, options))
 
-    return Scenario(name=raw.get("name", os.path.basename(path)), raw=raw,
+    return Scenario(name=scenario_name, raw=raw,
                     Q1=Q1, v=v, N=N, V0=V0, t_grid=[float(x) for x in t_grid],
                     seed=seed, tolerances=tolerances, tasks=tasks)
 

@@ -15,12 +15,13 @@ collapses the d^N-state variational principle to the d-simplex:
     lambda_{V0 + V} = sup_rho ( rho(v) - I_HK(rho) ).
 
 These maps run on the product chain lumped onto its C(d+N-1, N)
-permutation orbits (TensorSystem.lumped_QN), which is exact only for a
-permutation-symmetric V0; any other V0 raises ValueError.  I_HK is
-evaluated there by an augmented-Lagrangian method over orbit masses,
-with damped Newton inner solves reusing the rate-function derivatives.
-The multiplier of the marginal constraint is the gradient -grad I_HK(rho),
-which drives the outer ascent of reduced_variational.
+permutation orbits (TensorSystem.lumped_QN, built from Q1 with no d^N
+matrix), exact only for a permutation-symmetric V0; any other V0 raises
+ValueError.  I_HK is evaluated there by an augmented-Lagrangian method
+over orbit masses, with damped Newton inner solves reusing the
+rate-function derivatives.  The multiplier of the marginal constraint is
+the gradient -grad I_HK(rho), which drives the outer ascent of
+reduced_variational.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from .errors import NotConverged, StateSpaceTooLarge
 from .generator import Generator, Potential, as_potential, carre_du_champ
-from .multiparticle import TensorSystem, is_symmetric
+from .multiparticle import TensorSystem
 from .rate_function import _legendre_newton, _newton_min, _rate_parts, hessian_of_rate, rate_I
 from .spectral import ProbMeasure, as_measure, principal_eigen, total_variation
 
@@ -108,21 +109,12 @@ class ReducedResult:
     orbit_masses: np.ndarray
 
 
-def _orbit_V0(sys: TensorSystem, V0) -> np.ndarray:
-    """V0 on the orbits; lumping is exact only for a symmetric V0."""
-    V0 = as_potential(V0, sys.size)
-    if not is_symmetric(V0, sys):
-        raise ValueError("interaction V0 must be symmetric under particle permutations")
-    return V0.values[sys.orbits.reps]
-
-
 def equilibrium_marginal(sys: TensorSystem, V0, v):
     """Forward map: (lambda, symmetric equilibrium measure, its marginal)."""
     v = as_potential(v, sys.d)
     counts = sys.orbits.counts
-    gd = principal_eigen(sys.lumped_QN, _orbit_V0(sys, V0) + counts @ v.values / sys.N)
-    p = gd.mu.weights
-    return gd.lam, ProbMeasure(sys.orbits.spread(p)), ProbMeasure(counts.T @ p / sys.N)
+    gd = principal_eigen(sys.lumped_QN, sys.on_orbits(V0) + counts @ v.values / sys.N)
+    return gd.lam, sys.lift(gd).mu, ProbMeasure(counts.T @ gd.mu.weights / sys.N)
 
 
 def hk_verify(sys: TensorSystem, V0, v1, v2, tol: float = 1e-10,
@@ -176,7 +168,7 @@ def invert_potential(sys: TensorSystem, V0, rho_target,
     rho_target = as_measure(rho_target, sys.d)
     if (rho_target.weights <= 0).any():
         raise ValueError("target marginal must be strictly positive")
-    v, _, err, steps = _legendre_newton(sys.lumped_QN, _orbit_V0(sys, V0),
+    v, _, err, steps = _legendre_newton(sys.lumped_QN, sys.on_orbits(V0),
                                         sys.orbits.counts / sys.N, rho_target.weights,
                                         opts.tol, opts.max_iter)
     return InversionResult(Potential(v), steps, err, converged=err <= opts.tol)
@@ -208,7 +200,7 @@ def reduced_functional(sys: TensorSystem, V0, rho,
     m = len(o.reps)
     if m > opts.cap:
         raise StateSpaceTooLarge(m, opts.cap)
-    V0v = _orbit_V0(sys, V0)
+    V0v = sys.on_orbits(V0)
     rho = as_measure(rho, sys.d)
     if (rho.weights <= 0).any():
         raise ValueError("marginal must be strictly positive")

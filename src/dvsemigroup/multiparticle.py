@@ -12,7 +12,8 @@ contiguous block sum.
 Permutation symmetry is held once, as orbits: multisets of coordinates,
 C(d+N-1, N) of them.  Symmetrizing averages over an orbit, and since Q_N
 commutes with coordinate permutations its chain is exactly lumpable onto
-the orbits (Kemeny & Snell 1960).
+the orbits (Kemeny & Snell 1960): orbit n moves to n - e_i + e_j at rate
+n_i Q1[i, j].  The dense d^N x d^N matrix is built only when it is read.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, StateSpaceTooLarge
 from .generator import Generator, Potential, as_potential, validate_generator
-from .spectral import ProbMeasure, as_measure
+from .spectral import GroundData, ProbMeasure, as_measure
 
 DEFAULT_STATE_CAP = 20000
 
@@ -52,36 +53,24 @@ class Orbits:
 
 @dataclass(frozen=True)
 class TensorSystem:
-    """Product system bookkeeping: single-particle Q1 and its Kronecker sum."""
+    """Product system of N particles, each moving under Q1."""
 
     d: int
     N: int
     Q1: Generator
-    QN: Generator
 
     @property
     def size(self) -> int:
         return self.d ** self.N
 
-    def flat_index(self, x) -> int:
-        """Flat index of a multi-index (x1, ..., xN)."""
-        if len(x) != self.N:
-            raise DimensionMismatch(f"multi-index must have {self.N} coordinates")
-        flat = 0
-        for c in x:
-            if not 0 <= c < self.d:
-                raise DimensionMismatch(f"coordinate {c} outside 0..{self.d - 1}")
-            flat = flat * self.d + int(c)
-        return flat
-
-    def multi_index(self, flat: int) -> tuple[int, ...]:
-        if not 0 <= flat < self.size:
-            raise DimensionMismatch(f"flat index {flat} outside 0..{self.size - 1}")
-        out = []
-        for _ in range(self.N):
-            out.append(flat % self.d)
-            flat //= self.d
-        return tuple(reversed(out))
+    @cached_property
+    def QN(self) -> Generator:
+        """The Kronecker sum on d^N states, built when first read."""
+        d, N = self.d, self.N
+        QN = np.zeros((self.size, self.size))
+        for i in range(N):
+            QN += np.kron(np.kron(np.eye(d ** i), self.Q1.rates), np.eye(d ** (N - 1 - i)))
+        return validate_generator(QN)
 
     @cached_property
     def orbits(self) -> Orbits:
@@ -95,24 +84,39 @@ class TensorSystem:
 
     @cached_property
     def lumped_QN(self) -> Generator:
-        """QN lumped onto orbits: row a is QN[rep a] summed over orbit columns."""
+        """QN lumped onto orbits, from Q1: moving coordinate k of rep a from x_k
+        to j adds Q1[x_k, j] at the orbit of rep + (j - x_k) d^{N-1-k}."""
         o = self.orbits
-        return validate_generator([np.bincount(o.of, weights=row)
-                                   for row in self.QN.rates[o.reps]])
+        x = np.stack(np.unravel_index(o.reps, (self.d,) * self.N), axis=1)
+        stride = self.d ** np.arange(self.N - 1, -1, -1)
+        to = o.reps[:, None, None] + (np.arange(self.d) - x[:, :, None]) * stride[:, None]
+        L = np.zeros((len(o.reps), len(o.reps)))
+        np.add.at(L, (np.arange(len(o.reps))[:, None, None], o.of[to]), self.Q1.rates[x])
+        return validate_generator(L)
+
+    def on_orbits(self, V0) -> np.ndarray:
+        """V0 on the orbits; lumping is exact only for a symmetric V0."""
+        V0 = as_potential(V0, self.size)
+        if not is_symmetric(V0, self):
+            raise ValueError("interaction V0 must be symmetric under particle permutations")
+        return V0.values[self.orbits.reps]
+
+    def lift(self, gd: GroundData) -> GroundData:
+        """Ground data of lumped_QN (symmetric V) as those of QN on d^N states."""
+        o = self.orbits
+        return GroundData(lam=gd.lam, psi=gd.psi[o.of], pi=ProbMeasure(o.spread(gd.pi.weights)),
+                          mu=ProbMeasure(o.spread(gd.mu.weights)))
 
 
 def kronecker_sum(Q1: Generator, N: int, cap: int = DEFAULT_STATE_CAP) -> TensorSystem:
-    """Product generator of N identical non-interacting particles."""
+    """Product system of N identical non-interacting particles."""
     if N < 1:
         raise ValueError("particle count must be at least one")
     d = Q1.dim
     size = d ** N
     if size > cap:
         raise StateSpaceTooLarge(size, cap)
-    QN = np.zeros((size, size))
-    for i in range(N):
-        QN += np.kron(np.kron(np.eye(d ** i), Q1.rates), np.eye(d ** (N - 1 - i)))
-    return TensorSystem(d=d, N=N, Q1=Q1, QN=validate_generator(QN))
+    return TensorSystem(d=d, N=N, Q1=Q1)
 
 
 def separable_potential(v, N: int, cap: int = DEFAULT_STATE_CAP) -> Potential:

@@ -23,6 +23,7 @@ from .generator import Generator, as_potential, validate_generator
 from .semigroup import expm
 
 _NODA_STEPS = 100
+_NODA_STALL = 10
 
 
 @dataclass(frozen=True)
@@ -94,16 +95,21 @@ def _noda(M: np.ndarray, scale: float) -> tuple[np.ndarray, int]:
     below the stopping tolerance, so the solve stays nonsingular where
     max r equals lambda before x has converged, as a reducible M allows.
     Only the bracket certifies the tiny entries of x, which keep improving
-    after max r has settled.  A singular, non-finite or non-positive solve
-    ends the iteration, and the caller's residual check gives the verdict.
-    Returns (x, steps), x > 0 with unit sum.
+    after max r has settled, until their round-off holds the bracket:
+    _NODA_STALL steps without a new smallest bracket end the iteration, as
+    does a singular, non-finite or non-positive solve.  The caller's
+    residual check gives the verdict.  Returns (x, steps), x > 0, unit sum.
     """
     d = M.shape[0]
     x = np.full(d, 1.0 / d)
+    best, best_step = np.inf, 0
     for steps in range(1, _NODA_STEPS + 1):
         r = (M @ x) / x
         sigma = float(r.max())
-        if sigma - float(r.min()) <= 1e-13 * scale:
+        gap = sigma - float(r.min())
+        if gap < best:
+            best, best_step = gap, steps
+        if gap <= 1e-13 * scale or steps - best_step == _NODA_STALL:
             break
         try:
             y = np.linalg.solve((sigma + 1e-14 * scale) * np.eye(d) - M, x)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
+from dvsemigroup import principal_eigen
 from dvsemigroup.cli import load_scenario, main, run, run_scenario, sanitize
 from dvsemigroup.errors import ConfigError
 
@@ -82,6 +83,21 @@ class TestLoadScenario:
         assert main(["run", write_scenario(tmp_path, body), "-o", out]) == 2
         assert not os.path.exists(out)
         assert capsys.readouterr().err.count("non-finite number") == 2
+
+    def test_name_must_be_a_string(self, tmp_path, capsys):
+        # a list name once ran and named its CSV files "['a', {'b': 1}]__...",
+        # and 1e999 (an infinite float to json.load) was reported as "infinity"
+        for name in ('["a", {"b": 1}]', "1e999", "3", "null", "true"):
+            path = tmp_path / "scenario.json"
+            path.write_text('{"Q": [[-1.0, 1.0], [2.0, -2.0]], "name": ' + name
+                            + ', "tasks": ["spectral"]}')
+            with pytest.raises(ConfigError, match="name"):
+                load_scenario(str(path))
+            csv_dir = tmp_path / "csv"
+            assert main(["run", str(path), "-o", str(tmp_path / "r.json"),
+                         "--csv", str(csv_dir)]) == 2
+            assert not csv_dir.exists()
+        assert capsys.readouterr().err.count("name must be a string") == 5
 
     def test_unknown_task_option_rejected(self, tmp_path):
         body = dict(BASE, tasks=[{"name": "mc", "options": {"bogus": 1}}])
@@ -191,6 +207,53 @@ class TestRun:
         assert spectral["status"] == "ok"
         assert verify["status"] == "error"
         assert verify["error"]["type"] == "ValueError"
+
+    def test_infinite_mc_horizon_is_echoed_as_infinity(self, tmp_path):
+        # json.load reads 1e999 as inf without calling parse_constant, so
+        # the config echo still needs sanitize to stay valid JSON
+        path = tmp_path / "scenario.json"
+        path.write_text('{"Q": [[-1.0, 1.0], [2.0, -2.0]], '
+                        '"tasks": [{"name": "mc", "options": {"t": 1e999, "paths": 10}}]}')
+        out = str(tmp_path / "report.json")
+        assert run(str(path), out) == 1
+        text = open(out).read()
+        assert "Infinity" not in text
+        report = json.loads(text)
+        assert report["config"]["tasks"][0]["options"]["t"] == "infinity"
+        assert report["tasks"][0]["error"]["type"] == "ValueError"
+
+    def test_symmetric_product_runs_on_orbits_only(self, tmp_path):
+        # 81 states, 15 orbits: no task here reads the 81 x 81 generator,
+        # and spectral's lifted vectors equal the full-chain solve
+        rng = np.random.default_rng(11)
+        w = rng.uniform(0, 1, (3, 3))
+        body = {"name": "orbits", "Q": oracles.rand_rate_matrix(3, rng).tolist(),
+                "v": [0.3, -0.2, 0.5], "N": 4, "V0": {"pairwise": (w + w.T).tolist()},
+                "tasks": ["validate", "spectral",
+                          {"name": "hk-verify", "options": {"v2": [0.0, 1.0, 0.0]}},
+                          {"name": "hk-invert", "options": {"v_star": [0.0, 1.0, 0.5]}},
+                          "ihk"]}
+        sc = load_scenario(write_scenario(tmp_path, body))
+        report, ok = run_scenario(sc)
+        assert ok
+        assert "QN" not in sc.system.__dict__
+        got = report["tasks"][1]["result"]
+        full = principal_eigen(sc.system.QN, sc.potential)
+        scale = max(1.0, np.abs(sc.system.QN.rates + np.diag(sc.potential.values)).max())
+        assert abs(got["lambda"] - full.lam) <= 1e-12 * scale
+        for key, ref in (("psi", full.psi), ("pi", full.pi.weights), ("mu", full.mu.weights)):
+            assert len(got[key]) == 81
+            assert np.abs(np.array(got[key]) - ref).max() <= 1e-12
+
+        # a non-symmetric array V0 has no orbit chain: spectral reads QN
+        V0 = np.zeros(81)
+        V0[1] = 1.0
+        sc = load_scenario(write_scenario(tmp_path, dict(body, V0=V0.tolist(),
+                                                         tasks=["spectral"])))
+        report, ok = run_scenario(sc)
+        assert ok and "QN" in sc.system.__dict__
+        assert report["tasks"][0]["result"]["lambda"] == principal_eigen(
+            sc.system.QN, sc.potential).lam
 
     def test_csv_emission(self, tmp_path):
         body = dict(BASE, tasks=["spectral"])

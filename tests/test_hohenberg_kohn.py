@@ -293,7 +293,7 @@ class TestOrbitChain:
     def test_rejects_non_symmetric_V0(self, pair_system):
         sys, _ = pair_system
         V0 = np.zeros(4)
-        V0[sys.flat_index((0, 1))] = 1.0
+        V0[np.ravel_multi_index((0, 1), (2, 2))] = 1.0
         with pytest.raises(ValueError, match="symmetric"):
             equilibrium_marginal(sys, V0, [0.0, 1.0])
         with pytest.raises(ValueError, match="symmetric"):

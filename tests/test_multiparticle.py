@@ -39,7 +39,7 @@ class TestKroneckerSum:
         # moves change exactly one coordinate, at the single-particle rate
         for flat_x in range(4):
             for flat_y in range(4):
-                x, y = sys.multi_index(flat_x), sys.multi_index(flat_y)
+                x, y = np.unravel_index(flat_x, (2, 2)), np.unravel_index(flat_y, (2, 2))
                 differ = [i for i in range(2) if x[i] != y[i]]
                 if len(differ) == 1:
                     i = differ[0]
@@ -68,13 +68,6 @@ class TestKroneckerSum:
         with pytest.raises(StateSpaceTooLarge):
             kronecker_sum(two_state, 3, cap=7)
 
-    def test_index_round_trip(self, two_state):
-        sys = kronecker_sum(two_state, 3)
-        for flat in range(sys.size):
-            assert sys.flat_index(sys.multi_index(flat)) == flat
-        assert sys.multi_index(0) == (0, 0, 0)
-        assert sys.flat_index((1, 0, 1)) == 5
-
 
 class TestSeparablePotential:
     def test_single_particle_identity(self):
@@ -96,7 +89,7 @@ class TestPairwisePotential:
         sys = kronecker_sum(two_state, 2)
         V0 = pairwise_potential(w, 2)
         for flat in range(4):
-            x = sys.multi_index(flat)
+            x = np.unravel_index(flat, (2, 2))
             assert V0.values[flat] == w[x[0], x[1]]
 
     def test_three_particles_symmetric(self, two_state):
@@ -172,7 +165,7 @@ class TestIsSymmetric:
     def test_point_indicator_is_not(self, two_state):
         sys = kronecker_sum(two_state, 2)
         V = np.zeros(4)
-        V[sys.flat_index((0, 1))] = 1.0
+        V[np.ravel_multi_index((0, 1), (2, 2))] = 1.0
         assert not is_symmetric(V, sys)
 
     def test_equilibrium_of_symmetric_system(self, two_state):
@@ -205,10 +198,11 @@ class TestOrbits:
         assert o.sizes.sum() == sys.size
         assert np.array_equal(np.bincount(o.of), o.sizes)
         assert np.array_equal(o.counts.sum(axis=1), np.full(15, 4))
+        shape = (sys.d,) * sys.N
         for flat in range(sys.size):
-            x = sys.multi_index(flat)
+            x = np.unravel_index(flat, shape)
             a = o.of[flat]
-            assert sorted(x) == sorted(sys.multi_index(int(o.reps[a])))
+            assert sorted(x) == sorted(np.unravel_index(o.reps[a], shape))
             assert np.array_equal(np.bincount(x, minlength=3), o.counts[a])
 
     @pytest.mark.parametrize("d, N", [(2, 3), (3, 3)])
@@ -224,6 +218,34 @@ class TestOrbits:
             full = rate_I(sys.QN, mu).value
             lumped = rate_I(sys.lumped_QN, p).value
             assert abs(full - lumped) <= 1e-12 * max(1.0, full)
+
+    @pytest.mark.parametrize("d, N", [(2, 3), (3, 3), (4, 4), (3, 5)])
+    def test_lumped_QN_is_row_lumping_of_QN(self, d, N, rng):
+        # built from Q1 alone, before QN exists, yet equal to the lumping
+        # of QN's representative rows to the last bit
+        Q1 = validate_generator(oracles.rand_rate_matrix(d, rng))
+        sys = kronecker_sum(Q1, N)
+        built = sys.lumped_QN.rates
+        assert "QN" not in sys.__dict__
+        o = sys.orbits
+        lumped = validate_generator([np.bincount(o.of, weights=row)
+                                     for row in sys.QN.rates[o.reps]])
+        assert np.array_equal(built, lumped.rates)
+
+    @pytest.mark.parametrize("d, N", [(2, 4), (3, 3), (4, 3)])
+    def test_lifted_ground_data_match_full_chain(self, d, N, rng):
+        Q1 = validate_generator(oracles.rand_rate_matrix(d, rng))
+        sys = kronecker_sum(Q1, N)
+        w = rng.uniform(-1, 1, (d, d))
+        V = (pairwise_potential(w + w.T, N).values
+             + separable_potential(rng.uniform(-1, 1, d), N).values)
+        lifted = sys.lift(principal_eigen(sys.lumped_QN, sys.on_orbits(V)))
+        full = principal_eigen(sys.QN, V)
+        scale = max(1.0, np.abs(sys.QN.rates + np.diag(V)).max())
+        assert abs(lifted.lam - full.lam) <= 1e-12 * scale
+        assert np.abs(lifted.psi - full.psi).max() <= 1e-12
+        assert np.abs(lifted.pi.weights - full.pi.weights).max() <= 1e-12
+        assert np.abs(lifted.mu.weights - full.mu.weights).max() <= 1e-12
 
     def test_seven_particles(self, two_state, rng):
         # d = 2: the orbit of a state is its number of ones

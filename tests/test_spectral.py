@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from dvsemigroup import spectral
 from dvsemigroup import (
     NonFinite,
     ProbMeasure,
@@ -147,6 +148,38 @@ class TestPrincipalEigen:
         scale = max(1.0, np.abs(Q + np.diag(V)).max())
         assert abs(gd.lam - lam) <= 1e-9 * scale
         assert gd.psi.min() > 0 and gd.pi.weights.min() > 0
+
+    def test_round_off_stall_ends_noda(self, monkeypatch):
+        # 200-state birth-death chains with rates spanning four decades:
+        # psi spans ~1e-108 to 1, and round-off in its tiny entries can
+        # hold the bracket near 1e-10 * scale.  On draw 0 the psi side
+        # once ran all 100 steps; the underflowing draws end in NonFinite.
+        steps = []
+
+        def counted(M, scale):
+            x, n = noda(M, scale)
+            steps.append(n)
+            return x, n
+
+        noda = spectral._noda
+        monkeypatch.setattr(spectral, "_noda", counted)
+        rng = np.random.default_rng(1)
+        certified = 0
+        for _ in range(8):
+            up, down = 10 ** rng.uniform(-2, 2, (2, 199))
+            V = rng.normal(0, 1, 200)
+            Q = np.diag(up, 1) + np.diag(down, -1)
+            Q -= np.diag(Q.sum(axis=1))
+            M = Q + np.diag(V)
+            try:
+                gd = principal_eigen(validate_generator(Q), V)
+            except NonFinite:
+                continue
+            certified += 1
+            lam = np.linalg.eigvals(M).real.max()
+            assert abs(gd.lam - lam) <= 1e-12 * np.abs(M).max()
+        assert certified >= 4
+        assert max(steps) <= 50
 
     def test_absorbing_state(self):
         # reducible M: the uniform start already has max(Mx/x) = lambda
