@@ -20,7 +20,10 @@ report with a config echo, a section per task, the library version, and
 wall-clock timings.  Exit codes: 0 success, 1 a task failed, 2 the
 scenario itself is invalid.  Reports are deterministic for fixed
 scenario and seed, apart from the timings section; non-finite numbers
-are emitted as the strings "infinity", "-infinity", or "nan".
+are emitted as the strings "infinity", "-infinity", or "nan".  Reports,
+and the bare results of the single-task subcommands, are one line of
+compact JSON with sorted keys; `python -m json.tool report.json`
+pretty-prints one.
 """
 
 from __future__ import annotations
@@ -184,8 +187,11 @@ def load_scenario(path: str) -> Scenario:
     except (DVSemigroupError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid rate matrix: {exc}", key="Q") from exc
 
-    N = raw.get("N", 1)
-    _require(isinstance(N, int) and N >= 1, "N must be a positive integer", key="N")
+    N = _count(raw.get("N", 1), "N", 1)
+    # for d >= 2, d^N < 2**63 exactly when d^min(N, 64) is, and the latter
+    # never forms a huge integer
+    _require(Q1.dim ** min(N, 64) < 2 ** 63,
+             f"{Q1.dim}^N product states must stay below 2**63", key="N")
 
     _require(not ("V" in raw and "v" in raw),
              "give either V or v, not both", key="V")
@@ -414,6 +420,11 @@ def sanitize(obj):
     if isinstance(obj, dict):
         return {str(k): sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
+        # flat lists of plain finite numbers pass through as they are; ints
+        # never reach isfinite, which overflows on one too large for a float
+        types = set(map(type, obj))
+        if types <= {int} or (types <= {float} and all(map(math.isfinite, obj))):
+            return list(obj)
         return [sanitize(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return sanitize(obj.tolist())
@@ -450,7 +461,8 @@ def run_scenario(sc: Scenario) -> tuple[dict, bool]:
 
 
 def write_report(report: dict, out_path: str | None):
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    # without indent, json uses its C encoder
+    text = json.dumps(report, sort_keys=True) + "\n"
     if out_path is None:
         sys.stdout.write(text)
     else:

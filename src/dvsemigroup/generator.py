@@ -99,22 +99,18 @@ def _undirected_components(mat: np.ndarray) -> list[list[int]]:
     d = mat.shape[0]
     support = (mat > 0) | (mat.T > 0)
     np.fill_diagonal(support, False)
-    seen = np.zeros(d, dtype=bool)
+    unseen = np.ones(d, dtype=bool)
     components = []
-    for start in range(d):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = []
-        while stack:
-            i = stack.pop()
-            comp.append(i)
-            for j in np.nonzero(support[i])[0]:
-                if not seen[j]:
-                    seen[j] = True
-                    stack.append(int(j))
-        components.append(sorted(comp))
+    while unseen.any():
+        # breadth-first sweep from the first unseen state: each frontier is
+        # the neighbours of the last one that are not in the component yet
+        comp = np.zeros(d, dtype=bool)
+        frontier = np.arange(d) == unseen.argmax()
+        while frontier.any():
+            comp |= frontier
+            frontier = support[frontier].any(axis=0) & ~comp
+        unseen &= ~comp
+        components.append(np.flatnonzero(comp).tolist())
     return components
 
 

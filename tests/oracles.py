@@ -9,6 +9,7 @@ closed forms or generic black-box minimization.
 import numpy as np
 import scipy.linalg
 import scipy.optimize
+import scipy.sparse.csgraph
 
 
 def eig_expm(A):
@@ -55,6 +56,16 @@ def eig_principal(M):
     pi = pi / pi.sum()
     psi = psi / float(psi @ pi)
     return lam, psi, pi, psi * pi
+
+
+def support_components(mat):
+    """Components of the undirected off-diagonal support graph of mat, each
+    as its sorted states, ordered by smallest state."""
+    support = np.asarray(mat) != 0
+    np.fill_diagonal(support, False)
+    _, labels = scipy.sparse.csgraph.connected_components(support, directed=False)
+    comps = [np.flatnonzero(labels == k).tolist() for k in range(labels.max() + 1)]
+    return sorted(comps)
 
 
 def two_state_lambda(a, b, v1, v2):

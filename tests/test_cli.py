@@ -26,6 +26,10 @@ BASE = {
 }
 
 
+def _no_constant(token):
+    raise AssertionError(f"report holds the non-finite token {token}")
+
+
 class TestLoadScenario:
     def test_minimal(self, tmp_path):
         sc = load_scenario(write_scenario(tmp_path, {"Q": BASE["Q"]}))
@@ -134,6 +138,32 @@ class TestLoadScenario:
         assert main(["run", str(path), "-o", out]) == 2
         assert not os.path.exists(out)
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra, code", [
+        # 2^20000 product states once broke write_report, past the
+        # 4300-digit int-to-str limit, and spectral reported that error
+        ({"N": 20000, "tasks": ["validate"]}, 2),
+        ({"N": 20000, "tasks": ["spectral"]}, 2),
+        # load_scenario once formed the 10^12-bit integer 2^N to size V0
+        ({"N": 10 ** 12, "V0": [0.0] * 4, "tasks": ["validate"]}, 2),
+        ({"N": True, "tasks": ["validate"]}, 2),
+        ({"N": 63, "tasks": ["validate"]}, 2),
+        ({"N": 62, "tasks": ["validate"]}, 0),
+        ({"N": 15, "tasks": ["spectral"]}, 1),
+    ], ids=["validate-20000", "spectral-20000", "V0-1e12", "bool", "63", "62", "15"])
+    def test_particle_count_bounded(self, tmp_path, capsys, extra, code):
+        path = write_scenario(tmp_path, dict(BASE, **extra))
+        out = str(tmp_path / "out.json")
+        assert main(["run", path, "-o", out]) == code
+        if code == 2:
+            assert not os.path.exists(out)
+            assert "config error" in capsys.readouterr().err
+            return
+        section = json.loads(open(out).read())["tasks"][0]
+        if code == 0:
+            assert section["result"]["product_states"] == 2 ** extra["N"]
+        else:
+            assert section["error"]["type"] == "StateSpaceTooLarge"
 
 
 class TestRun:
@@ -255,6 +285,28 @@ class TestRun:
         assert report["tasks"][0]["result"]["lambda"] == principal_eigen(
             sc.system.QN, sc.potential).lam
 
+    def test_report_is_one_line_of_sorted_compact_json(self, tmp_path):
+        body = dict(BASE, t_grid=[1.0, 2.0], tasks=["validate", "spectral", "averaging"])
+        path = write_scenario(tmp_path, body)
+        for argv in (["run", path], ["spectral", path]):
+            out = str(tmp_path / "out.json")
+            assert main(argv + ["-o", out]) == 0
+            text = open(out).read()
+            assert text.endswith("\n") and text.count("\n") == 1
+            assert text == json.dumps(json.loads(text, parse_constant=_no_constant),
+                                      sort_keys=True) + "\n"
+
+    def test_unread_huge_integer_option_is_echoed(self, tmp_path):
+        # with rho_target given, hk-invert never reads v_star, so its
+        # 400-digit integer reaches the report's config echo as it is
+        big = 10 ** 400
+        body = dict(BASE, N=2, tasks=[{"name": "hk-invert", "options": {
+            "rho_target": [0.5, 0.5], "v_star": [big, 0]}}])
+        out = str(tmp_path / "report.json")
+        assert run(write_scenario(tmp_path, body), out) == 0
+        report = json.loads(open(out).read())
+        assert report["config"]["tasks"][0]["options"]["v_star"] == [big, 0]
+
     def test_csv_emission(self, tmp_path):
         body = dict(BASE, tasks=["spectral"])
         out = str(tmp_path / "report.json")
@@ -278,6 +330,22 @@ class TestSanitize:
         out = sanitize({"n": np.int64(3), "x": np.array([0.5, 0.5]), "f": np.bool_(True),
                         "t": (1, np.float64(0.25)), "s": np.float32(0.5)})
         assert out == {"n": 3, "x": [0.5, 0.5], "f": True, "t": [1, 0.25], "s": 0.5}
+
+    @pytest.mark.parametrize("given, expected", [
+        ([1, -2, 3], [1, -2, 3]),
+        ([1, 0.5, -2], [1, 0.5, -2]),
+        ([0.5, float("inf"), float("nan"), -float("inf")],
+         [0.5, "infinity", "nan", "-infinity"]),
+        ([True, False, 1], [True, False, 1]),
+        ([], []),
+        ((0.25, 1.5), [0.25, 1.5]),
+        ([10 ** 400, 0.5], [10 ** 400, 0.5]),
+        ([[1.0, 2.0], [np.float64(3.0)]], [[1.0, 2.0], [3.0]]),
+    ], ids=["ints", "mixed", "non-finite", "bools", "empty", "tuple", "huge-int", "nested"])
+    def test_flat_number_lists(self, given, expected):
+        out = sanitize({"x": given})["x"]
+        assert out == expected and type(out) is list
+        assert [type(x) for x in out] == [type(x) for x in expected]
 
 
 class TestMain:

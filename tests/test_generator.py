@@ -138,6 +138,26 @@ class TestConditionD:
         with pytest.raises(GraphDisconnected):
             validate_generator(raw)
 
+    def test_components_match_scipy(self, rng):
+        # sparse random graphs, most of them disconnected: GraphDisconnected
+        # lists each component as its sorted states, by smallest state
+        disconnected = 0
+        for _ in range(200):
+            d = int(rng.integers(1, 40))
+            raw = (rng.random((d, d)) < rng.uniform(0, 0.15)) * rng.uniform(0.5, 2, (d, d))
+            np.fill_diagonal(raw, 0.0)
+            np.fill_diagonal(raw, -raw.sum(axis=1))
+            expected = oracles.support_components(raw)
+            assert check_condition_D(raw) == (len(expected) == 1)
+            if len(expected) == 1:
+                validate_generator(raw)
+                continue
+            disconnected += 1
+            with pytest.raises(GraphDisconnected) as exc:
+                validate_generator(raw)
+            assert exc.value.components == expected
+        assert disconnected > 100
+
     def test_star_graph(self):
         raw = np.zeros((4, 4))
         raw[0, 1:] = 1.0
