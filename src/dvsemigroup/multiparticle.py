@@ -31,6 +31,14 @@ from .spectral import GroundData, ProbMeasure, as_measure
 DEFAULT_STATE_CAP = 20000
 
 
+def _digits(d: int, N: int) -> np.ndarray:
+    """Coordinates (x1, ..., xN) of every flat state, shape (d^N, N), by
+    integer division.  Two axes for any N: numpy allows at most 64, and
+    d = 1 admits any particle count under every state cap."""
+    stride = d ** np.arange(N - 1, -1, -1)
+    return np.arange(d ** N)[:, None] // stride % d
+
+
 @dataclass(frozen=True)
 class Orbits:
     """Orbits of the coordinate permutations on d^N states.
@@ -75,7 +83,7 @@ class TensorSystem:
     @cached_property
     def orbits(self) -> Orbits:
         """Orbits as the distinct sorted rows of the multi-index grid."""
-        grid = np.indices((self.d,) * self.N).reshape(self.N, -1).T
+        grid = _digits(self.d, self.N)
         keys, reps, of, sizes = np.unique(np.sort(grid, axis=1), axis=0,
                                           return_index=True, return_inverse=True,
                                           return_counts=True)
@@ -87,7 +95,7 @@ class TensorSystem:
         """QN lumped onto orbits, from Q1: moving coordinate k of rep a from x_k
         to j adds Q1[x_k, j] at the orbit of rep + (j - x_k) d^{N-1-k}."""
         o = self.orbits
-        x = np.stack(np.unravel_index(o.reps, (self.d,) * self.N), axis=1)
+        x = _digits(self.d, self.N)[o.reps]
         stride = self.d ** np.arange(self.N - 1, -1, -1)
         to = o.reps[:, None, None] + (np.arange(self.d) - x[:, :, None]) * stride[:, None]
         L = np.zeros((len(o.reps), len(o.reps)))
@@ -125,12 +133,11 @@ def separable_potential(v, N: int, cap: int = DEFAULT_STATE_CAP) -> Potential:
     d = len(v)
     if d ** N > cap:
         raise StateSpaceTooLarge(d ** N, cap)
-    acc = np.zeros((d,) * N)
+    x = _digits(d, N)
+    acc = np.zeros(d ** N)
     for i in range(N):
-        shape = [1] * N
-        shape[i] = d
-        acc = acc + v.values.reshape(shape)
-    return Potential(acc.reshape(-1) / N)
+        acc = acc + v.values[x[:, i]]
+    return Potential(acc / N)
 
 
 def pairwise_potential(w, N: int, cap: int = DEFAULT_STATE_CAP) -> Potential:
@@ -152,16 +159,12 @@ def pairwise_potential(w, N: int, cap: int = DEFAULT_STATE_CAP) -> Potential:
         return Potential(np.zeros(d))
     if d ** N > cap:
         raise StateSpaceTooLarge(d ** N, cap)
-    acc = np.zeros((d,) * N)
+    x = _digits(d, N)
+    acc = np.zeros(d ** N)
     for i in range(N):
         for j in range(i + 1, N):
-            # for i < j a plain reshape puts the first axis of w at slot i
-            # (slower) and the second at slot j, matching row-major order
-            shape = [1] * N
-            shape[i] = d
-            shape[j] = d
-            acc = acc + w.reshape(shape)
-    return Potential(acc.reshape(-1) / comb(N, 2))
+            acc = acc + w[x[:, i], x[:, j]]
+    return Potential(acc / comb(N, 2))
 
 
 def symmetrize_measure(mu, sys: TensorSystem) -> ProbMeasure:

@@ -10,10 +10,13 @@ and for f >= 0 obeys the sandwich
     e^{t min V} P_t f  <=  P_t^V f  <=  e^{t max V} P_t f.
 
 Matrix exponentials use scaling and squaring with a fixed-order [13/13]
-rational approximant, the matrix being scaled so its norm is at most 1/2
-before evaluation.  This stays robust for the non-symmetric matrices
-Q + diag(V), whose spectra can come close to defective.  Dense
-eigendecompositions appear only in test oracles.
+rational approximant, the matrix being scaled so its infinity norm is at
+most theta13 = 5.37 before evaluation: up to that norm the approximant's
+backward error is below double-precision unit round-off (Higham 2005,
+SIAM J. Matrix Anal. Appl. 26:1179, Table 2.3), so scaling further only
+adds squarings and their round-off.  This stays robust for the
+non-symmetric matrices Q + diag(V), whose spectra can come close to
+defective.  Dense eigendecompositions appear only in test oracles.
 """
 
 from __future__ import annotations
@@ -37,12 +40,18 @@ _PADE13 = (
 # downstream logarithms require strict signs.
 CLAMP_BAND = 1e-14
 
+# Largest norm at which the [13/13] approximant is exact to double
+# precision (Higham 2005, Table 2.3).
+_THETA13 = 5.371920351148152
+
 
 def expm(A: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling and squaring.
 
-    A is divided by 2^s until its infinity norm is at most 1/2, the
-    [13/13] approximant is evaluated, and the result is squared s times.
+    A is divided by 2^s until its infinity norm is at most theta13 = 5.37,
+    the [13/13] approximant is evaluated, and the result is squared s
+    times.  theta13 is the largest norm at which the approximant is exact
+    to double precision (Higham 2005, SIAM J. Matrix Anal. Appl. 26:1179).
     Raises NonFinite if the result overflows instead of saturating.
     """
     A = np.asarray(A, dtype=float)
@@ -54,8 +63,8 @@ def expm(A: np.ndarray) -> np.ndarray:
     norm = float(np.abs(A).sum(axis=1).max())
     s = 0
     B = A
-    if norm > 0.5:
-        s = int(np.ceil(np.log2(norm / 0.5)))
+    if norm > _THETA13:
+        s = int(np.ceil(np.log2(norm / _THETA13)))
         B = A / (2.0 ** s)
 
     b = _PADE13

@@ -84,35 +84,39 @@ class GroundData:
     mu: ProbMeasure
 
 
-def _noda(M: np.ndarray, scale: float) -> tuple[np.ndarray, int]:
+def _noda(M: np.ndarray, scale: float, x: np.ndarray | None = None,
+          cap: float = np.inf) -> tuple[np.ndarray, int]:
     """Perron vector of the Metzler matrix M by Noda's iteration.
 
     Each step bounds the Perron root by the Collatz-Wielandt ratios
     r = Mx/x, min r <= lambda <= max r, stops once that bracket is below
-    1e-13 * scale, and otherwise solves (max r I - M) y = x.  The shifted
-    matrix is an M-matrix, so y > 0, and max r falls monotonically to
-    lambda (Noda 1971; Elsner 1976).  The shift is raised by 1e-14 * scale,
-    below the stopping tolerance, so the solve stays nonsingular where
-    max r equals lambda before x has converged, as a reducible M allows.
-    Only the bracket certifies the tiny entries of x, which keep improving
-    after max r has settled, until their round-off holds the bracket:
+    1e-13 * scale, and otherwise solves (sigma I - M) y = x with the shift
+    sigma = min(max r, cap).  For any cap >= lambda the shifted matrix is
+    an M-matrix, so y > 0, and sigma falls monotonically to lambda (Noda
+    1971; Elsner 1976).  The shift is raised by 1e-14 * scale, below the
+    stopping tolerance, so the solve stays nonsingular where sigma equals
+    lambda before x has converged, as a reducible M allows.  Only the
+    bracket certifies the tiny entries of x, which keep improving after
+    max r has settled, until their round-off holds the bracket:
     _NODA_STALL steps without a new smallest bracket end the iteration, as
     does a singular, non-finite or non-positive solve.  The caller's
-    residual check gives the verdict.  Returns (x, steps), x > 0, unit sum.
+    residual check gives the verdict.  x is the positive start (uniform
+    when None).  Returns (x, steps), x > 0, unit sum.
     """
     d = M.shape[0]
-    x = np.full(d, 1.0 / d)
+    x = np.full(d, 1.0 / d) if x is None else x
     best, best_step = np.inf, 0
     for steps in range(1, _NODA_STEPS + 1):
         r = (M @ x) / x
-        sigma = float(r.max())
-        gap = sigma - float(r.min())
+        top = float(r.max())
+        gap = top - float(r.min())
         if gap < best:
             best, best_step = gap, steps
         if gap <= 1e-13 * scale or steps - best_step == _NODA_STALL:
             break
+        sigma = min(top, cap) + 1e-14 * scale
         try:
-            y = np.linalg.solve((sigma + 1e-14 * scale) * np.eye(d) - M, x)
+            y = np.linalg.solve(sigma * np.eye(d) - M, x)
         except np.linalg.LinAlgError:
             break
         if not (np.all(np.isfinite(y)) and y.min() > 0):
@@ -127,11 +131,17 @@ def _noda(M: np.ndarray, scale: float) -> tuple[np.ndarray, int]:
 def principal_eigen(Q: Generator, V) -> GroundData:
     """Principal eigenvalue and eigenvectors of M = Q + diag(V).
 
-    _noda runs on M for psi and on M^T for pi; lambda is the two-sided
-    Rayleigh quotient of the pair.  Raises ConvergenceFailure unless both
-    eigen-residuals are below 1e-9 * max|M_ij| and both vectors are
-    positive, and NonFinite when psi * pi underflows to zero.  Output is
-    deterministic: no random starts, fixed sign convention.
+    _noda runs on M for psi, then on M^T for pi as a warm continuation:
+    it starts from psi, whose Perron vector shares the (simple) root
+    lambda with that of M^T, and caps its shift at cap = max(M psi / psi).
+    That Collatz-Wielandt ratio bounds lambda from above for any positive
+    psi, so the capped shift keeps (sigma I - M^T) an M-matrix and the
+    pi side settles in a few steps instead of re-finding lambda from the
+    uniform vector.  lambda is the two-sided Rayleigh quotient of the
+    pair.  Raises ConvergenceFailure unless both eigen-residuals are below
+    1e-9 * max|M_ij| and both vectors are positive, and NonFinite when
+    psi * pi underflows to zero.  Output is deterministic: no random
+    starts, fixed sign convention.
     """
     V = as_potential(V, Q.dim)
     M = Q.rates + np.diag(V.values)
@@ -142,7 +152,8 @@ def principal_eigen(Q: Generator, V) -> GroundData:
 
     scale = max(1.0, float(np.abs(M).max()))
     v, steps_v = _noda(M, scale)
-    w, steps_w = _noda(M.T, scale)
+    cap = float(((M @ v) / v).max())
+    w, steps_w = _noda(M.T, scale, v, cap)
     lam = float((w @ (M @ v)) / (w @ v))
     residual = max(float(np.abs(M @ v - lam * v).max()),
                    float(np.abs(M.T @ w - lam * w).max()))

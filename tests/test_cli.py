@@ -187,6 +187,15 @@ class TestRun:
         assert report["config"]["Q"] == BASE["Q"]
         assert report["tasks"] == []
 
+    def test_q_echo_keeps_json_types(self, tmp_path):
+        # the validated Q is echoed as it was read: int, bool and float kept
+        Q = [[-1, True], [2, -2.0]]
+        out = str(tmp_path / "report.json")
+        assert run(write_scenario(tmp_path, {"Q": Q, "tasks": ["validate"]}), out) == 0
+        echo = json.loads(open(out).read())["config"]["Q"]
+        assert echo == Q
+        assert [[type(x) for x in row] for row in echo] == [[int, bool], [int, float]]
+
     def test_reports_deterministic_up_to_timings(self, tmp_path):
         body = dict(BASE, t_grid=[1.0, 2.0],
                     tasks=["validate", "spectral", "rate", "averaging",
@@ -284,6 +293,20 @@ class TestRun:
         assert ok and "QN" in sc.system.__dict__
         assert report["tasks"][0]["result"]["lambda"] == principal_eigen(
             sc.system.QN, sc.potential).lam
+
+    def test_one_state_with_more_than_64_particles(self, tmp_path):
+        # one product state for any N; N > 64 must not build N-axis arrays
+        results = {}
+        for N in (3, 100):
+            body = {"Q": [[0.0]], "v": [1.0], "N": N, "tasks": ["validate", "spectral", "ihk"]}
+            out = str(tmp_path / f"report{N}.json")
+            assert run(write_scenario(tmp_path, body, f"s{N}.json"), out) == 0
+            tasks = json.loads(open(out).read())["tasks"]
+            results[N] = [t["result"] for t in tasks[1:]]
+        spectral, ihk = results[100]
+        assert spectral == {"lambda": 1.0, "psi": [1.0], "pi": [1.0], "mu": [1.0]}
+        assert ihk["I_HK"] == 0 and ihk["rho"] == [1.0]
+        assert results[100] == results[3]
 
     def test_report_is_one_line_of_sorted_compact_json(self, tmp_path):
         body = dict(BASE, t_grid=[1.0, 2.0], tasks=["validate", "spectral", "averaging"])

@@ -30,6 +30,17 @@ class TestExpm:
             assert np.abs(ours - ref).max() <= 1e-11 * scale
             assert np.abs(ours - oracles.series_expm(A)).max() <= 1e-10 * scale
 
+    @pytest.mark.parametrize("norm", [0.4, 2.0, 5.3, 5.4, 40.0])
+    def test_either_side_of_theta13(self, norm, rng):
+        # no squaring up to theta13 = 5.37, then as few as the norm needs
+        for _ in range(10):
+            d = int(rng.integers(2, 40))
+            A = oracles.rand_rate_matrix(d, rng) + np.diag(rng.normal(0, 1, d))
+            A *= norm / np.abs(A).sum(axis=1).max()
+            ref = oracles.scipy_expm(A)
+            scale = max(1.0, np.abs(ref).max())
+            assert np.abs(expm(A) - ref).max() <= 1e-11 * scale
+
     def test_overflow_reports_nonfinite(self):
         with pytest.raises(NonFinite):
             expm(np.array([[2000.0, 0.0], [0.0, 2000.0]]))

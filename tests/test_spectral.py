@@ -156,8 +156,8 @@ class TestPrincipalEigen:
         # once ran all 100 steps; the underflowing draws end in NonFinite.
         steps = []
 
-        def counted(M, scale):
-            x, n = noda(M, scale)
+        def counted(M, scale, *args):
+            x, n = noda(M, scale, *args)
             steps.append(n)
             return x, n
 
@@ -180,6 +180,35 @@ class TestPrincipalEigen:
             assert abs(gd.lam - lam) <= 1e-12 * np.abs(M).max()
         assert certified >= 4
         assert max(steps) <= 50
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: (oracles.rand_rate_matrix(128, rng), rng.uniform(-1, 1, 128)),
+        lambda rng: (birth_death(256), 0.01 * np.linspace(-1.0, 1.0, 256)),
+    ], ids=["dense_128", "birth_death_256"])
+    def test_pi_side_continues_from_psi(self, make, rng, monkeypatch):
+        # started at psi with its shift capped at max(M psi / psi) >= lambda,
+        # the M^T side only has to turn psi into pi
+        steps = []
+
+        def counted(M, scale, *args):
+            x, n = noda(M, scale, *args)
+            steps.append(n)
+            return x, n
+
+        noda = spectral._noda
+        monkeypatch.setattr(spectral, "_noda", counted)
+        Q, V = make(rng)
+        principal_eigen(validate_generator(Q), V)
+        assert len(steps) == 2 and steps[1] <= 3
+
+    def test_pi_matches_left_eigenvector(self):
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            d = int(rng.integers(2, 101))
+            Q = validate_generator(oracles.rand_rate_matrix(d, rng))
+            V = rng.uniform(-1, 1, d)
+            pi = oracles.eig_principal(Q.rates + np.diag(V))[2]
+            assert np.abs(principal_eigen(Q, V).pi.weights / pi - 1).max() <= 1e-12
 
     def test_absorbing_state(self):
         # reducible M: the uniform start already has max(Mx/x) = lambda
