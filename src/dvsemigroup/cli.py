@@ -437,9 +437,8 @@ def sanitize(obj):
 
 def run_scenario(sc: Scenario) -> tuple[dict, bool]:
     """Execute the scenario's tasks; returns (report, all_ok)."""
-    config = {k: v for k, v in sc.raw.items() if k != "Q"}
     report = {"name": sc.name, "version": __version__,
-              "config": config, "tasks": [], "timings": {}}
+              "config": sc.raw, "tasks": [], "timings": {}}
     ok = True
     total0 = time.perf_counter()
     for name, options in sc.tasks:
@@ -458,12 +457,7 @@ def run_scenario(sc: Scenario) -> tuple[dict, bool]:
         report["tasks"].append(section)
         report["timings"][name] = time.perf_counter() - t0
     report["timings"]["total"] = time.perf_counter() - total0
-    report = sanitize(report)
-    # load_scenario accepted Q only as a matrix numpy reads as finite floats
-    # (JSON numbers, bools, numeric strings), on which sanitize is the
-    # identity: echo it without walking its d^2 entries
-    report["config"]["Q"] = sc.raw["Q"]
-    return report, ok
+    return sanitize(report), ok
 
 
 def write_report(report: dict, out_path: str | None):

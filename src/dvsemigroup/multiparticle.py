@@ -14,6 +14,10 @@ C(d+N-1, N) of them.  Symmetrizing averages over an orbit, and since Q_N
 commutes with coordinate permutations its chain is exactly lumpable onto
 the orbits (Kemeny & Snell 1960): orbit n moves to n - e_i + e_j at rate
 n_i Q1[i, j].  The dense d^N x d^N matrix is built only when it is read.
+
+A one-state chain (d = 1) has one product state for every N, and N may
+then reach 2**63: each construction answers it directly, with no work
+that grows with N.
 """
 
 from __future__ import annotations
@@ -33,8 +37,8 @@ DEFAULT_STATE_CAP = 20000
 
 def _digits(d: int, N: int) -> np.ndarray:
     """Coordinates (x1, ..., xN) of every flat state, shape (d^N, N), by
-    integer division.  Two axes for any N: numpy allows at most 64, and
-    d = 1 admits any particle count under every state cap."""
+    integer division: two axes for any N, where numpy allows at most 64.
+    Callers handle d = 1 first, whose one state admits any N below 2**63."""
     stride = d ** np.arange(N - 1, -1, -1)
     return np.arange(d ** N)[:, None] // stride % d
 
@@ -75,6 +79,8 @@ class TensorSystem:
     def QN(self) -> Generator:
         """The Kronecker sum on d^N states, built when first read."""
         d, N = self.d, self.N
+        if d == 1:
+            return self.Q1
         QN = np.zeros((self.size, self.size))
         for i in range(N):
             QN += np.kron(np.kron(np.eye(d ** i), self.Q1.rates), np.eye(d ** (N - 1 - i)))
@@ -83,6 +89,9 @@ class TensorSystem:
     @cached_property
     def orbits(self) -> Orbits:
         """Orbits as the distinct sorted rows of the multi-index grid."""
+        if self.d == 1:
+            return Orbits(of=np.zeros(1, dtype=np.intp), reps=np.zeros(1, dtype=np.intp),
+                          counts=np.array([[self.N]]), sizes=np.ones(1, dtype=np.intp))
         grid = _digits(self.d, self.N)
         keys, reps, of, sizes = np.unique(np.sort(grid, axis=1), axis=0,
                                           return_index=True, return_inverse=True,
@@ -94,9 +103,11 @@ class TensorSystem:
     def lumped_QN(self) -> Generator:
         """QN lumped onto orbits, from Q1: moving coordinate k of rep a from x_k
         to j adds Q1[x_k, j] at the orbit of rep + (j - x_k) d^{N-1-k}."""
+        if self.d == 1:
+            return self.Q1
         o = self.orbits
-        x = _digits(self.d, self.N)[o.reps]
         stride = self.d ** np.arange(self.N - 1, -1, -1)
+        x = o.reps[:, None] // stride % self.d
         to = o.reps[:, None, None] + (np.arange(self.d) - x[:, :, None]) * stride[:, None]
         L = np.zeros((len(o.reps), len(o.reps)))
         np.add.at(L, (np.arange(len(o.reps))[:, None, None], o.of[to]), self.Q1.rates[x])
@@ -133,6 +144,8 @@ def separable_potential(v, N: int, cap: int = DEFAULT_STATE_CAP) -> Potential:
     d = len(v)
     if d ** N > cap:
         raise StateSpaceTooLarge(d ** N, cap)
+    if d == 1:
+        return Potential(v.values.copy())
     x = _digits(d, N)
     acc = np.zeros(d ** N)
     for i in range(N):
@@ -159,6 +172,8 @@ def pairwise_potential(w, N: int, cap: int = DEFAULT_STATE_CAP) -> Potential:
         return Potential(np.zeros(d))
     if d ** N > cap:
         raise StateSpaceTooLarge(d ** N, cap)
+    if d == 1:
+        return Potential(w[0].copy())
     x = _digits(d, N)
     acc = np.zeros(d ** N)
     for i in range(N):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -294,19 +295,29 @@ class TestRun:
         assert report["tasks"][0]["result"]["lambda"] == principal_eigen(
             sc.system.QN, sc.potential).lam
 
-    def test_one_state_with_more_than_64_particles(self, tmp_path):
-        # one product state for any N; N > 64 must not build N-axis arrays
+    @pytest.mark.parametrize("N, V0, tasks", [
+        (100, None, ["validate", "spectral", "ihk"]),
+        (10 ** 6, None, ["validate", "spectral"]),
+        (10 ** 5, {"pairwise": [[0.5]]}, ["validate", "spectral"]),
+        (2 ** 63 - 1, {"pairwise": [[0.5]]}, ["validate", "spectral", "rate", "ihk"]),
+    ], ids=["100", "spectral-1e6", "pairwise-1e5", "2**63-1"])
+    def test_one_state_any_particle_count(self, tmp_path, N, V0, tasks):
+        # load_scenario admits any N below 2**63 when d = 1: N > 64 once hit
+        # numpy's 64-axis limit, and a pairwise V0 once looped over all
+        # C(1e5, 2) pairs of its one state, for hours
         results = {}
-        for N in (3, 100):
-            body = {"Q": [[0.0]], "v": [1.0], "N": N, "tasks": ["validate", "spectral", "ihk"]}
-            out = str(tmp_path / f"report{N}.json")
-            assert run(write_scenario(tmp_path, body, f"s{N}.json"), out) == 0
-            tasks = json.loads(open(out).read())["tasks"]
-            results[N] = [t["result"] for t in tasks[1:]]
-        spectral, ihk = results[100]
-        assert spectral == {"lambda": 1.0, "psi": [1.0], "pi": [1.0], "mu": [1.0]}
-        assert ihk["I_HK"] == 0 and ihk["rho"] == [1.0]
-        assert results[100] == results[3]
+        for n in (3, N):
+            body = {"Q": [[0.0]], "v": [1.0], "N": n, "tasks": tasks}
+            if V0 is not None:
+                body["V0"] = V0
+            out = str(tmp_path / "report.json")
+            started = time.perf_counter()
+            assert run(write_scenario(tmp_path, body), out) == 0
+            assert time.perf_counter() - started < 5.0
+            results[n] = [t["result"] for t in json.loads(open(out).read())["tasks"][1:]]
+        lam = 1.0 if V0 is None else 1.5
+        assert results[N][0] == {"lambda": lam, "psi": [1.0], "pi": [1.0], "mu": [1.0]}
+        assert results[N] == results[3]
 
     def test_report_is_one_line_of_sorted_compact_json(self, tmp_path):
         body = dict(BASE, t_grid=[1.0, 2.0], tasks=["validate", "spectral", "averaging"])

@@ -11,6 +11,7 @@ from dvsemigroup import (
     RowSumNonzero,
     carre_du_champ,
     check_condition_A,
+    check_condition_B,
     check_condition_D,
     gamma_sandwich_check,
     validate_generator,
@@ -117,6 +118,20 @@ class TestConditionA:
     def test_single_state(self):
         Q = validate_generator([[0.0]])
         assert check_condition_A(Q, 1.0) == 1.0
+
+    @pytest.mark.parametrize("d, T", [(12, 0.5), (15, 0.5), (15, 1.0), (18, 1.0)])
+    def test_sparse_chain_small_corners(self, d, T, rng):
+        # on a birth-death chain the corners of exp(TQ) fall to ~T^(d-1)/(d-1)!,
+        # so the ratio is decided by entries far below the largest ones
+        for up, down in ((np.ones(d - 1), np.ones(d - 1)),
+                         (10 ** rng.uniform(-1, 1, d - 1), 10 ** rng.uniform(-1, 1, d - 1))):
+            Q = validate_generator(np.diag(up, 1) + np.diag(down, -1)
+                                   - np.diag(np.r_[up, 0] + np.r_[0, down]))
+            P = oracles.series_expm(T * Q.rates)
+            expected = float((P.min(axis=0) / P.max(axis=0)).min())
+            assert expected < 1e-9
+            assert check_condition_A(Q, T) == pytest.approx(expected, rel=1e-12)
+            assert check_condition_B(Q, T)
 
     def test_positive_for_t_ladder(self, rng):
         for _ in range(10):
