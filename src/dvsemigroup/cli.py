@@ -60,7 +60,7 @@ from .multiparticle import (
     pairwise_potential,
     separable_potential,
 )
-from .rate_function import SolverOptions, dv_sup, rate_I, relative_entropy
+from .rate_function import dv_sup, rate_I, relative_entropy
 from .semigroup import growth_bound, make_operator
 from .spectral import (
     GroundData,
@@ -297,7 +297,7 @@ def _task_rate(sc: Scenario, options: dict) -> dict:
     opts = _opt(options, {"mu": None}, "rate")
     Q, V, gd = sc.generator, sc.potential, sc.ground
     mu = gd.mu if opts["mu"] is None else _vector(opts["mu"], "mu")
-    lam_dual, mu_star = dv_sup(Q, V, SolverOptions(seed=sc.seed))
+    lam_dual, mu_star = dv_sup(Q, V)
     # rate_IV's I - mu(V) + lambda, reusing this task's rate solve and the
     # scenario's ground data
     mu = as_measure(mu, Q.dim)

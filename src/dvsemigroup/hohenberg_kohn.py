@@ -34,7 +34,7 @@ import numpy as np
 from .errors import NotConverged, StateSpaceTooLarge
 from .generator import Generator, Potential, as_potential, carre_du_champ
 from .multiparticle import TensorSystem
-from .rate_function import _legendre_newton, _newton_min, _rate_parts, hessian_of_rate, rate_I
+from .rate_function import _legendre_newton, _rate_parts, _simplex_newton, rate_I
 from .spectral import ProbMeasure, as_measure, principal_eigen, total_variation
 
 
@@ -188,11 +188,12 @@ def reduced_functional(sys: TensorSystem, V0, rho,
 
         phi(p) = I(p) - p V0 + y (Cp - rho) + beta ||Cp - rho||^2,
 
-    minimized by damped Newton with fraction-to-boundary steps keeping
-    p > 0; the multiplier update y += 2 beta (Cp - rho) runs on a
-    doubling beta schedule until the constraint residual is below
-    constraint_tol.  The product measure rho x ... x rho is feasible and
-    is the default start, so the constraint set is never empty for a
+    minimized by rate_function._simplex_newton, damped Newton with
+    fraction-to-boundary steps keeping p > 0, the same loop dv_sup runs
+    without constraint rows.  The multiplier update y += 2 beta (Cp - rho)
+    runs on a doubling beta schedule until the constraint residual is
+    below constraint_tol.  The product measure rho x ... x rho is feasible
+    and is the default start, so the constraint set is never empty for a
     strictly positive rho.
     """
     opts = opts or ReducedOptions()
@@ -220,44 +221,8 @@ def reduced_functional(sys: TensorSystem, V0, rho,
     beta = opts.beta0
     w0 = None
     for _ in range(opts.max_stages):
-        for _ in range(opts.max_newton):
-            I, w0, h, Lw, H = _rate_parts(Q, p, opts.inner_tol, 100, w0)
-            r = C @ p - rho_v
-            g = -h - V0v + C.T @ y + 2.0 * beta * (C.T @ r)
-            Hphi = hessian_of_rate(Lw, H) + 2.0 * beta * (C.T @ C)
-            K = np.zeros((m + 1, m + 1))
-            K[:m, :m] = Hphi + 1e-12 * max(float(np.trace(Hphi)) / m, 1.0) * np.eye(m)
-            K[:m, m] = 1.0
-            K[m, :m] = 1.0
-            rhs = np.zeros(m + 1)
-            rhs[:m] = -g
-            try:
-                step = np.linalg.solve(K, rhs)[:m]
-            except np.linalg.LinAlgError:
-                step = -(g - g.mean())
-            phi0 = I - p @ V0v + y @ r + beta * float(r @ r)
-            descent = float(g @ step)
-            # Newton-decrement stop: once the predicted decrease is at
-            # round-off, backtracking can only chase noise in phi
-            if -descent <= 1e-15 * max(1.0, abs(phi0)):
-                break
-            s = 1.0
-            shrink = step < 0
-            if shrink.any():
-                s = min(1.0, 0.95 * float(np.min(-p[shrink] / step[shrink])))
-            moved = False
-            for _ in range(50):
-                p_try = p + s * step
-                if p_try.min() > 0:
-                    F_try, w_try, _, _, _ = _newton_min(Q, p_try, opts.inner_tol, 100, w0)
-                    r_try = C @ p_try - rho_v
-                    phi_try = (-F_try) - p_try @ V0v + y @ r_try + beta * float(r_try @ r_try)
-                    if phi_try <= phi0 + 1e-4 * s * descent:
-                        p, w0, moved = p_try, w_try, True
-                        break
-                s *= 0.5
-            if not moved:
-                break
+        p, w0 = _simplex_newton(Q, p, V0v, C, rho_v, y, beta, opts.inner_tol,
+                                opts.max_newton, w0)
         r = C @ p - rho_v
         cviol = float(np.abs(r).max())
         if cviol <= opts.constraint_tol:

@@ -22,9 +22,10 @@ feed the concave maximizations
     lambda_V = sup_mu ( mu(V) - I(mu) )          [dv_sup]
     I(mu)    = sup_V  ( mu(V) - lambda_V )       [legendre_I]
 
-the first solved by envelope-gradient ascent over the simplex with Newton
-curvature, the second by Newton ascent using the fact that the
-equilibrium measure of V is the gradient of lambda_V.
+the first by damped Newton over the simplex on mu -> I(mu) - mu(V)
+(_simplex_newton, which also runs the constrained minimizations of
+hohenberg_kohn.reduced_functional), the second by Newton ascent using the
+fact that the equilibrium measure of V is the gradient of lambda_V.
 
 Every candidate mu gives the rigorous lower bound mu(V) - I(mu) <= lambda_V,
 and every positive u gives the Collatz-Wielandt upper bound
@@ -46,21 +47,16 @@ from .spectral import ProbMeasure, as_measure, principal_eigen
 class SolverOptions:
     """Knobs shared by the variational solvers.
 
-    tol        target sup-norm of the inner Newton gradient,
-    dual_tol   acceptable duality gap for dv_sup,
+    tol        target sup-norm of the inner Newton gradient (dv_sup runs
+               its inner solves at min(tol, 1e-12)),
     max_iter   outer iteration cap,
     boundary   'reject' raises on measures with zero entries, 'reduce'
-               minimizes the reduced objective on the support,
-    seed       seeds the extra ascent restarts,
-    restarts   number of initializations for dv_sup.
+               minimizes the reduced objective on the support.
     """
 
     tol: float = 1e-10
-    dual_tol: float = 1e-8
     max_iter: int = 200
     boundary: str = "reject"
-    seed: int = 0
-    restarts: int = 3
 
 
 DEFAULT_OPTIONS = SolverOptions()
@@ -215,13 +211,14 @@ def hessian_of_rate(Lw: np.ndarray, H: np.ndarray) -> np.ndarray:
 def dv_sup(Q: Generator, V, opts: SolverOptions | None = None):
     """Variational principal eigenvalue sup_mu (mu(V) - I(mu)).
 
-    Ascent over the simplex interior with the envelope gradient
-    V + L u*/u* (u* the rate_I minimizer at the current mu), taking
-    Newton steps preconditioned by Hess I, with an exponentiated-gradient
-    fallback and fraction-to-boundary damping.  Restarts rerun the ascent
-    from seeded random interior points; they are skipped once the
-    Collatz-Wielandt duality gap already certifies the answer, since no
-    start can improve a certified value by more than the gap.
+    _simplex_newton minimizes the convex I(mu) - mu(V) over the simplex
+    from the uniform measure, with no constraint rows; convexity makes one
+    start enough.  With h = L u*/u* at the rate minimizer u*, I(mu) =
+    -mu(h), so the Frank-Wolfe gap it stops on, max(V + h) - mu(V + h),
+    is the Collatz-Wielandt duality gap that certifies the value.
+    NotConverged is raised when that gap exceeds 1e-5 max(1, |value|).
+    The inner rate solves run at min(opts.tol, 1e-12): h at states of
+    tiny mass needs it.
 
     Returns (lambda_hat, mu_star).
     """
@@ -232,91 +229,90 @@ def dv_sup(Q: Generator, V, opts: SolverOptions | None = None):
     if d == 1:
         return float(Vv[0]), ProbMeasure(np.ones(1))
 
-    rng = np.random.default_rng(opts.seed)
-    starts = [np.full(d, 1.0 / d)]
-    for _ in range(max(opts.restarts - 1, 0)):
-        starts.append(rng.dirichlet(np.full(d, 2.0)))
-
-    certify = 0.1 * opts.dual_tol
-    best = (-np.inf, None, np.inf)                      # value, mu, gap
-    for mu0 in starts:
-        value, mu, gap = _dv_ascent(Q.rates, Vv, mu0, opts)
-        if value > best[0]:
-            best = (value, mu, gap)
-        if best[2] <= certify:
-            break
-
-    value, mu, gap = best
-    if mu is None or gap > 1e-5 * max(1.0, abs(value)):
+    tol = min(opts.tol, 1e-12)
+    mu, w0 = _simplex_newton(Q.rates, np.full(d, 1.0 / d), Vv, np.zeros((0, d)),
+                             np.zeros(0), np.zeros(0), 0.0, tol, opts.max_iter, None,
+                             gap_tol=1e-9)
+    I, _, h, _, _ = _rate_parts(Q.rates, mu, tol, 100, w0)
+    value = float(mu @ Vv - I)
+    gap = float((Vv + h).max() - value)
+    if gap > 1e-5 * max(1.0, abs(value)):
         raise NotConverged(value, gap)
     return value, ProbMeasure(mu)
 
 
-def _dv_ascent(Q: np.ndarray, Vv: np.ndarray, mu0: np.ndarray, opts: SolverOptions):
-    d = Q.shape[0]
-    mu = mu0.copy()
-    w0 = None
-    value = -np.inf
-    gap = np.inf
-    for _ in range(opts.max_iter):
-        I, w0, h, Lw, H = _rate_parts(Q, mu, opts.tol, 100, w0)
-        value = float(mu @ Vv - I)
-        grad = Vv + h
-        gap = float(grad.max() - value)
-        if gap <= 0.1 * opts.dual_tol:
-            break
+def _simplex_newton(Q: np.ndarray, p: np.ndarray, c: np.ndarray, C: np.ndarray,
+                    target: np.ndarray, y: np.ndarray, beta: float, tol: float,
+                    max_steps: int, w0: np.ndarray | None, gap_tol: float | None = None):
+    """Damped Newton over the simplex interior for
 
-        HI = hessian_of_rate(Lw, H)
-        K = np.zeros((d + 1, d + 1))
-        K[:d, :d] = HI + 1e-13 * max(float(np.trace(HI)) / d, 1.0) * np.eye(d)
-        K[:d, d] = 1.0
-        K[d, :d] = 1.0
-        rhs = np.zeros(d + 1)
-        rhs[:d] = grad
+        phi(p) = I(p) - c p + y r + beta ||r||^2,    r = C p - target,
+
+    with I the rate of Q at p, from inner rate solves at tol.  Each step
+    solves the KKT system of Hess phi with the constraint sum(step) = 0,
+    shortens it to 0.95 of the distance to the boundary and backtracks to
+    Armijo decrease, one rate solve per trial.
+
+    Without gap_tol the loop stops once the Newton decrement is at
+    round-off.  With gap_tol it stops once the Frank-Wolfe gap g p - min g
+    (g = grad phi) is at most gap_tol, and also accepts a full step that
+    halves that gap: the gap is a max over states, so it still contracts
+    where states of tiny mass leave phi-differences at round-off.  Returns
+    p and the log-tilt of its last rate solve, a warm start for the next
+    call.
+    """
+    m = len(p)
+
+    def grad(h, r):
+        return -h - c + C.T @ y + 2.0 * beta * (C.T @ r)
+
+    for _ in range(max_steps):
+        I, w0, h, Lw, H = _rate_parts(Q, p, tol, 100, w0)
+        r = C @ p - target
+        g = grad(h, r)
+        gap = float(g @ p - g.min())
+        if gap_tol is not None and gap <= gap_tol:
+            break
+        Hphi = hessian_of_rate(Lw, H) + 2.0 * beta * (C.T @ C)
+        K = np.zeros((m + 1, m + 1))
+        K[:m, :m] = Hphi + 1e-12 * max(float(np.trace(Hphi)) / m, 1.0) * np.eye(m)
+        K[:m, m] = 1.0
+        K[m, :m] = 1.0
+        rhs = np.zeros(m + 1)
+        rhs[:m] = -g
         try:
-            step = np.linalg.solve(K, rhs)[:d]
+            step = np.linalg.solve(K, rhs)[:m]
         except np.linalg.LinAlgError:
-            step = mu * (grad - mu @ grad)
-        if not np.all(np.isfinite(step)):
-            step = mu * (grad - mu @ grad)
-
-        s = 1.0
-        shrinking = step < 0
-        if shrinking.any():
-            s = min(1.0, 0.95 * float(np.min(-mu[shrinking] / step[shrinking])))
-        res = _try_steps(Q, Vv, opts, mu, w0, value,
-                         lambda a: _renorm(mu + a * step), s)
-        if res is None:
-            # exponentiated-gradient fallback keeps iterates interior
-            res = _try_steps(Q, Vv, opts, mu, w0, value,
-                             lambda a: _renorm(mu * np.exp(a * (grad - mu @ grad))), 1.0)
-        if res is None:
+            step = -(g - g.mean())
+        phi0 = I - p @ c + y @ r + beta * float(r @ r)
+        descent = float(g @ step)
+        # once the predicted decrease is at round-off, backtracking can
+        # only chase noise in phi
+        if gap_tol is None and -descent <= 1e-15 * max(1.0, abs(phi0)):
             break
-        mu, w0 = res
-
-    I, w0, h, _, _ = _rate_parts(Q, mu, min(opts.tol, 1e-12), 100, w0)
-    value = float(mu @ Vv - I)
-    gap = float((Vv + h).max() - value)
-    return value, mu, gap
-
-
-def _renorm(mu: np.ndarray) -> np.ndarray | None:
-    if mu.min() <= 0.0:
-        return None
-    return mu / mu.sum()
-
-
-def _try_steps(Q, Vv, opts, mu, w0, value, candidate, s0):
-    """Backtrack the step factor until the dual objective improves."""
-    s = s0
-    for _ in range(60):
-        mun = candidate(s)
-        if mun is not None:
-            F, wn, gn, _, _ = _newton_min(Q, mun, opts.tol, 100, w0)
-            if float(mun @ Vv + F) > value:            # mu V - I = mu V + F_min
-                return mun, wn
-        s *= 0.5
-    return None
+        s = 1.0
+        shrink = step < 0
+        if shrink.any():
+            s = min(1.0, 0.95 * float(np.min(-p[shrink] / step[shrink])))
+        moved = False
+        for _ in range(50):
+            p_try = p + s * step
+            if p_try.min() > 0:
+                F_try, w_try, _, _, _ = _newton_min(Q, p_try, tol, 100, w0)
+                r_try = C @ p_try - target
+                phi_try = (-F_try) - p_try @ c + y @ r_try + beta * float(r_try @ r_try)
+                if phi_try <= phi0 + 1e-4 * s * descent:
+                    moved = True
+                elif gap_tol is not None and s == 1.0:
+                    g_try = grad(_tilted(Q, w_try).sum(axis=1) + np.diag(Q), r_try)
+                    moved = float(g_try @ p_try - g_try.min()) < 0.5 * gap
+                if moved:
+                    p, w0 = p_try, w_try
+                    break
+            s *= 0.5
+        if not moved:
+            break
+    return p, w0
 
 
 def _legendre_newton(Q: Generator, V0: np.ndarray, F: np.ndarray, target: np.ndarray,

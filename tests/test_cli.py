@@ -27,6 +27,13 @@ BASE = {
 }
 
 
+def _cos_birth_death(n, a):
+    """Unit-rate nearest-neighbour chain with V = a cos(linspace(0, pi, n))."""
+    Q = np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
+    return {"Q": (Q - np.diag(Q.sum(axis=1))).tolist(),
+            "v": (a * np.cos(np.linspace(0.0, np.pi, n))).tolist()}
+
+
 def _no_constant(token):
     raise AssertionError(f"report holds the non-finite token {token}")
 
@@ -234,6 +241,30 @@ class TestRun:
             body = dict(BASE, tasks=[{"name": "rate", "options": options}])
             assert run(write_scenario(tmp_path, body), str(tmp_path / "r.json")) == 0
             assert len(calls) == 1
+
+    def test_only_mc_reads_the_seed(self, tmp_path):
+        # dv_sup runs one deterministic ascent, so the rate task does not
+        # read the scenario seed; its Dirichlet restarts once failed this
+        # chain at seed 0 and certified it at seed 7.  The mc sampler
+        # still reads the seed.
+        results = {}
+        for seed in (0, 7):
+            body = dict(_cos_birth_death(10, 1.5), seed=seed,
+                        tasks=["rate", {"name": "mc", "options": {"t": 5.0, "paths": 50}}])
+            out = str(tmp_path / f"r{seed}.json")
+            assert run(write_scenario(tmp_path, body), out) == 0
+            results[seed] = json.loads(open(out).read())["tasks"]
+        assert results[0][0] == results[7][0]
+        assert results[0][1]["result"]["lambda_mc"] != results[7][1]["result"]["lambda_mc"]
+
+    def test_tiny_equilibrium_mass_rate_fails_fast(self, tmp_path):
+        # min mu = 1e-32: an exponentiated-gradient fallback once overflowed
+        # here for 3 s, with 500 RuntimeWarnings, before NotConverged
+        out = str(tmp_path / "rate.json")
+        start = time.perf_counter()
+        assert main(["rate", write_scenario(tmp_path, _cos_birth_death(32, 2.0)), "-o", out]) == 1
+        assert time.perf_counter() - start < 1.0
+        assert json.loads(open(out).read())["error"]["type"] == "NotConverged"
 
     def test_non_symmetric_V0_fails_hk_tasks_only(self, tmp_path):
         # V0(0, 1) != V0(1, 0): the full-chain spectral task still runs,

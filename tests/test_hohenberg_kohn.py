@@ -180,7 +180,7 @@ class TestReducedFunctional:
         # threshold; a stage stopped that way runs every Newton step with
         # full backtracking on some last-bit changes of rho, over 1000
         # inner solves instead of about 40.
-        from dvsemigroup import hohenberg_kohn, rate_function
+        from dvsemigroup import rate_function
         sys, V0 = pair_system
         _, _, rho = equilibrium_marginal(sys, V0, [0.0, 1.0])
         calls = []
@@ -191,7 +191,6 @@ class TestReducedFunctional:
             return inner(*args, **kwargs)
 
         monkeypatch.setattr(rate_function, "_newton_min", counted)
-        monkeypatch.setattr(hohenberg_kohn, "_newton_min", counted)
         for k in range(-4, 5):
             calls.clear()
             nudged = rho.weights * (1.0 + k * 1.1e-16 * np.array([1.0, -1.0]))
@@ -271,7 +270,7 @@ class TestOrbitChain:
         from dvsemigroup import hohenberg_kohn, rate_function
         sys, V0 = _pair_system(4, 4, rng)
         dims = []
-        eigen, newton = hohenberg_kohn.principal_eigen, hohenberg_kohn._newton_min
+        eigen, newton = hohenberg_kohn.principal_eigen, rate_function._newton_min
 
         def seen_eigen(Q, V):
             dims.append(("eigen", Q.dim))
@@ -282,7 +281,6 @@ class TestOrbitChain:
             return newton(Q, mu, *args)
 
         monkeypatch.setattr(hohenberg_kohn, "principal_eigen", seen_eigen)
-        monkeypatch.setattr(hohenberg_kohn, "_newton_min", seen_newton)
         monkeypatch.setattr(rate_function, "_newton_min", seen_newton)
         _, _, rho = equilibrium_marginal(sys, V0, rng.uniform(-1, 1, 4))
         assert dims == [("eigen", 35)]
