@@ -17,11 +17,12 @@ collapses the d^N-state variational principle to the d-simplex:
 These maps run on the product chain lumped onto its C(d+N-1, N)
 permutation orbits (TensorSystem.lumped_QN, built from Q1 with no d^N
 matrix), exact only for a permutation-symmetric V0; any other V0 raises
-ValueError.  I_HK is evaluated there by an augmented-Lagrangian method
-over orbit masses, with damped Newton inner solves reusing the
-rate-function derivatives.  The multiplier of the marginal constraint is
-the gradient -grad I_HK(rho), which drives the outer ascent of
-reduced_variational.
+ValueError.  I_HK is evaluated there by one equality-constrained damped
+Newton run over orbit masses, started from the feasible product measure
+and reusing the rate-function derivatives.  The multiplier of the
+marginal constraint, read off the KKT solve, is the gradient
+-grad I_HK(rho); it drives the outer ascent of reduced_variational and
+gives the dual bound that certifies each value.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import NotConverged, StateSpaceTooLarge
+from .errors import ConvergenceFailure, NonFinite, NotConverged, StateSpaceTooLarge
 from .generator import Generator, Potential, as_potential, carre_du_champ
 from .multiparticle import TensorSystem
 from .rate_function import _legendre_newton, _rate_parts, _simplex_newton, rate_I
@@ -84,17 +85,16 @@ class InversionOptions:
 class ReducedOptions:
     """Controls for i_hk and reduced_variational.
 
-    tol is the outer accuracy target; constraint_tol bounds the residual
-    of the marginal constraint at return; beta0 seeds the doubling
-    penalty schedule of the augmented Lagrangian; cap bounds the number
-    of permutation orbits the minimization runs on.
+    tol is the outer accuracy target, and also bounds the duality bracket
+    of each I_HK value relative to max(1, |value|); constraint_tol guards
+    the residual of the marginal constraint at return, which the Newton
+    run keeps at round-off; cap bounds the number of permutation orbits
+    the minimization runs on.
     """
 
     tol: float = 1e-4
     constraint_tol: float = 1e-9
     inner_tol: float = 1e-11
-    beta0: float = 10.0
-    max_stages: int = 30
     max_newton: int = 60
     max_iter: int = 300
     cap: int = 256
@@ -179,22 +179,20 @@ def invert_potential(sys: TensorSystem, V0, rho_target,
 
 
 def reduced_functional(sys: TensorSystem, V0, rho,
-                       opts: ReducedOptions | None = None,
-                       warm: tuple[np.ndarray, np.ndarray] | None = None) -> ReducedResult:
+                       opts: ReducedOptions | None = None) -> ReducedResult:
     """Constrained minimum of I(mu) - mu(V0) over symmetric mu with marginal rho.
 
-    Augmented Lagrangian over orbit masses p, with I(mu) the lumped
-    chain's rate at p and C = counts^T / N the marginal map:
+    One rate_function._simplex_newton run minimizes I(p) - p V0 over orbit
+    masses p subject to C p = rho, with I the lumped chain's rate and
+    C = counts^T / N the marginal map (its columns sum to one, so it fixes
+    sum(p) too).  The start, the product measure rho x ... x rho, is
+    feasible and the steps stay in null(C).  The KKT multiplier y is
+    returned as `multiplier`.
 
-        phi(p) = I(p) - p V0 + y (Cp - rho) + beta ||Cp - rho||^2,
-
-    minimized by rate_function._simplex_newton, damped Newton with
-    fraction-to-boundary steps keeping p > 0, the same loop dv_sup runs
-    without constraint rows.  The multiplier update y += 2 beta (Cp - rho)
-    runs on a doubling beta schedule until the constraint residual is
-    below constraint_tol.  The product measure rho x ... x rho is feasible
-    and is the default start, so the constraint set is never empty for a
-    strictly positive rho.
+    The value is the primal I(p) - p V0.  Weak duality, I_HK(rho) >=
+    rho(u) - lambda_{V0 + C^T u} for every u, tight at u = -y, certifies
+    it with one Perron solve: NotConverged is raised when that bracket
+    exceeds tol max(1, |value|), or the constraint residual constraint_tol.
     """
     opts = opts or ReducedOptions()
     o = sys.orbits
@@ -206,37 +204,24 @@ def reduced_functional(sys: TensorSystem, V0, rho,
     if (rho.weights <= 0).any():
         raise ValueError("marginal must be strictly positive")
 
-    Q = sys.lumped_QN.rates
+    QL = sys.lumped_QN
     C = o.counts.T / sys.N
     rho_v = rho.weights
 
-    if warm is not None:
-        p, y = warm[0].copy(), warm[1].copy()
-    else:
-        p = o.sizes * np.prod(rho_v ** o.counts, axis=1)
-        y = np.zeros(sys.d)
-    p = np.maximum(p, 1e-300)
+    p = np.maximum(o.sizes * np.prod(rho_v ** o.counts, axis=1), 1e-300)
     p /= p.sum()
+    p, w0, y = _simplex_newton(QL.rates, p, V0v, C, opts.inner_tol, opts.max_newton, None)
 
-    beta = opts.beta0
-    w0 = None
-    for _ in range(opts.max_stages):
-        p, w0 = _simplex_newton(Q, p, V0v, C, rho_v, y, beta, opts.inner_tol,
-                                opts.max_newton, w0)
-        r = C @ p - rho_v
-        cviol = float(np.abs(r).max())
-        if cviol <= opts.constraint_tol:
-            break
-        y = y + 2.0 * beta * r
-        beta *= 2.0
-
-    I, w0, h, _, _ = _rate_parts(Q, p, opts.inner_tol, 100, w0)
+    I, _, _, _, _ = _rate_parts(QL.rates, p, opts.inner_tol, 100, w0)
     value = float(I - p @ V0v)
     cviol = float(np.abs(C @ p - rho_v).max())
-    if cviol > 1e3 * opts.constraint_tol:
+    if cviol > opts.constraint_tol:
         raise NotConverged(value, cviol)
-    return ReducedResult(value=value, mu=ProbMeasure(o.spread(p)), multiplier=y.copy(),
-                         constraint_violation=cviol, orbit_masses=p.copy())
+    bracket = value + float(rho_v @ y) + principal_eigen(QL, V0v - C.T @ y).lam
+    if abs(bracket) > opts.tol * max(1.0, abs(value)):
+        raise NotConverged(value, abs(bracket))
+    return ReducedResult(value=value, mu=ProbMeasure(o.spread(p)), multiplier=y,
+                         constraint_violation=cviol, orbit_masses=p)
 
 
 def i_hk(sys: TensorSystem, V0, rho, opts: ReducedOptions | None = None) -> float:
@@ -260,7 +245,10 @@ def reduced_variational(sys: TensorSystem, V0, v,
     the marginal-constraint multiplier, so exponentiated-gradient steps
     with backtracking climb to the maximizer.  Every iterate gives the
     rigorous lower bound mu(V0 + V) - I(mu) <= lambda, so the returned
-    lambda_hat approaches the principal eigenvalue from below.
+    lambda_hat approaches the principal eigenvalue from below.  Each trial
+    rho gets its own reduced_functional run from its product measure (the
+    orbit masses of another rho are infeasible for it); a trial whose run
+    raises is rejected like one that does not climb.
 
     Returns (lambda_hat, rho_star).
     """
@@ -287,9 +275,11 @@ def reduced_variational(sys: TensorSystem, V0, v,
         for _ in range(40):
             rho_try = rho * np.exp(step * g_proj)
             rho_try /= rho_try.sum()
-            res_try = reduced_functional(sys, V0, rho_try, opts,
-                                         warm=(res.orbit_masses, res.multiplier))
-            value_try = float(rho_try @ vv - res_try.value)
+            try:
+                res_try = reduced_functional(sys, V0, rho_try, opts)
+                value_try = float(rho_try @ vv - res_try.value)
+            except (ConvergenceFailure, NonFinite, NotConverged):
+                value_try = -np.inf
             if value_try > value:
                 rho, res, value = rho_try, res_try, value_try
                 improved = True

@@ -23,9 +23,10 @@ feed the concave maximizations
     I(mu)    = sup_V  ( mu(V) - lambda_V )       [legendre_I]
 
 the first by damped Newton over the simplex on mu -> I(mu) - mu(V)
-(_simplex_newton, which also runs the constrained minimizations of
-hohenberg_kohn.reduced_functional), the second by Newton ascent using the
-fact that the equilibrium measure of V is the gradient of lambda_V.
+(_simplex_newton, which under linear equality rows A mu = A mu0 also
+runs the constrained minimization of hohenberg_kohn.reduced_functional),
+the second by Newton ascent using the fact that the equilibrium measure
+of V is the gradient of lambda_V.
 
 Every candidate mu gives the rigorous lower bound mu(V) - I(mu) <= lambda_V,
 and every positive u gives the Collatz-Wielandt upper bound
@@ -204,17 +205,24 @@ def _rate_parts(Q: np.ndarray, mu: np.ndarray, tol: float, max_iter: int,
 
 
 def hessian_of_rate(Lw: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """Hess I(mu) = L_w pinv(H) L_w^T on the zero-sum subspace."""
-    return Lw @ np.linalg.pinv(H, rcond=1e-13) @ Lw.T
+    """Hess I(mu) = L_w H^+ L_w^T on the zero-sum subspace.
+
+    H is a graph Laplacian with the constants as null space, so H^+ =
+    (H + a ee^T)^{-1} - ee^T/a, e = 1/sqrt(m); L_w 1 = 0 drops the last term.
+    """
+    m = H.shape[0]
+    a = float(np.trace(H)) / m
+    return Lw @ np.linalg.solve(H + (a / m) * np.ones((m, m)), Lw.T)
 
 
 def dv_sup(Q: Generator, V, opts: SolverOptions | None = None):
     """Variational principal eigenvalue sup_mu (mu(V) - I(mu)).
 
     _simplex_newton minimizes the convex I(mu) - mu(V) over the simplex
-    from the uniform measure, with no constraint rows; convexity makes one
-    start enough.  With h = L u*/u* at the rate minimizer u*, I(mu) =
-    -mu(h), so the Frank-Wolfe gap it stops on, max(V + h) - mu(V + h),
+    from the uniform measure, with the ones row as its only constraint;
+    convexity makes one start enough.  With h = L u*/u* at the rate
+    minimizer u*, I(mu) = -mu(h), so the Frank-Wolfe gap it stops on,
+    max(V + h) - mu(V + h),
     is the Collatz-Wielandt duality gap that certifies the value.
     NotConverged is raised when that gap exceeds 1e-5 max(1, |value|).
     The inner rate solves run at min(opts.tol, 1e-12): h at states of
@@ -230,9 +238,8 @@ def dv_sup(Q: Generator, V, opts: SolverOptions | None = None):
         return float(Vv[0]), ProbMeasure(np.ones(1))
 
     tol = min(opts.tol, 1e-12)
-    mu, w0 = _simplex_newton(Q.rates, np.full(d, 1.0 / d), Vv, np.zeros((0, d)),
-                             np.zeros(0), np.zeros(0), 0.0, tol, opts.max_iter, None,
-                             gap_tol=1e-9)
+    mu, w0, _ = _simplex_newton(Q.rates, np.full(d, 1.0 / d), Vv, np.ones((1, d)), tol,
+                                opts.max_iter, None, gap_tol=1e-9)
     I, _, h, _, _ = _rate_parts(Q.rates, mu, tol, 100, w0)
     value = float(mu @ Vv - I)
     gap = float((Vv + h).max() - value)
@@ -241,50 +248,52 @@ def dv_sup(Q: Generator, V, opts: SolverOptions | None = None):
     return value, ProbMeasure(mu)
 
 
-def _simplex_newton(Q: np.ndarray, p: np.ndarray, c: np.ndarray, C: np.ndarray,
-                    target: np.ndarray, y: np.ndarray, beta: float, tol: float,
-                    max_steps: int, w0: np.ndarray | None, gap_tol: float | None = None):
+def _simplex_newton(Q: np.ndarray, p: np.ndarray, c: np.ndarray, A: np.ndarray,
+                    tol: float, max_steps: int, w0: np.ndarray | None,
+                    gap_tol: float | None = None):
     """Damped Newton over the simplex interior for
 
-        phi(p) = I(p) - c p + y r + beta ||r||^2,    r = C p - target,
+        phi(p) = I(p) - c p    subject to  A p = A p0,
 
-    with I the rate of Q at p, from inner rate solves at tol.  Each step
-    solves the KKT system of Hess phi with the constraint sum(step) = 0,
-    shortens it to 0.95 of the distance to the boundary and backtracks to
-    Armijo decrease, one rate solve per trial.
+    with I the rate of Q at p from inner rate solves at tol, p0 the start,
+    and the ones row in the span of A's rows.  Each step solves the KKT
+    system [[Hess I, A^T], [A, 0]], so A step = 0 keeps p0's feasibility,
+    and its dual part is the multiplier y, grad phi + A^T y = 0 at the
+    minimizer (Boyd & Vandenberghe 2004, sec. 10.2).  The step is cut to
+    0.95 of the distance to the boundary and backtracked to Armijo
+    decrease, one rate solve per trial.
 
     Without gap_tol the loop stops once the Newton decrement is at
     round-off.  With gap_tol it stops once the Frank-Wolfe gap g p - min g
     (g = grad phi) is at most gap_tol, and also accepts a full step that
     halves that gap: the gap is a max over states, so it still contracts
     where states of tiny mass leave phi-differences at round-off.  Returns
-    p and the log-tilt of its last rate solve, a warm start for the next
-    call.
+    p, the log-tilt of its last rate solve (a warm start for a rate solve
+    at p) and y.
     """
-    m = len(p)
-
-    def grad(h, r):
-        return -h - c + C.T @ y + 2.0 * beta * (C.T @ r)
-
+    m, k = len(p), A.shape[0]
+    y = np.zeros(k)
+    K = np.zeros((m + k, m + k))
+    K[:m, m:] = A.T
+    K[m:, :m] = A
+    rhs = np.zeros(m + k)
     for _ in range(max_steps):
         I, w0, h, Lw, H = _rate_parts(Q, p, tol, 100, w0)
-        r = C @ p - target
-        g = grad(h, r)
+        g = -h - c
         gap = float(g @ p - g.min())
         if gap_tol is not None and gap <= gap_tol:
             break
-        Hphi = hessian_of_rate(Lw, H) + 2.0 * beta * (C.T @ C)
-        K = np.zeros((m + 1, m + 1))
-        K[:m, :m] = Hphi + 1e-12 * max(float(np.trace(Hphi)) / m, 1.0) * np.eye(m)
-        K[:m, m] = 1.0
-        K[m, :m] = 1.0
-        rhs = np.zeros(m + 1)
         rhs[:m] = -g
         try:
-            step = np.linalg.solve(K, rhs)[:m]
+            Hphi = hessian_of_rate(Lw, H)
+            K[:m, :m] = Hphi + 1e-12 * max(float(np.trace(Hphi)) / m, 1.0) * np.eye(m)
+            sol = np.linalg.solve(K, rhs)
+            step, y = sol[:m], sol[m:]
         except np.linalg.LinAlgError:
-            step = -(g - g.mean())
-        phi0 = I - p @ c + y @ r + beta * float(r @ r)
+            # projected gradient, in null(A)
+            y = np.linalg.lstsq(A.T, -g, rcond=None)[0]
+            step = -(g + A.T @ y)
+        phi0 = I - p @ c
         descent = float(g @ step)
         # once the predicted decrease is at round-off, backtracking can
         # only chase noise in phi
@@ -299,12 +308,10 @@ def _simplex_newton(Q: np.ndarray, p: np.ndarray, c: np.ndarray, C: np.ndarray,
             p_try = p + s * step
             if p_try.min() > 0:
                 F_try, w_try, _, _, _ = _newton_min(Q, p_try, tol, 100, w0)
-                r_try = C @ p_try - target
-                phi_try = (-F_try) - p_try @ c + y @ r_try + beta * float(r_try @ r_try)
-                if phi_try <= phi0 + 1e-4 * s * descent:
+                if -F_try - p_try @ c <= phi0 + 1e-4 * s * descent:
                     moved = True
                 elif gap_tol is not None and s == 1.0:
-                    g_try = grad(_tilted(Q, w_try).sum(axis=1) + np.diag(Q), r_try)
+                    g_try = -(_tilted(Q, w_try).sum(axis=1) + np.diag(Q)) - c
                     moved = float(g_try @ p_try - g_try.min()) < 0.5 * gap
                 if moved:
                     p, w0 = p_try, w_try
@@ -312,7 +319,7 @@ def _simplex_newton(Q: np.ndarray, p: np.ndarray, c: np.ndarray, C: np.ndarray,
             s *= 0.5
         if not moved:
             break
-    return p, w0
+    return p, w0, y
 
 
 def _legendre_newton(Q: Generator, V0: np.ndarray, F: np.ndarray, target: np.ndarray,

@@ -198,6 +198,100 @@ class TestReducedFunctional:
             assert len(calls) <= 100, k
 
 
+def _d4_system(d):
+    # off-diagonal rates U(0.5, 1.5), pair weights (a + a^T)/2 with
+    # a ~ U(0, 1), external potential U(-1, 1)
+    rng = np.random.default_rng(171109463 + d)
+    R = rng.uniform(0.5, 1.5, (d, d))
+    np.fill_diagonal(R, 0.0)
+    a = rng.uniform(0, 1, (d, d))
+    v = rng.uniform(-1, 1, d)
+    Q1 = validate_generator(R - np.diag(R.sum(axis=1)))
+    return kronecker_sum(Q1, 4), pairwise_potential(0.5 * (a + a.T), 4), v
+
+
+def _tiny_mass_draw(k):
+    """Draw k of a seeded (d, N) sweep; draws 60 and 73 are (4, 4) systems
+    whose equilibrium puts ~1e-17 on some orbit."""
+    rng = np.random.default_rng(7)
+    for _ in range(k + 1):
+        d, N = int(rng.integers(2, 6)), int(rng.integers(2, 6))
+        R = 10 ** rng.uniform(-1.5, 1.5, (d, d)) * (rng.random((d, d)) < 0.8)
+        R[np.arange(d), (np.arange(d) + 1) % d] += 0.1
+        np.fill_diagonal(R, 0.0)
+        a = rng.uniform(0, 3, (d, d))
+        v = rng.uniform(-3, 3, d)
+    Q1 = validate_generator(R - np.diag(R.sum(axis=1)))
+    return kronecker_sum(Q1, N), pairwise_potential(0.5 * (a + a.T), N), v
+
+
+class TestFeasibleNewton:
+    """One Newton run from the feasible product measure keeps C p = rho to
+    round-off, and its KKT multiplier is the external potential, -v up to a
+    constant, at the equilibrium marginal of v."""
+
+    @pytest.mark.parametrize("d", [3, 4, 6, 7])
+    def test_exact_at_equilibrium_marginal(self, d):
+        sys, V0, v = _d4_system(d)
+        lam, _, rho = equilibrium_marginal(sys, V0, v)
+        res = reduced_functional(sys, V0, rho)
+        assert res.constraint_violation <= 1e-12
+        assert abs(lam - (float(rho.weights @ v) - res.value)) <= 1e-12
+        assert np.ptp(res.multiplier + v) <= 1e-9
+
+    def test_inner_solves_do_not_grow_with_orbits(self, monkeypatch):
+        # (7, 4) once ran 1961 inner solves against 50 at (6, 4)
+        from dvsemigroup import rate_function
+        calls = []
+        inner = rate_function._newton_min
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(rate_function, "_newton_min", counted)
+        counts = []
+        for d in (6, 7):
+            sys, V0, v = _d4_system(d)
+            rho = equilibrium_marginal(sys, V0, v)[2]
+            calls.clear()
+            reduced_functional(sys, V0, rho)
+            counts.append(len(calls))
+        assert counts[1] <= counts[0] <= 20
+
+    @pytest.mark.parametrize("k", [60, 73])
+    def test_tiny_orbit_mass_raises(self, k):
+        # Newton steps cut at the boundary cannot resolve orbit masses of
+        # 1e-17; the primal value was off by 1e-2 and 4e-4 with no error.
+        # The dual bound at u = -y exposes it.
+        from dvsemigroup import NotConverged
+        sys, V0, v = _tiny_mass_draw(k)
+        assert (sys.d, sys.N) == (4, 4)
+        rho = equilibrium_marginal(sys, V0, v)[2]
+        with pytest.raises(NotConverged) as err:
+            reduced_functional(sys, V0, rho)
+        assert err.value.residual > 1e-4
+
+    def test_variational_rejects_raising_trials(self, pair_system, monkeypatch):
+        from dvsemigroup import NotConverged, hohenberg_kohn
+        sys, V0 = pair_system
+        v = np.array([0.0, 1.0])
+        calls = []
+        inner = hohenberg_kohn.reduced_functional
+
+        def first_trial_fails(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise NotConverged(0.0, 1.0)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(hohenberg_kohn, "reduced_functional", first_trial_fails)
+        lam_hat, _ = reduced_variational(sys, V0, v)
+        gd = principal_eigen(sys.QN, V0.values + separable_potential(v, 2).values)
+        assert len(calls) > 2
+        assert abs(lam_hat - gd.lam) <= 1e-4
+
+
 class TestReducedVariational:
     def test_constant_external_no_interaction(self, two_state):
         sys = kronecker_sum(two_state, 2)
