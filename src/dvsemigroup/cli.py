@@ -17,13 +17,19 @@ A scenario is a JSON object describing one system and a list of tasks:
 Unknown keys anywhere, and the tokens NaN, Infinity and -Infinity, are
 rejected.  `run` executes the tasks in order and writes a single JSON
 report with a config echo, a section per task, the library version, and
-wall-clock timings.  Exit codes: 0 success, 1 a task failed, 2 the
-scenario itself is invalid.  Reports are deterministic for fixed
-scenario and seed, apart from the timings section; non-finite numbers
-are emitted as the strings "infinity", "-infinity", or "nan".  Reports,
-and the bare results of the single-task subcommands, are one line of
-compact JSON with sorted keys; `python -m json.tool report.json`
-pretty-prints one.
+wall-clock timings.  The echo repeats every scenario field as read except
+Q, which it gives as {"shape": [d, d], "crc32": c}.  c is the CRC-32 (a
+check value, not a cryptographic hash) of the validated generator, whose
+diagonal is recomputed, as little-endian float64 in C order:
+
+    zlib.crc32(np.ascontiguousarray(validate_generator(Q).rates, dtype="<f8"))
+
+Exit codes: 0 success, 1 a task failed, 2 the scenario itself is
+invalid.  Reports are deterministic for fixed scenario and seed, apart
+from the timings section; non-finite numbers are emitted as the strings
+"infinity", "-infinity", or "nan".  Reports, and the bare results of the
+single-task subcommands, are one line of compact JSON with sorted keys;
+`python -m json.tool report.json` pretty-prints one.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ import math
 import os
 import sys
 import time
+import zlib
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -186,6 +193,10 @@ def load_scenario(path: str) -> Scenario:
         Q1 = validate_generator(raw["Q"])
     except (DVSemigroupError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid rate matrix: {exc}", key="Q") from exc
+    # Q is the one input that grows as d^2: the report echoes it as its
+    # shape and the CRC-32 of the validated rates, little-endian float64
+    raw["Q"] = {"shape": [Q1.dim, Q1.dim],
+                "crc32": zlib.crc32(np.ascontiguousarray(Q1.rates, dtype="<f8"))}
 
     N = _count(raw.get("N", 1), "N", 1)
     # for d >= 2, d^N < 2**63 exactly when d^min(N, 64) is, and the latter
@@ -223,8 +234,8 @@ def load_scenario(path: str) -> Scenario:
     t_grid = raw.get("t_grid", [])
     _require(isinstance(t_grid, list) and
              all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                 and 0 <= _to_float(x) < math.inf for x in t_grid),
-             "t_grid must be a list of finite nonnegative numbers", key="t_grid")
+                 and 0 < _to_float(x) < math.inf for x in t_grid),
+             "t_grid must be a list of finite positive numbers", key="t_grid")
 
     seed = _count(raw.get("seed", 0), "seed", 0)
 

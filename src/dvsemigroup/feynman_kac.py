@@ -23,6 +23,7 @@ are scheduled across workers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -178,7 +179,7 @@ def estimate_lambda(Q: Generator, V, t: float, n_paths: int, seed: int):
     exponents = _weight_exponents(Q, vv, t, n_paths, seed)
     estimate = log_mean_exp(exponents) / t
     scaled = np.exp(exponents - float(exponents.max()))
-    std_error = float(scaled.std(ddof=1)) / (np.sqrt(n_paths) * float(scaled.mean()) * t)
+    std_error = float(scaled.std(ddof=1)) / (math.sqrt(n_paths) * float(scaled.mean()) * t)
     return estimate, std_error
 
 

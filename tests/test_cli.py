@@ -3,12 +3,13 @@
 import json
 import os
 import time
+import zlib
 
 import numpy as np
 import pytest
 
 import oracles
-from dvsemigroup import principal_eigen
+from dvsemigroup import principal_eigen, validate_generator
 from dvsemigroup.cli import load_scenario, main, run, run_scenario, sanitize
 from dvsemigroup.errors import ConfigError
 
@@ -32,6 +33,12 @@ def _cos_birth_death(n, a):
     Q = np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
     return {"Q": (Q - np.diag(Q.sum(axis=1))).tolist(),
             "v": (a * np.cos(np.linspace(0.0, np.pi, n))).tolist()}
+
+
+def _crc32(Q):
+    """The report's Q checksum, recomputed from the validated rates."""
+    rates = validate_generator(Q).rates
+    return zlib.crc32(np.ascontiguousarray(rates, dtype="<f8").tobytes())
 
 
 def _no_constant(token):
@@ -137,8 +144,10 @@ class TestLoadScenario:
         # a negative seed once loaded and then failed the rate task
         '"seed": -1, "tasks": ["rate"]',
         '"t_grid": [true], "tasks": ["averaging"]',
+        # averaging once failed a zero horizon with an untyped ValueError
+        '"t_grid": [0.0, 1.0], "tasks": ["averaging"]',
     ], ids=["mc-paths", "mc-t", "hk-invert-max_iter", "averaging-n_grid", "t_grid", "seed",
-            "t_grid-bool"])
+            "t_grid-bool", "t_grid-zero"])
     def test_bad_numeric_options_exit_2(self, tmp_path, capsys, text):
         path = tmp_path / "scenario.json"
         path.write_text('{"Q": [[-1.0, 1.0], [2.0, -2.0]], ' + text + "}")
@@ -189,20 +198,57 @@ class TestRun:
         assert "Q[1,0]" in capsys.readouterr().err
 
     def test_empty_tasks_echoes_config(self, tmp_path):
+        # every field but Q is echoed as read; Q as its shape and CRC-32
+        body = dict(BASE, N=2, V0={"pairwise": [[0, 1.5], [1.5, 0]]},
+                    t_grid=[1, 2.5], tolerances={"hk_tol": 1e-9}, tasks=[])
         out = str(tmp_path / "report.json")
-        assert run(write_scenario(tmp_path, dict(BASE, tasks=[])), out) == 0
+        assert run(write_scenario(tmp_path, body), out) == 0
         report = json.loads(open(out).read())
-        assert report["config"]["Q"] == BASE["Q"]
+        assert report["config"] == dict(body, Q={"shape": [2, 2],
+                                                 "crc32": _crc32(BASE["Q"])})
         assert report["tasks"] == []
 
     def test_q_echo_keeps_json_types(self, tmp_path):
-        # the validated Q is echoed as it was read: int, bool and float kept
-        Q = [[-1, True], [2, -2.0]]
+        # the echo's shape and checksum are plain JSON ints, and Q spelled
+        # with ints and bools has the checksum of its float spelling
+        echoes = []
+        for Q in ([[-1, True], [2, -2.0]], [[-1.0, 1.0], [2.0, -2.0]]):
+            out = str(tmp_path / "report.json")
+            assert run(write_scenario(tmp_path, {"Q": Q, "tasks": ["validate"]}), out) == 0
+            echoes.append(json.loads(open(out).read())["config"]["Q"])
+        assert echoes[0] == echoes[1] == {"shape": [2, 2], "crc32": _crc32(BASE["Q"])}
+        for echo in echoes:
+            assert [type(x) for x in echo["shape"]] == [int, int]
+            assert type(echo["crc32"]) is int and 0 <= echo["crc32"] < 2 ** 32
+
+    def test_q_echo_checksums_the_validated_rates(self, tmp_path):
+        # the diagonal is recomputed before the checksum: a row sum of
+        # 1e-13 is repaired, so both spellings echo the same value, and a
+        # changed off-diagonal rate changes it
+        Q = np.array([[-1.5, 0.5, 1.0], [0.25, -0.75, 0.5], [2.0, 0.0, -2.0]])
+        nudged = Q.copy()
+        nudged[0, 0] += 1e-13
+        moved = Q.copy()
+        moved[1, 0], moved[1, 1] = 0.375, -0.875
+        echoes = []
+        for given in (Q, nudged, moved):
+            sc = load_scenario(write_scenario(tmp_path, {"Q": given.tolist()}))
+            echoes.append(sc.raw["Q"])
+        assert echoes[0] == echoes[1] == {"shape": [3, 3], "crc32": _crc32(Q)}
+        assert echoes[2] == {"shape": [3, 3], "crc32": _crc32(moved)}
+        assert echoes[2]["crc32"] != echoes[0]["crc32"]
+
+    def test_large_chain_report_stays_small(self, tmp_path):
+        # the echo of a dense 1000-state Q was ~20 MB of JSON; it is now
+        # constant.  Integer rates keep the scenario file quick to write.
+        Q = np.random.default_rng(5).integers(1, 4, (1000, 1000))
+        np.fill_diagonal(Q, 0)
+        np.fill_diagonal(Q, -Q.sum(axis=1))
         out = str(tmp_path / "report.json")
-        assert run(write_scenario(tmp_path, {"Q": Q, "tasks": ["validate"]}), out) == 0
+        assert run(write_scenario(tmp_path, {"Q": Q.tolist(), "tasks": []}), out) == 0
+        assert os.path.getsize(out) < 4096
         echo = json.loads(open(out).read())["config"]["Q"]
-        assert echo == Q
-        assert [[type(x) for x in row] for row in echo] == [[int, bool], [int, float]]
+        assert echo == {"shape": [1000, 1000], "crc32": _crc32(Q)}
 
     def test_reports_deterministic_up_to_timings(self, tmp_path):
         body = dict(BASE, t_grid=[1.0, 2.0],

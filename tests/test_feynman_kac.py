@@ -83,6 +83,11 @@ class TestEstimateLambda:
         lam = principal_eigen(two_state, [1.0, 0.0]).lam
         assert abs(est - lam) <= 3.0 * (se + 0.05 / t)
 
+    def test_returns_plain_floats(self, two_state):
+        # the sampled standard error was once an np.float64
+        est, se = estimate_lambda(two_state, [1.0, 0.0], 20.0, 4000, seed=2024)
+        assert type(est) is float and type(se) is float
+
     def test_shift_covariance(self, two_state):
         t, n, c = 10.0, 500, 0.8
         base, _ = estimate_lambda(two_state, [1.0, 0.0], t, n, seed=5)
