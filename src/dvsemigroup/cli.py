@@ -330,8 +330,8 @@ def _task_averaging(sc: Scenario, options: dict) -> dict:
     C = growth_bound(op, gd.lam, np.linspace(0.0, max(sc.t_grid), 201))
     rows = []
     for T in sc.t_grid:
-        avg = ground_measure_by_averaging(Q, V, gd.mu, T, n_grid)
-        end = ground_measure_by_evolution(Q, V, gd.mu, T)
+        avg = ground_measure_by_averaging(Q, V, gd.lam, gd.mu, T, n_grid)
+        end = ground_measure_by_evolution(Q, V, gd.lam, gd.mu, T)
         rows.append({
             "T": T,
             "tv_average": total_variation(avg, gd.pi),

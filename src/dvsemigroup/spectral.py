@@ -95,28 +95,51 @@ def _noda(M: np.ndarray, scale: float, x: np.ndarray | None = None,
     an M-matrix, so y > 0, and sigma falls monotonically to lambda (Noda
     1971; Elsner 1976).  The shift is raised by 1e-14 * scale, below the
     stopping tolerance, so the solve stays nonsingular where sigma equals
-    lambda before x has converged, as a reducible M allows.  Only the
-    bracket certifies the tiny entries of x, which keep improving after
-    max r has settled, until their round-off holds the bracket:
-    _NODA_STALL steps without a new smallest bracket end the iteration, as
-    does a singular, non-finite or non-positive solve.  The caller's
-    residual check gives the verdict.  x is the positive start (uniform
-    when None).  Returns (x, steps), x > 0, unit sum.
+    lambda before x has converged, as a reducible M allows.
+
+    That offset also caps what one solve can gain: the Perron direction
+    grows by ~1/(1e-14 * scale) against the rest, so a tail of x that is
+    wrong by many decades shrinks only ~14 decades per solve.  Once the
+    upper bound min(max r, cap) has fallen by no more than 1e-15 * scale
+    and the bracket has not halved, the step therefore solves once (per
+    call) with the unit vector e_k, k = argmax x, as its right-hand side:
+    e_k carries no stale tail, so that one solve resolves the whole tail.
+    It does bring in the other eigendirections at ~1e-14 * scale / gap,
+    which a tail far below the peak magnifies (to 7e-12 relative on a
+    256-state birth-death chain), so the solve after it, with x again,
+    always runs and removes them.  Only the bracket certifies the tiny
+    entries of x, and their round-off can hold it: _NODA_STALL steps
+    without a new smallest bracket end the iteration, as does a singular,
+    non-finite or non-positive solve.  The caller's residual check gives
+    the verdict.  x is the positive start (uniform when None).  Returns
+    (x, steps), x > 0, unit sum.
     """
     d = M.shape[0]
     x = np.full(d, 1.0 / d) if x is None else x
+    A = np.negative(M, order="F")  # sigma I - M once its diagonal is set
+    diag = -M.diagonal()
     best, best_step = np.inf, 0
+    upper, prev_gap, unit_step = np.inf, np.inf, None
     for steps in range(1, _NODA_STEPS + 1):
         r = (M @ x) / x
         top = float(r.max())
         gap = top - float(r.min())
         if gap < best:
             best, best_step = gap, steps
-        if gap <= 1e-13 * scale or steps - best_step == _NODA_STALL:
+        converged = gap <= 1e-13 * scale and unit_step != steps - 1
+        if converged or steps - best_step == _NODA_STALL:
             break
-        sigma = min(top, cap) + 1e-14 * scale
+        bound = min(top, cap)
+        rhs = x
+        if (unit_step is None and upper - bound <= 1e-15 * scale
+                and gap > 0.5 * prev_gap):
+            rhs, unit_step = np.zeros(d), steps
+            rhs[np.argmax(x)] = 1.0
+        upper, prev_gap = bound, gap
+        sigma = upper + 1e-14 * scale
+        A.flat[::d + 1] = diag + sigma
         try:
-            y = np.linalg.solve(sigma * np.eye(d) - M, x)
+            y = np.linalg.solve(A, rhs)
         except np.linalg.LinAlgError:
             break
         if not (np.all(np.isfinite(y)) and y.min() > 0):
@@ -137,10 +160,14 @@ def principal_eigen(Q: Generator, V) -> GroundData:
     That Collatz-Wielandt ratio bounds lambda from above for any positive
     psi, so the capped shift keeps (sigma I - M^T) an M-matrix and the
     pi side settles in a few steps instead of re-finding lambda from the
-    uniform vector.  lambda is the two-sided Rayleigh quotient of the
-    pair.  Raises ConvergenceFailure unless both eigen-residuals are below
-    1e-9 * max|M_ij| and both vectors are positive, and NonFinite when
-    psi * pi underflows to zero.  Output is deterministic: no random
+    uniform vector.  On either side, once the shift has settled at
+    lambda, one solve with the unit vector at argmax x as right-hand side
+    resolves a tail that spans hundreds of decades; with x itself as
+    right-hand side, the 1e-14 * scale shift offset lets each solve fix
+    only ~14 decades of it.  lambda is the two-sided Rayleigh quotient of
+    the pair.  Raises ConvergenceFailure unless both eigen-residuals are
+    below 1e-9 * max|M_ij| and both vectors are positive, and NonFinite
+    when psi * pi underflows to zero.  Output is deterministic: no random
     starts, fixed sign convention.
     """
     V = as_potential(V, Q.dim)
@@ -189,15 +216,17 @@ def doob_transform(Q: Generator, V, gd: GroundData) -> Generator:
     return validate_generator(D, tol_row=1e-9)
 
 
-def ground_measure_by_averaging(Q: Generator, V, mu0, T: float,
+def ground_measure_by_averaging(Q: Generator, V, lam: float, mu0, T: float,
                                 n_grid: int) -> ProbMeasure:
     """Normalized time average of t -> e^{-lam t} mu0^T exp(tM) over [0, T].
 
-    Trapezoid rule on n_grid equally spaced points.  The average converges
-    to the ground measure pi as T grows, at rate O(1/T): the exponentially
-    decaying transient contributes its time integral, which the window
-    dilutes only linearly.  See ground_measure_by_evolution for the
-    endpoint measure, which converges at the spectral-gap rate instead.
+    lam is the principal eigenvalue of M, from principal_eigen(Q, V), so
+    one solve serves every window.  Trapezoid rule on n_grid equally
+    spaced points.  The average converges to the ground measure pi as T
+    grows, at rate O(1/T): the exponentially decaying transient
+    contributes its time integral, which the window dilutes only
+    linearly.  See ground_measure_by_evolution for the endpoint measure,
+    which converges at the spectral-gap rate instead.
     """
     if T <= 0:
         raise ValueError("T must be positive")
@@ -205,7 +234,6 @@ def ground_measure_by_averaging(Q: Generator, V, mu0, T: float,
         raise ValueError("need at least two grid points")
     V = as_potential(V, Q.dim)
     mu0 = as_measure(mu0, Q.dim)
-    lam = principal_eigen(Q, V).lam
     M = Q.rates + np.diag(V.values)
 
     dt = T / (n_grid - 1)
@@ -218,17 +246,19 @@ def ground_measure_by_averaging(Q: Generator, V, mu0, T: float,
     return ProbMeasure(acc / acc.sum())
 
 
-def ground_measure_by_evolution(Q: Generator, V, mu0, T: float) -> ProbMeasure:
+def ground_measure_by_evolution(Q: Generator, V, lam: float, mu0,
+                                T: float) -> ProbMeasure:
     """Normalized evolved measure e^{-lam T} mu0^T exp(TM) / mass.
 
-    For an equilibrium start mu0 this converges to the ground measure pi
-    at the spectral-gap rate exp(-gap * T).
+    lam is the principal eigenvalue of M, as for
+    ground_measure_by_averaging.  For an equilibrium start mu0 this
+    converges to the ground measure pi at the spectral-gap rate
+    exp(-gap * T).
     """
     if T < 0:
         raise ValueError("T must be nonnegative")
     V = as_potential(V, Q.dim)
     mu0 = as_measure(mu0, Q.dim)
-    lam = principal_eigen(Q, V).lam
     M = Q.rates + np.diag(V.values)
     row = mu0.weights @ expm(T * (M - lam * np.eye(Q.dim)))
     return ProbMeasure(row / row.sum())

@@ -58,6 +58,27 @@ def eig_principal(M):
     return lam, psi, pi, psi * pi
 
 
+def tridiagonal_log_ground_state(M, lam):
+    """log psi, up to a constant, of a tridiagonal Metzler M at its root lam.
+
+    Backward ratio recurrence q_i = psi_{i-1} / psi_i from row i of
+    M psi = lam psi, started at the last row.  It is stable where psi
+    grows toward the first state, as for a ground state peaked there, and
+    it never forms psi itself, so a tail below the smallest double costs
+    no accuracy.
+    """
+    M = np.asarray(M, dtype=float)
+    n = M.shape[0]
+    log_psi = np.zeros(n)
+    ratio = 0.0                      # psi_{i+1} / psi_i, none past the end
+    for i in range(n - 1, 0, -1):
+        up = M[i, i + 1] if i + 1 < n else 0.0
+        q = (lam - M[i, i] - up * ratio) / M[i, i - 1]
+        log_psi[i - 1] = log_psi[i] + np.log(q)
+        ratio = 1.0 / q
+    return log_psi
+
+
 def support_components(mat):
     """Components of the undirected off-diagonal support graph of mat, each
     as its sorted states, ordered by smallest state."""

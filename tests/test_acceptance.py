@@ -153,8 +153,8 @@ def test_criterion_05_constructive_averaging():
 
         tv_evolved, tv_window = [], []
         for T in ladder:
-            end = ground_measure_by_evolution(Q, V, gd.mu, T)
-            avg = ground_measure_by_averaging(Q, V, gd.mu, T, 4097)
+            end = ground_measure_by_evolution(Q, V, gd.lam, gd.mu, T)
+            avg = ground_measure_by_averaging(Q, V, gd.lam, gd.mu, T, 4097)
             tv_evolved.append(total_variation(end, gd.pi))
             tv_window.append(total_variation(avg, gd.pi))
             assert relative_entropy(gd.mu, end) <= logC + 1e-12

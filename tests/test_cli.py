@@ -288,6 +288,23 @@ class TestRun:
             assert run(write_scenario(tmp_path, body), str(tmp_path / "r.json")) == 0
             assert len(calls) == 1
 
+    def test_averaging_task_solves_perron_once(self, tmp_path, monkeypatch):
+        # the ground-measure helpers take lambda from the scenario's ground
+        # data; when they solved for it themselves, this scenario took 9
+        from dvsemigroup import cli, spectral
+        calls = []
+        eigen = spectral.principal_eigen
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return eigen(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "principal_eigen", counted)
+        monkeypatch.setattr(spectral, "principal_eigen", counted)
+        body = dict(BASE, t_grid=[1.0, 2.0, 4.0, 8.0], tasks=["spectral", "averaging"])
+        assert run(write_scenario(tmp_path, body), str(tmp_path / "r.json")) == 0
+        assert len(calls) == 1
+
     def test_only_mc_reads_the_seed(self, tmp_path):
         # dv_sup runs one deterministic ascent, so the rate task does not
         # read the scenario seed; its Dirichlet restarts once failed this

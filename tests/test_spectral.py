@@ -36,6 +36,21 @@ def weakly_coupled_blocks():
     return Q - np.diag(Q.sum(axis=1))
 
 
+@pytest.fixture
+def noda_steps(monkeypatch):
+    """Steps of each _noda call in order, the psi side of a solve first."""
+    steps = []
+
+    def counted(M, scale, *args):
+        x, n = noda(M, scale, *args)
+        steps.append(n)
+        return x, n
+
+    noda = spectral._noda
+    monkeypatch.setattr(spectral, "_noda", counted)
+    return steps
+
+
 HARD_INSTANCES = [
     pytest.param(birth_death(256), 0.01 * np.linspace(-1.0, 1.0, 256),
                  0.00817247146611, id="birth_death_256"),
@@ -149,20 +164,13 @@ class TestPrincipalEigen:
         assert abs(gd.lam - lam) <= 1e-9 * scale
         assert gd.psi.min() > 0 and gd.pi.weights.min() > 0
 
-    def test_round_off_stall_ends_noda(self, monkeypatch):
+    def test_round_off_stall_ends_noda(self, noda_steps):
         # 200-state birth-death chains with rates spanning four decades:
         # psi spans ~1e-108 to 1, and round-off in its tiny entries can
         # hold the bracket near 1e-10 * scale.  On draw 0 the psi side
         # once ran all 100 steps; the underflowing draws end in NonFinite.
-        steps = []
-
-        def counted(M, scale, *args):
-            x, n = noda(M, scale, *args)
-            steps.append(n)
-            return x, n
-
-        noda = spectral._noda
-        monkeypatch.setattr(spectral, "_noda", counted)
+        # Before the unit-vector step, draw 4 took 60 steps on one BLAS
+        # thread.
         rng = np.random.default_rng(1)
         certified = 0
         for _ in range(8):
@@ -179,27 +187,18 @@ class TestPrincipalEigen:
             lam = np.linalg.eigvals(M).real.max()
             assert abs(gd.lam - lam) <= 1e-12 * np.abs(M).max()
         assert certified >= 4
-        assert max(steps) <= 50
+        assert max(noda_steps) <= 30
 
     @pytest.mark.parametrize("make", [
         lambda rng: (oracles.rand_rate_matrix(128, rng), rng.uniform(-1, 1, 128)),
         lambda rng: (birth_death(256), 0.01 * np.linspace(-1.0, 1.0, 256)),
     ], ids=["dense_128", "birth_death_256"])
-    def test_pi_side_continues_from_psi(self, make, rng, monkeypatch):
+    def test_pi_side_continues_from_psi(self, make, rng, noda_steps):
         # started at psi with its shift capped at max(M psi / psi) >= lambda,
         # the M^T side only has to turn psi into pi
-        steps = []
-
-        def counted(M, scale, *args):
-            x, n = noda(M, scale, *args)
-            steps.append(n)
-            return x, n
-
-        noda = spectral._noda
-        monkeypatch.setattr(spectral, "_noda", counted)
         Q, V = make(rng)
         principal_eigen(validate_generator(Q), V)
-        assert len(steps) == 2 and steps[1] <= 3
+        assert len(noda_steps) == 2 and noda_steps[1] <= 3
 
     def test_pi_matches_left_eigenvector(self):
         for seed in range(10):
@@ -216,11 +215,31 @@ class TestPrincipalEigen:
         assert gd.lam == pytest.approx(1.0, abs=1e-12)
         assert np.abs(gd.psi / gd.psi[1] - [2.0, 1.0]).max() <= 1e-12
 
-    def test_underflowing_equilibrium_measure_is_reported(self):
-        # psi * pi falls below the smallest double at the far end of the chain
+    def test_underflowing_equilibrium_measure_is_reported(self, noda_steps):
+        # psi * pi falls below the smallest double at the far end of the
+        # chain.  With x as right-hand side each solve fixed only ~14
+        # decades of psi's tail, and the psi side took 18 steps; one solve
+        # with a unit vector resolves the whole tail.
         V = 4.0 * np.cos(np.linspace(0.0, np.pi, 256))
         with pytest.raises(NonFinite, match="underflows"):
             principal_eigen(validate_generator(birth_death(256)), V)
+        assert noda_steps[0] <= 9
+
+    def test_unit_vector_step_keeps_the_tail_accurate(self, noda_steps):
+        # Without the unit-vector step the psi side took 12 steps here.
+        # The solve after that step removes the other eigendirections e_k
+        # brings in; stopped right after it, log psi was off by 7e-12 in
+        # its tail.  The ratio recurrence is good to ~2e-13.
+        n = 256
+        V = np.cos(np.linspace(0.0, np.pi, n))
+        Q = validate_generator(birth_death(n))
+        M = Q.rates + np.diag(V)
+        gd = principal_eigen(Q, V)
+        lam = np.linalg.eigvals(M).real.max()
+        assert noda_steps[0] <= 9
+        assert abs(gd.lam - lam) <= 1e-12 * np.abs(M).max()
+        err = np.log(gd.psi) - oracles.tridiagonal_log_ground_state(M, lam)
+        assert np.ptp(err) <= 1e-12
 
 
 class TestDoobTransform:
@@ -253,7 +272,7 @@ class TestAveraging:
     def test_zero_potential_fixed_point(self, two_state):
         pi = stationary_distribution(two_state)
         for T in (1.0, 8.0):
-            avg = ground_measure_by_averaging(two_state, [0.0, 0.0], pi, T, 257)
+            avg = ground_measure_by_averaging(two_state, [0.0, 0.0], 0.0, pi, T, 257)
             assert total_variation(avg, pi) <= 1e-12
 
     def test_two_state_ladder(self, two_state):
@@ -264,8 +283,8 @@ class TestAveraging:
         gd = principal_eigen(two_state, V)
         tvs_avg, tvs_end = [], []
         for T in (1.0, 2.0, 4.0, 8.0, 16.0):
-            avg = ground_measure_by_averaging(two_state, V, gd.mu, T, 2049)
-            end = ground_measure_by_evolution(two_state, V, gd.mu, T)
+            avg = ground_measure_by_averaging(two_state, V, gd.lam, gd.mu, T, 2049)
+            end = ground_measure_by_evolution(two_state, V, gd.lam, gd.mu, T)
             tvs_avg.append(total_variation(avg, gd.pi))
             tvs_end.append(total_variation(end, gd.pi))
         assert all(b < a for a, b in zip(tvs_avg, tvs_avg[1:]))
@@ -279,8 +298,8 @@ class TestAveraging:
         op = make_operator(two_state, V)
         logC = np.log(growth_bound(op, gd.lam, np.linspace(0.0, 32.0, 257)))
         for T in (1.0, 4.0, 16.0, 32.0):
-            avg = ground_measure_by_averaging(two_state, V, gd.mu, T, 1025)
-            end = ground_measure_by_evolution(two_state, V, gd.mu, T)
+            avg = ground_measure_by_averaging(two_state, V, gd.lam, gd.mu, T, 1025)
+            end = ground_measure_by_evolution(two_state, V, gd.lam, gd.mu, T)
             assert relative_entropy(gd.mu, avg) <= logC + 1e-12
             assert relative_entropy(gd.mu, end) <= logC + 1e-12
 
@@ -288,8 +307,8 @@ class TestAveraging:
         # trapezoid average converges as the grid refines
         V = [1.0, 0.0]
         gd = principal_eigen(two_state, V)
-        coarse = ground_measure_by_averaging(two_state, V, gd.mu, 4.0, 17)
-        fine = ground_measure_by_averaging(two_state, V, gd.mu, 4.0, 4097)
-        finer = ground_measure_by_averaging(two_state, V, gd.mu, 4.0, 8193)
+        coarse = ground_measure_by_averaging(two_state, V, gd.lam, gd.mu, 4.0, 17)
+        fine = ground_measure_by_averaging(two_state, V, gd.lam, gd.mu, 4.0, 4097)
+        finer = ground_measure_by_averaging(two_state, V, gd.lam, gd.mu, 4.0, 8193)
         assert total_variation(fine, finer) < total_variation(coarse, finer)
         assert total_variation(fine, finer) <= 1e-8  # trapezoid is O(h^2)
