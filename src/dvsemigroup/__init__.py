@@ -52,7 +52,6 @@ from .spectral import (
     ground_measure_by_averaging,
     ground_measure_by_evolution,
     principal_eigen,
-    stationary_distribution,
     total_variation,
 )
 from .rate_function import (
@@ -89,11 +88,7 @@ from .hohenberg_kohn import (
     reduced_variational,
 )
 from .feynman_kac import (
-    PathSample,
     estimate_lambda,
     log_mean_exp,
-    occupation_measure,
     path_stream,
-    sample_weighted_path,
-    simulate_ctmc,
 )

@@ -24,32 +24,12 @@ are scheduled across workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionMismatch
 from .generator import Generator, as_potential
 
 _BLOCK = 1024  # paths per random stream in estimate_lambda
-
-
-@dataclass(frozen=True)
-class PathSample:
-    """One jump path truncated at the horizon.
-
-    states           visited states, in order,
-    holding_times    time spent in each visited state (last one truncated
-                     so the times sum exactly to the horizon),
-    total_time       the horizon t,
-    weight_exponent  int_0^t V(X_s) ds for the potential the path was
-                     sampled with (zero when no potential was given).
-    """
-
-    states: np.ndarray
-    holding_times: np.ndarray
-    total_time: float
-    weight_exponent: float
 
 
 def path_stream(seed: int, index: int) -> np.random.Generator:
@@ -87,42 +67,6 @@ def _jump_chain(Q: Generator):
     with np.errstate(invalid="ignore", divide="ignore"):
         cum /= cum[:, -1:]
     return -np.diag(Q.rates), cum
-
-
-def _sample_path(Q: Generator, x0: int, t: float, seed: int, index: int) -> PathSample:
-    """One exact Gillespie path from path_stream(seed, index), weight left at zero."""
-    if not 0 <= x0 < Q.dim:
-        raise DimensionMismatch(f"start state {x0} outside 0..{Q.dim - 1}")
-    t = _horizon(t)
-    rates, cum = _jump_chain(Q)
-    rng = path_stream(seed, index)
-    x = int(x0)
-    elapsed = 0.0
-    states, holds = [x], []
-    while True:
-        tau = rng.standard_exponential() / rates[x] if rates[x] > 0.0 else np.inf
-        if elapsed + tau >= t:
-            holds.append(t - elapsed)
-            break
-        holds.append(tau)
-        elapsed += tau
-        x = int(np.searchsorted(cum[x], rng.random(), side="right"))
-        states.append(x)
-    return PathSample(states=np.array(states, dtype=np.intp), holding_times=np.array(holds),
-                      total_time=t, weight_exponent=0.0)
-
-
-def simulate_ctmc(Q: Generator, x0: int, t: float, seed: int) -> PathSample:
-    """Sample one path of the chain started at x0, truncated at time t."""
-    return _sample_path(Q, x0, t, seed, 0)
-
-
-def sample_weighted_path(Q: Generator, V, x0: int, t: float, seed: int,
-                         index: int = 0) -> PathSample:
-    """Like simulate_ctmc but also accumulates the potential weight."""
-    V = as_potential(V, Q.dim)
-    path = _sample_path(Q, x0, t, seed, index)
-    return replace(path, weight_exponent=float(V.values[path.states] @ path.holding_times))
 
 
 def _weight_exponents(Q: Generator, vv: np.ndarray, t: float, n_paths: int,
@@ -181,10 +125,3 @@ def estimate_lambda(Q: Generator, V, t: float, n_paths: int, seed: int):
     scaled = np.exp(exponents - float(exponents.max()))
     std_error = float(scaled.std(ddof=1)) / (math.sqrt(n_paths) * float(scaled.mean()) * t)
     return estimate, std_error
-
-
-def occupation_measure(path: PathSample, dim: int) -> np.ndarray:
-    """Fraction of time the path spends in each state."""
-    occ = np.zeros(dim)
-    np.add.at(occ, path.states, path.holding_times)
-    return occ / path.total_time

@@ -35,6 +35,7 @@ from .errors import (
 )
 
 DEFAULT_ROW_TOL = 1e-12
+_EXPM_ROUNDOFF = 1e-13  # negative round-off that check_condition_A clamps to zero
 
 
 @dataclass(frozen=True)
@@ -185,13 +186,13 @@ def gamma_sandwich_check(Q: Generator, f, g, tol: float = 1e-10) -> bool:
     return bool(np.all(middle <= upper + band) and np.all(middle >= lower - band))
 
 
-def check_condition_A(Q: Generator, T: float, expm_tol: float = 1e-13) -> float:
+def check_condition_A(Q: Generator, T: float) -> float:
     """Uniform positivity ratio of P_T = exp(TQ).
 
     Returns eps = min over columns j of (min_x P[x,j] / max_y P[y,j]).
     For a connected generator and T > 0 every entry of P_T is strictly
     positive, hence eps in (0, 1].  Entries that dip below zero by less
-    than expm_tol (round-off) are clamped before forming the ratio.
+    than 1e-13 (round-off) are clamped before forming the ratio.
     """
     if T <= 0:
         raise ValueError("T must be positive")
@@ -200,7 +201,7 @@ def check_condition_A(Q: Generator, T: float, expm_tol: float = 1e-13) -> float:
     if Q.dim == 1:
         return 1.0
     P = expm(T * Q.rates)
-    P = np.where((P < 0) & (P > -expm_tol), 0.0, P)
+    P = np.where((P < 0) & (P > -_EXPM_ROUNDOFF), 0.0, P)
     col_min = P.min(axis=0)
     col_max = P.max(axis=0)
     return float(np.min(col_min / col_max))

@@ -21,8 +21,7 @@ ValueError.  I_HK is evaluated there by one equality-constrained damped
 Newton run over orbit masses, started from the feasible product measure
 and reusing the rate-function derivatives.  The multiplier of the
 marginal constraint, read off the KKT solve, is the gradient
--grad I_HK(rho); it drives the outer ascent of reduced_variational and
-gives the dual bound that certifies each value.
+-grad I_HK(rho) and gives the dual bound that certifies each value.
 """
 
 from __future__ import annotations
@@ -32,11 +31,22 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConvergenceFailure, NonFinite, NotConverged, StateSpaceTooLarge
+from .errors import NotConverged, StateSpaceTooLarge
 from .generator import Generator, Potential, as_potential, carre_du_champ
 from .multiparticle import TensorSystem
-from .rate_function import _legendre_newton, _rate_parts, _simplex_newton, rate_I
+from .rate_function import _legendre_newton, _rate_parts, _simplex_newton, dv_sup, rate_I
 from .spectral import ProbMeasure, as_measure, principal_eigen, total_variation
+
+# largest potential residual per unit of tol that hk_verify still reads as
+# the same potential up to a constant
+_KAPPA_CAP = 1e3
+
+# inner rate-solve gradient and Newton step cap of reduced_functional, and
+# its guard on the marginal constraint residual, which the Newton run keeps
+# at round-off
+_INNER_TOL = 1e-11
+_MAX_NEWTON = 60
+_CONSTRAINT_TOL = 1e-9
 
 
 class HKConclusion(Enum):
@@ -85,18 +95,12 @@ class InversionOptions:
 class ReducedOptions:
     """Controls for i_hk and reduced_variational.
 
-    tol is the outer accuracy target, and also bounds the duality bracket
-    of each I_HK value relative to max(1, |value|); constraint_tol guards
-    the residual of the marginal constraint at return, which the Newton
-    run keeps at round-off; cap bounds the number of permutation orbits
-    the minimization runs on.
+    tol bounds the duality bracket of each I_HK value relative to
+    max(1, |value|), and the Frank-Wolfe gap of reduced_variational; cap
+    bounds the number of permutation orbits the minimization runs on.
     """
 
     tol: float = 1e-4
-    constraint_tol: float = 1e-9
-    inner_tol: float = 1e-11
-    max_newton: int = 60
-    max_iter: int = 300
     cap: int = 256
 
 
@@ -117,8 +121,7 @@ def equilibrium_marginal(sys: TensorSystem, V0, v):
     return gd.lam, sys.lift(gd).mu, ProbMeasure(counts.T @ gd.mu.weights / sys.N)
 
 
-def hk_verify(sys: TensorSystem, V0, v1, v2, tol: float = 1e-10,
-              kappa_cap: float = 1e3) -> HKReport:
+def hk_verify(sys: TensorSystem, V0, v1, v2, tol: float = 1e-10) -> HKReport:
     """Compare the marginals induced by two external potentials.
 
     Marginals that agree within tol must come from potentials equal up to
@@ -144,7 +147,7 @@ def hk_verify(sys: TensorSystem, V0, v1, v2, tol: float = 1e-10,
     )
 
     if tv <= tol:
-        same = residual <= kappa_cap * max(tol, 1e-15)
+        same = residual <= _KAPPA_CAP * max(tol, 1e-15)
         conclusion = (HKConclusion.SAME_POTENTIAL_UP_TO_CONSTANT if same
                       else HKConclusion.VIOLATION)
     else:
@@ -178,6 +181,13 @@ def invert_potential(sys: TensorSystem, V0, rho_target,
 # reduced functional
 
 
+def _capped_orbits(sys: TensorSystem, cap: int):
+    """sys.orbits, or StateSpaceTooLarge when there are more than cap."""
+    if len(sys.orbits.reps) > cap:
+        raise StateSpaceTooLarge(len(sys.orbits.reps), cap)
+    return sys.orbits
+
+
 def reduced_functional(sys: TensorSystem, V0, rho,
                        opts: ReducedOptions | None = None) -> ReducedResult:
     """Constrained minimum of I(mu) - mu(V0) over symmetric mu with marginal rho.
@@ -192,13 +202,10 @@ def reduced_functional(sys: TensorSystem, V0, rho,
     The value is the primal I(p) - p V0.  Weak duality, I_HK(rho) >=
     rho(u) - lambda_{V0 + C^T u} for every u, tight at u = -y, certifies
     it with one Perron solve: NotConverged is raised when that bracket
-    exceeds tol max(1, |value|), or the constraint residual constraint_tol.
+    exceeds tol max(1, |value|), or the constraint residual 1e-9.
     """
     opts = opts or ReducedOptions()
-    o = sys.orbits
-    m = len(o.reps)
-    if m > opts.cap:
-        raise StateSpaceTooLarge(m, opts.cap)
+    o = _capped_orbits(sys, opts.cap)
     V0v = sys.on_orbits(V0)
     rho = as_measure(rho, sys.d)
     if (rho.weights <= 0).any():
@@ -210,12 +217,12 @@ def reduced_functional(sys: TensorSystem, V0, rho,
 
     p = np.maximum(o.sizes * np.prod(rho_v ** o.counts, axis=1), 1e-300)
     p /= p.sum()
-    p, w0, y = _simplex_newton(QL.rates, p, V0v, C, opts.inner_tol, opts.max_newton, None)
+    p, w0, y = _simplex_newton(QL.rates, p, V0v, C, _INNER_TOL, _MAX_NEWTON, None)
 
-    I, _, _, _, _ = _rate_parts(QL.rates, p, opts.inner_tol, 100, w0)
+    I, _, _, _, _ = _rate_parts(QL.rates, p, _INNER_TOL, 100, w0)
     value = float(I - p @ V0v)
     cviol = float(np.abs(C @ p - rho_v).max())
-    if cviol > opts.constraint_tol:
+    if cviol > _CONSTRAINT_TOL:
         raise NotConverged(value, cviol)
     bracket = value + float(rho_v @ y) + principal_eigen(QL, V0v - C.T @ y).lam
     if abs(bracket) > opts.tol * max(1.0, abs(value)):
@@ -239,57 +246,28 @@ def i_hk(sys: TensorSystem, V0, rho, opts: ReducedOptions | None = None) -> floa
 
 def reduced_variational(sys: TensorSystem, V0, v,
                         opts: ReducedOptions | None = None):
-    """sup over marginals of rho(v) - I_HK(rho), by multiplier-gradient ascent.
+    """sup over marginals of rho(v) - I_HK(rho), the paper's reduction.
 
-    The envelope gradient of the concave objective is v + y(rho), with y
-    the marginal-constraint multiplier, so exponentiated-gradient steps
-    with backtracking climb to the maximizer.  Every iterate gives the
-    rigorous lower bound mu(V0 + V) - I(mu) <= lambda, so the returned
-    lambda_hat approaches the principal eigenvalue from below.  Each trial
-    rho gets its own reduced_functional run from its product measure (the
-    orbit masses of another rho are infeasible for it); a trial whose run
-    raises is rejected like one that does not climb.
+    With C = counts^T / N the marginal map, the sup over rho of rho(v) -
+    I_HK(rho) is the sup over orbit masses p of p (V0 + C^T v) - I(p), the
+    problem dv_sup solves on the orbit chain.  Its maximizer p* gives
+    rho* = C p*; one reduced_functional run then evaluates I_HK(rho*)
+    independently, so lambda_hat = rho*(v) - I_HK(rho*).  The multiplier y
+    of that run is -grad I_HK(rho*), and by concavity over the simplex the
+    Frank-Wolfe gap max(v + y) - rho* (v + y) bounds sup - lambda_hat;
+    NotConverged is raised when it exceeds opts.tol.
 
     Returns (lambda_hat, rho_star).
     """
     opts = opts or ReducedOptions()
-    v = as_potential(v, sys.d)
-    vv = v.values
-    d = sys.d
-
-    def gap_of(rho, res):
-        # concavity over the simplex: sup G - G(rho) <= max(g) - g . rho
-        grad = vv + res.multiplier
-        return float(grad.max() - grad @ rho), grad
-
-    rho = np.full(d, 1.0 / d)
+    v = as_potential(v, sys.d).values
+    C = _capped_orbits(sys, opts.cap).counts.T / sys.N
+    _, p = dv_sup(sys.lumped_QN, sys.on_orbits(V0) + C.T @ v)
+    rho = C @ p.weights
     res = reduced_functional(sys, V0, rho, opts)
-    value = float(rho @ vv - res.value)
-    step = 1.0
-    for _ in range(opts.max_iter):
-        gap, grad = gap_of(rho, res)
-        if gap <= 0.5 * opts.tol:
-            break
-        g_proj = grad - rho @ grad
-        improved = False
-        for _ in range(40):
-            rho_try = rho * np.exp(step * g_proj)
-            rho_try /= rho_try.sum()
-            try:
-                res_try = reduced_functional(sys, V0, rho_try, opts)
-                value_try = float(rho_try @ vv - res_try.value)
-            except (ConvergenceFailure, NonFinite, NotConverged):
-                value_try = -np.inf
-            if value_try > value:
-                rho, res, value = rho_try, res_try, value_try
-                improved = True
-                step = min(step * 1.5, 50.0)
-                break
-            step *= 0.5
-        if not improved:
-            break
-
-    gap, _ = gap_of(rho, res)
+    value = float(rho @ v - res.value)
+    grad = v + res.multiplier
+    gap = float(grad.max() - grad @ rho)
     if gap > opts.tol:
         raise NotConverged(value, gap)
     return value, ProbMeasure(rho)

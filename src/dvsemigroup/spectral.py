@@ -196,11 +196,6 @@ def principal_eigen(Q: Generator, V) -> GroundData:
     return GroundData(lam=lam, psi=psi, pi=ProbMeasure(pi), mu=ProbMeasure(mu))
 
 
-def stationary_distribution(Q: Generator) -> ProbMeasure:
-    """Unique probability solution of pi^T Q = 0 (V = 0 ground measure)."""
-    return principal_eigen(Q, np.zeros(Q.dim)).pi
-
-
 def doob_transform(Q: Generator, V, gd: GroundData) -> Generator:
     """Ground-state transform diag(psi)^{-1} (M - lam I) diag(psi).
 

@@ -1,71 +1,15 @@
-"""Gillespie paths and the Monte Carlo eigenvalue estimate."""
+"""The Monte Carlo eigenvalue estimate."""
 
 import numpy as np
 import pytest
 
 import oracles
 from dvsemigroup import (
-    DimensionMismatch,
     estimate_lambda,
     log_mean_exp,
-    occupation_measure,
     principal_eigen,
-    sample_weighted_path,
-    simulate_ctmc,
-    stationary_distribution,
     validate_generator,
 )
-
-
-class TestSimulate:
-    def test_single_state_never_moves(self):
-        Q = validate_generator([[0.0]])
-        path = simulate_ctmc(Q, 0, 5.0, seed=1)
-        assert path.states.tolist() == [0]
-        assert path.holding_times.tolist() == [5.0]
-
-    def test_holding_times_sum_to_horizon(self, two_state):
-        path = simulate_ctmc(two_state, 0, 17.3, seed=4)
-        assert path.holding_times.sum() == pytest.approx(17.3, abs=1e-12)
-        assert (path.holding_times > 0).all()
-
-    def test_jumps_follow_support(self, two_state, rng):
-        path = simulate_ctmc(two_state, 0, 50.0, seed=9)
-        for a, b in zip(path.states, path.states[1:]):
-            assert two_state.rates[a, b] > 0
-
-    def test_same_seed_same_path(self, two_state):
-        p1 = simulate_ctmc(two_state, 1, 25.0, seed=123)
-        p2 = simulate_ctmc(two_state, 1, 25.0, seed=123)
-        assert np.array_equal(p1.states, p2.states)
-        assert np.array_equal(p1.holding_times, p2.holding_times)
-
-    def test_occupation_converges_to_stationary(self, two_state):
-        path = simulate_ctmc(two_state, 0, 10000.0, seed=7)
-        occ = occupation_measure(path, 2)
-        pi = stationary_distribution(two_state).weights
-        assert oracles.tv(occ, pi) <= 0.01
-        assert np.allclose(pi, [2 / 3, 1 / 3], atol=1e-12)
-
-    def test_weighted_path_exponent(self, two_state):
-        V = np.array([1.0, -0.5])
-        path = sample_weighted_path(two_state, V, 0, 8.0, seed=11)
-        occ = occupation_measure(path, 2) * path.total_time
-        assert path.weight_exponent == pytest.approx(float(occ @ V), abs=1e-12)
-
-    @pytest.mark.parametrize("t", [float("nan"), float("inf"), 0.0, -1.0])
-    def test_rejects_bad_horizon(self, two_state, t):
-        with pytest.raises(ValueError):
-            simulate_ctmc(two_state, 0, t, seed=0)
-        with pytest.raises(ValueError):
-            sample_weighted_path(two_state, [1.0, 0.0], 0, t, seed=0)
-
-    @pytest.mark.parametrize("x0", [-1, 2])
-    def test_rejects_bad_start(self, two_state, x0):
-        with pytest.raises(DimensionMismatch):
-            simulate_ctmc(two_state, x0, 1.0, seed=0)
-        with pytest.raises(DimensionMismatch):
-            sample_weighted_path(two_state, [1.0, 0.0], x0, 1.0, seed=0)
 
 
 class TestEstimateLambda:

@@ -1,0 +1,84 @@
+"""The README's API table and first example against the installed package."""
+
+import builtins
+import dataclasses
+import importlib
+import inspect
+import re
+from pathlib import Path
+
+import pytest
+
+import dvsemigroup
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def _tour_rows():
+    tour = README[README.index("## Library tour"):README.index("\nConventions:")]
+    rows = []
+    for line in tour.splitlines():
+        if line.startswith("| `"):
+            spans = re.findall(r"`([^`]*)`", line)
+            rows.append((spans[0], spans[1:]))
+    return rows
+
+
+def _member(obj, name):
+    if hasattr(obj, name):
+        return getattr(obj, name)
+    if dataclasses.is_dataclass(obj) and name in {f.name for f in dataclasses.fields(obj)}:
+        return None
+    raise AttributeError(name)
+
+
+def _resolve(module, name):
+    """The object a table entry names, or None for a dataclass field."""
+    head, *rest = name.split(".")
+    for owner in (module, dvsemigroup):
+        if hasattr(owner, head):
+            obj = getattr(owner, head)
+            for part in rest:
+                obj = _member(obj, part)
+            return obj
+    if not rest:
+        exc = getattr(builtins, head, None)
+        if isinstance(exc, type) and issubclass(exc, BaseException):
+            return exc
+        for _, cls in inspect.getmembers(module, inspect.isclass):
+            if cls.__module__ == module.__name__:
+                try:
+                    return _member(cls, head)
+                except AttributeError:
+                    pass
+    raise AttributeError(name)
+
+
+ROWS = _tour_rows()
+
+
+@pytest.mark.parametrize("module_name, entries", ROWS, ids=[row[0] for row in ROWS])
+def test_library_tour_names_resolve(module_name, entries):
+    module = importlib.import_module(f"dvsemigroup.{module_name}")
+    for entry in entries:
+        name, _, args = entry.partition("(")
+        assert re.fullmatch(r"[A-Za-z_]\w*(\.\w+)*", name), entry
+        try:
+            obj = _resolve(module, name)
+        except AttributeError:
+            pytest.fail(f"README names `{entry}`, which dvsemigroup.{module_name} lacks")
+        if args:
+            # a listed signature names every parameter, in order
+            listed = [a.strip() for a in args.rstrip(")").split(",")]
+            assert listed == list(inspect.signature(obj).parameters), entry
+
+
+def test_tour_covers_every_module():
+    assert [row[0] for row in ROWS] == [
+        "generator", "semigroup", "spectral", "rate_function", "multiparticle",
+        "hohenberg_kohn", "feynman_kac"]
+
+
+def test_first_example_runs():
+    code = re.search(r"```python\n(.*?)```", README, re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})
