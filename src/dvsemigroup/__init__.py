@@ -15,7 +15,6 @@ from .errors import (
     DimensionMismatch,
     DVSemigroupError,
     GraphDisconnected,
-    InfeasibleMarginal,
     NegativeInput,
     NegativeOffDiagonal,
     NonFinite,
@@ -56,7 +55,6 @@ from .spectral import (
 )
 from .rate_function import (
     RateResult,
-    SolverOptions,
     dv_sup,
     legendre_I,
     rate_I,

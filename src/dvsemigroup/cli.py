@@ -64,6 +64,7 @@ from .multiparticle import (
     TensorSystem,
     is_symmetric,
     kronecker_sum,
+    marginal,
     pairwise_potential,
     separable_potential,
 )
@@ -71,6 +72,7 @@ from .rate_function import dv_sup, rate_I, relative_entropy
 from .semigroup import growth_bound, make_operator
 from .spectral import (
     GroundData,
+    ProbMeasure,
     as_measure,
     ground_measure_by_averaging,
     ground_measure_by_evolution,
@@ -105,10 +107,6 @@ class Scenario:
         return kronecker_sum(self.Q1, self.N)
 
     @cached_property
-    def generator(self) -> Generator:
-        return self.Q1 if self.N == 1 else self.system.QN
-
-    @cached_property
     def potential(self) -> Potential:
         """V0 + separable(v) on the product space (just v when N = 1)."""
         sep = separable_potential(self.v, self.N)
@@ -117,14 +115,29 @@ class Scenario:
         return Potential(self.V0.values + sep.values)
 
     @cached_property
+    def chain(self) -> tuple[Generator, Potential]:
+        """The chain every task runs on, with its potential: the chain lumped
+        onto permutation orbits when the d^N potential is symmetric (always
+        at N = 1), else QN itself (a non-symmetric array V0)."""
+        system, V = self.system, self.potential
+        if is_symmetric(V, system):
+            return system.lumped_QN, Potential(V.values[system.orbits.reps])
+        return system.QN, V
+
+    @cached_property
     def ground(self) -> GroundData:
-        """The Perron eigentriple of generator + potential, solved once: for
-        N > 1 and a symmetric potential, on the orbit chain and lifted."""
-        system = self.system
-        if self.N > 1 and is_symmetric(self.potential, system):
-            V = self.potential.values[system.orbits.reps]
-            return system.lift(principal_eigen(system.lumped_QN, V))
-        return principal_eigen(self.generator, self.potential)
+        """The Perron eigentriple of the chain, solved once."""
+        return principal_eigen(*self.chain)
+
+    def gather(self, mu: np.ndarray) -> ProbMeasure:
+        """A measure on the d^N states summed onto the chain's states (as given
+        on QN or at N = 1); on orbits it must be permutation symmetric."""
+        mu = as_measure(mu, self.system.size)
+        if self.chain[0].dim == self.system.size:
+            return mu
+        if not is_symmetric(mu, self.system):
+            raise ValueError("mu must be symmetric under particle permutations")
+        return ProbMeasure(np.bincount(self.system.orbits.of, weights=mu.weights))
 
 
 def _require(cond: bool, message: str, key: str | None = None):
@@ -299,25 +312,24 @@ def _task_validate(sc: Scenario, options: dict) -> dict:
 
 def _task_spectral(sc: Scenario, options: dict) -> dict:
     _opt(options, {}, "spectral")
-    gd = sc.ground
+    gd = sc.system.lift(sc.ground)
     return {"lambda": gd.lam, "psi": gd.psi.tolist(),
             "pi": gd.pi.weights.tolist(), "mu": gd.mu.weights.tolist()}
 
 
 def _task_rate(sc: Scenario, options: dict) -> dict:
     opts = _opt(options, {"mu": None}, "rate")
-    Q, V, gd = sc.generator, sc.potential, sc.ground
-    mu = gd.mu if opts["mu"] is None else _vector(opts["mu"], "mu")
+    (Q, V), gd = sc.chain, sc.ground
+    mu = gd.mu if opts["mu"] is None else sc.gather(_vector(opts["mu"], "mu"))
     lam_dual, mu_star = dv_sup(Q, V)
     # rate_IV's I - mu(V) + lambda, reusing this task's rate solve and the
     # scenario's ground data
-    mu = as_measure(mu, Q.dim)
     I = rate_I(Q, mu).value
     return {
         "I": I,
         "IV": I - float(mu.weights @ V.values) + gd.lam,
         "lambda_dual": lam_dual,
-        "mu_star": mu_star.weights.tolist(),
+        "mu_star": sc.system.orbits.spread(mu_star.weights).tolist(),
     }
 
 
@@ -325,7 +337,7 @@ def _task_averaging(sc: Scenario, options: dict) -> dict:
     opts = _opt(options, {"n_grid": 1025}, "averaging")
     n_grid = _count(opts["n_grid"], "n_grid", 2)
     _require(len(sc.t_grid) > 0, "averaging needs a t_grid", key="t_grid")
-    Q, V, gd = sc.generator, sc.potential, sc.ground
+    (Q, V), gd = sc.chain, sc.ground
     op = make_operator(Q, V)
     C = growth_bound(op, gd.lam, np.linspace(0.0, max(sc.t_grid), 201))
     rows = []
@@ -392,8 +404,7 @@ def _task_ihk(sc: Scenario, options: dict) -> dict:
     opts = _opt(options, {"rho": None}, "ihk")
     sys, V0 = _hk_system(sc)
     if opts["rho"] is None:
-        _, _, rho = equilibrium_marginal(sys, V0, sc.v)
-        rho = rho.weights
+        rho = marginal(sys.lift(sc.ground).mu, sys).weights
     else:
         rho = _vector(opts["rho"], "rho")
     return {"rho": rho.tolist(), "I_HK": i_hk(sys, V0, rho, ReducedOptions())}
@@ -403,8 +414,7 @@ def _task_mc(sc: Scenario, options: dict) -> dict:
     opts = _opt(options, {"t": 50.0, "paths": 1000, "seed": sc.seed}, "mc")
     # the horizon's range is the sampler's to check (ValueError)
     t, paths = _real(opts["t"], "t"), _count(opts["paths"], "paths", 2)
-    estimate, stderr = estimate_lambda(sc.generator, sc.potential, t, paths,
-                                       _count(opts["seed"], "seed", 0))
+    estimate, stderr = estimate_lambda(*sc.chain, t, paths, _count(opts["seed"], "seed", 0))
     return {"lambda_mc": estimate, "stderr": stderr,
             "lambda_spectral": sc.ground.lam, "t": t, "paths": paths}
 

@@ -71,10 +71,6 @@ class StateSpaceTooLarge(DVSemigroupError):
         super().__init__(f"product state space has {size} states, cap is {cap}")
 
 
-class InfeasibleMarginal(DVSemigroupError):
-    """The marginal constraint set is empty."""
-
-
 class ConfigError(DVSemigroupError):
     """A scenario file is malformed. Carries the offending key when known."""
 

@@ -59,7 +59,10 @@ class Orbits:
     sizes: np.ndarray
 
     def spread(self, masses: np.ndarray) -> np.ndarray:
-        """Vector on d^N, constant on each orbit, with the given orbit sums."""
+        """Vector on d^N, constant on each orbit, with the given orbit sums;
+        masses already on the d^N states (of QN, or N = 1) as given."""
+        if len(masses) == len(self.of):
+            return masses
         return (masses / self.sizes)[self.of]
 
 
@@ -102,8 +105,9 @@ class TensorSystem:
     @cached_property
     def lumped_QN(self) -> Generator:
         """QN lumped onto orbits, from Q1: moving coordinate k of rep a from x_k
-        to j adds Q1[x_k, j] at the orbit of rep + (j - x_k) d^{N-1-k}."""
-        if self.d == 1:
+        to j adds Q1[x_k, j] at the orbit of rep + (j - x_k) d^{N-1-k}.
+        Q1 itself when every orbit is one state (N = 1 or d = 1)."""
+        if self.d == 1 or self.N == 1:
             return self.Q1
         o = self.orbits
         stride = self.d ** np.arange(self.N - 1, -1, -1)
@@ -121,7 +125,10 @@ class TensorSystem:
         return V0.values[self.orbits.reps]
 
     def lift(self, gd: GroundData) -> GroundData:
-        """Ground data of lumped_QN (symmetric V) as those of QN on d^N states."""
+        """Ground data of lumped_QN (symmetric V) as those of QN on d^N states;
+        gd itself when already on the d^N states (of QN, or N = 1 or d = 1)."""
+        if len(gd.psi) == self.size:
+            return gd
         o = self.orbits
         return GroundData(lam=gd.lam, psi=gd.psi[o.of], pi=ProbMeasure(o.spread(gd.pi.weights)),
                           mu=ProbMeasure(o.spread(gd.mu.weights)))

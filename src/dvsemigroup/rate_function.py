@@ -44,23 +44,11 @@ from .generator import Generator, as_potential
 from .spectral import ProbMeasure, as_measure, principal_eigen
 
 
-@dataclass(frozen=True)
-class SolverOptions:
-    """Knobs shared by the variational solvers.
-
-    tol        target sup-norm of the inner Newton gradient (dv_sup runs
-               its inner solves at min(tol, 1e-12)),
-    max_iter   outer iteration cap,
-    boundary   'reject' raises on measures with zero entries, 'reduce'
-               minimizes the reduced objective on the support.
-    """
-
-    tol: float = 1e-10
-    max_iter: int = 200
-    boundary: str = "reject"
-
-
-DEFAULT_OPTIONS = SolverOptions()
+# convergence tolerance of rate_I (sup-norm of its Newton gradient) and of
+# legendre_I (TV distance of its fitted measure), and the step cap of
+# rate_I, dv_sup and legendre_I
+_TOL = 1e-10
+_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -141,25 +129,24 @@ def _newton_min(Q: np.ndarray, mu: np.ndarray, tol: float, max_iter: int,
     return F, w, float(np.abs(g).max()), iterations, tw
 
 
-def rate_I(Q: Generator, mu, opts: SolverOptions | None = None) -> RateResult:
+def rate_I(Q: Generator, mu, boundary: str = "reject") -> RateResult:
     """Donsker-Varadhan rate of an occupation measure.
 
     Returns -min F(w) together with the gauge-fixed minimizer.  The value
     is always >= 0 because F(0) = 0 is a feasible point.  Measures with
-    zero entries are rejected unless opts.boundary = 'reduce', in which
-    case the infimum is realized on the support: terms leaving the
-    support are driven to their infimum (zero), equivalent to deleting
-    the corresponding columns.
+    zero entries are rejected unless boundary = 'reduce', in which case
+    the infimum is realized on the support: terms leaving the support are
+    driven to their infimum (zero), equivalent to deleting the
+    corresponding columns.
     """
-    opts = opts or DEFAULT_OPTIONS
     mu = as_measure(mu, Q.dim)
     m = mu.weights
     support = m > 0.0
 
     if support.all():
-        F, w, gnorm, iters, _ = _newton_min(Q.rates, m, opts.tol, opts.max_iter)
+        F, w, gnorm, iters, _ = _newton_min(Q.rates, m, _TOL, _MAX_ITER)
         logu = w
-    elif opts.boundary == "reject":
+    elif boundary == "reject":
         raise UnsupportedSupport(
             f"measure vanishes on states {np.nonzero(~support)[0].tolist()}; "
             "pass boundary='reduce' to minimize on the support")
@@ -169,11 +156,11 @@ def rate_I(Q: Generator, mu, opts: SolverOptions | None = None) -> RateResult:
         # keep the full diagonal: it carries the -sum of all rates,
         # including edges out of the support whose tilt infimum is zero
         np.fill_diagonal(Qr, np.diag(Q.rates)[support])
-        F, w_s, gnorm, iters, _ = _newton_min(Qr, m[support], opts.tol, opts.max_iter)
+        F, w_s, gnorm, iters, _ = _newton_min(Qr, m[support], _TOL, _MAX_ITER)
         logu = np.full(Q.dim, np.nan)
         logu[support] = w_s
 
-    converged = gnorm <= opts.tol
+    converged = gnorm <= _TOL
     value = max(-F, 0.0)
     if not converged and gnorm > 1e-6:
         raise NotConverged(value, gnorm, iterations=iters)
@@ -181,7 +168,7 @@ def rate_I(Q: Generator, mu, opts: SolverOptions | None = None) -> RateResult:
                       iterations=iters, gradient_norm=gnorm)
 
 
-def rate_IV(Q: Generator, V, mu, opts: SolverOptions | None = None) -> float:
+def rate_IV(Q: Generator, V, mu) -> float:
     """Tilted rate I^V(mu) = I(mu) - mu(V) + lambda_V.
 
     Nonnegative, and zero exactly at the equilibrium measure of (Q, V).
@@ -189,7 +176,7 @@ def rate_IV(Q: Generator, V, mu, opts: SolverOptions | None = None) -> float:
     V = as_potential(V, Q.dim)
     mu = as_measure(mu, Q.dim)
     lam = principal_eigen(Q, V).lam
-    return rate_I(Q, mu, opts).value - float(mu.weights @ V.values) + lam
+    return rate_I(Q, mu).value - float(mu.weights @ V.values) + lam
 
 
 def _rate_parts(Q: np.ndarray, mu: np.ndarray, tol: float, max_iter: int,
@@ -215,7 +202,7 @@ def hessian_of_rate(Lw: np.ndarray, H: np.ndarray) -> np.ndarray:
     return Lw @ np.linalg.solve(H + (a / m) * np.ones((m, m)), Lw.T)
 
 
-def dv_sup(Q: Generator, V, opts: SolverOptions | None = None):
+def dv_sup(Q: Generator, V):
     """Variational principal eigenvalue sup_mu (mu(V) - I(mu)).
 
     _simplex_newton minimizes the convex I(mu) - mu(V) over the simplex
@@ -225,22 +212,19 @@ def dv_sup(Q: Generator, V, opts: SolverOptions | None = None):
     max(V + h) - mu(V + h),
     is the Collatz-Wielandt duality gap that certifies the value.
     NotConverged is raised when that gap exceeds 1e-5 max(1, |value|).
-    The inner rate solves run at min(opts.tol, 1e-12): h at states of
-    tiny mass needs it.
+    The inner rate solves run at 1e-12: h at states of tiny mass needs it.
 
     Returns (lambda_hat, mu_star).
     """
-    opts = opts or DEFAULT_OPTIONS
     V = as_potential(V, Q.dim)
     d = Q.dim
     Vv = V.values
     if d == 1:
         return float(Vv[0]), ProbMeasure(np.ones(1))
 
-    tol = min(opts.tol, 1e-12)
-    mu, w0, _ = _simplex_newton(Q.rates, np.full(d, 1.0 / d), Vv, np.ones((1, d)), tol,
-                                opts.max_iter, None, gap_tol=1e-9)
-    I, _, h, _, _ = _rate_parts(Q.rates, mu, tol, 100, w0)
+    mu, w0, _ = _simplex_newton(Q.rates, np.full(d, 1.0 / d), Vv, np.ones((1, d)), 1e-12,
+                                _MAX_ITER, None, gap_tol=1e-9)
+    I, _, h, _, _ = _rate_parts(Q.rates, mu, 1e-12, 100, w0)
     value = float(mu @ Vv - I)
     gap = float((Vv + h).max() - value)
     if gap > 1e-5 * max(1.0, abs(value)):
@@ -367,7 +351,7 @@ def _legendre_newton(Q: Generator, V0: np.ndarray, F: np.ndarray, target: np.nda
     return v, G, err, steps
 
 
-def legendre_I(Q: Generator, mu, opts: SolverOptions | None = None) -> float:
+def legendre_I(Q: Generator, mu) -> float:
     """Legendre route to the rate: sup_V (mu(V) - lambda_V), gauge sum V = 0.
 
     The concave objective has gradient mu - mu_V, so _legendre_newton with
@@ -375,12 +359,11 @@ def legendre_I(Q: Generator, mu, opts: SolverOptions | None = None) -> float:
     independent cross-check of rate_I; the shift covariance of lambda
     makes the zero-mean gauge harmless.
     """
-    opts = opts or DEFAULT_OPTIONS
     mu = as_measure(mu, Q.dim)
     if (mu.weights <= 0).any():
         raise UnsupportedSupport("legendre_I needs a strictly positive measure")
     _, value, err, steps = _legendre_newton(Q, np.zeros(Q.dim), np.eye(Q.dim), mu.weights,
-                                            max(opts.tol, 1e-11), opts.max_iter)
+                                            _TOL, _MAX_ITER)
     if err > 1e-6:
         raise NotConverged(value, err, iterations=steps)
     return value

@@ -9,7 +9,18 @@ import numpy as np
 import pytest
 
 import oracles
-from dvsemigroup import principal_eigen, validate_generator
+from dvsemigroup import (
+    dv_sup,
+    ground_measure_by_averaging,
+    ground_measure_by_evolution,
+    growth_bound,
+    make_operator,
+    principal_eigen,
+    rate_I,
+    relative_entropy,
+    total_variation,
+    validate_generator,
+)
 from dvsemigroup.cli import load_scenario, main, run, run_scenario, sanitize
 from dvsemigroup.errors import ConfigError
 
@@ -305,6 +316,34 @@ class TestRun:
         assert run(write_scenario(tmp_path, body), str(tmp_path / "r.json")) == 0
         assert len(calls) == 1
 
+    def test_ihk_task_solves_perron_once(self, tmp_path, monkeypatch):
+        # ihk reads its marginal from the scenario's ground data, so only
+        # the certificate of reduced_functional solves again; when it ran
+        # equilibrium_marginal itself, this scenario took 3
+        from dvsemigroup import cli, hohenberg_kohn, spectral
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return spectral.principal_eigen(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "principal_eigen", counted)
+        monkeypatch.setattr(hohenberg_kohn, "principal_eigen", counted)
+        body = dict(BASE, N=3, V0={"pairwise": [[0.0, 1.0], [1.0, 0.0]]},
+                    tasks=["spectral", "ihk"])
+        assert run(write_scenario(tmp_path, body), str(tmp_path / "r.json")) == 0
+        assert len(calls) == 2
+
+    def test_non_symmetric_rate_mu_fails_on_orbits(self, tmp_path):
+        # the rate task sums a given mu onto the orbit chain, which keeps I
+        # only for a permutation-symmetric mu
+        body = dict(BASE, N=2, tasks=[{"name": "rate", "options": {"mu": [0.1, 0.2, 0.3, 0.4]}}])
+        out = str(tmp_path / "report.json")
+        assert run(write_scenario(tmp_path, body), out) == 1
+        error = json.loads(open(out).read())["tasks"][0]["error"]
+        assert error["type"] == "ValueError"
+        assert "symmetric" in error["message"]
+
     def test_only_mc_reads_the_seed(self, tmp_path):
         # dv_sup runs one deterministic ascent, so the rate task does not
         # read the scenario seed; its Dirichlet restarts once failed this
@@ -358,26 +397,65 @@ class TestRun:
 
     def test_symmetric_product_runs_on_orbits_only(self, tmp_path):
         # 81 states, 15 orbits: no task here reads the 81 x 81 generator,
-        # and spectral's lifted vectors equal the full-chain solve
+        # and every result equals the same computation on the full chain
         rng = np.random.default_rng(11)
         w = rng.uniform(0, 1, (3, 3))
+        r = np.array([0.2, 0.3, 0.5])
+        mu_sym = np.kron(np.kron(r, r), np.kron(r, r))
         body = {"name": "orbits", "Q": oracles.rand_rate_matrix(3, rng).tolist(),
                 "v": [0.3, -0.2, 0.5], "N": 4, "V0": {"pairwise": (w + w.T).tolist()},
+                "t_grid": [1.0, 4.0],
                 "tasks": ["validate", "spectral",
                           {"name": "hk-verify", "options": {"v2": [0.0, 1.0, 0.0]}},
                           {"name": "hk-invert", "options": {"v_star": [0.0, 1.0, 0.5]}},
-                          "ihk"]}
+                          "ihk", "rate",
+                          {"name": "rate", "options": {"mu": mu_sym.tolist()}},
+                          {"name": "averaging", "options": {"n_grid": 65}},
+                          {"name": "mc", "options": {"t": 5.0, "paths": 2000}}]}
         sc = load_scenario(write_scenario(tmp_path, body))
         report, ok = run_scenario(sc)
         assert ok
         assert "QN" not in sc.system.__dict__
-        got = report["tasks"][1]["result"]
-        full = principal_eigen(sc.system.QN, sc.potential)
-        scale = max(1.0, np.abs(sc.system.QN.rates + np.diag(sc.potential.values)).max())
+        results = [section["result"] for section in report["tasks"]]
+        got = results[1]
+        QN, V = sc.system.QN, sc.potential
+        full = principal_eigen(QN, V)
+        scale = max(1.0, np.abs(QN.rates + np.diag(V.values)).max())
         assert abs(got["lambda"] - full.lam) <= 1e-12 * scale
         for key, ref in (("psi", full.psi), ("pi", full.pi.weights), ("mu", full.mu.weights)):
             assert len(got[key]) == 81
             assert np.abs(np.array(got[key]) - ref).max() <= 1e-12
+
+        lam_dual, mu_star = dv_sup(QN, V)
+        for got, mu in zip(results[5:7], (full.mu.weights, mu_sym)):
+            I = rate_I(QN, mu).value
+            ref = {"I": I, "IV": I - mu @ V.values + full.lam, "lambda_dual": lam_dual}
+            for key, value in ref.items():
+                assert abs(got[key] - value) <= 1e-12, key
+            assert np.abs(np.array(got["mu_star"]) - mu_star.weights).max() <= 1e-12
+
+        got = results[7]
+        op = make_operator(QN, V)
+        C = growth_bound(op, full.lam, np.linspace(0.0, 4.0, 201))
+        assert abs(got["log_growth_bound"] - np.log(C)) <= 1e-12
+        for row, T in zip(got["ladder"], sc.t_grid):
+            avg = ground_measure_by_averaging(QN, V, full.lam, full.mu, T, 65)
+            end = ground_measure_by_evolution(QN, V, full.lam, full.mu, T)
+            ref = {"tv_average": total_variation(avg, full.pi),
+                   "tv_evolved": total_variation(end, full.pi),
+                   "entropy_average": relative_entropy(full.mu, avg),
+                   "entropy_evolved": relative_entropy(full.mu, end)}
+            for key, value in ref.items():
+                assert abs(row[key] - value) <= 1e-12, key
+
+        # mc starts uniformly over the 15 orbits: its target at finite t is
+        # that chain's (1/t) log mean (e^{t(L + V)} 1)
+        got = results[8]
+        L, VL = sc.chain
+        exact = np.log(oracles.scipy_expm(5.0 * (L.rates + np.diag(VL.values)))
+                       .sum(axis=1).mean()) / 5.0
+        assert L.dim == 15
+        assert abs(got["lambda_mc"] - exact) <= 4.0 * got["stderr"]
 
         # a non-symmetric array V0 has no orbit chain: spectral reads QN
         V0 = np.zeros(81)

@@ -6,7 +6,6 @@ import pytest
 import oracles
 from dvsemigroup import (
     NotConverged,
-    SolverOptions,
     UnsupportedSupport,
     dv_sup,
     evolve,
@@ -85,7 +84,7 @@ class TestRateI:
         d = 4
         Q = validate_generator(oracles.rand_rate_matrix(d, rng))
         mu = np.array([0.45, 0.55, 0.0, 0.0])
-        res = rate_I(Q, mu, SolverOptions(boundary="reduce"))
+        res = rate_I(Q, mu, boundary="reduce")
         # oracle: brute-force over the reduced objective on the support
         sub = Q.rates[:2, :2].copy()
         np.fill_diagonal(sub, np.diag(Q.rates)[:2])

@@ -82,3 +82,21 @@ def test_tour_covers_every_module():
 def test_first_example_runs():
     code = re.search(r"```python\n(.*?)```", README, re.S).group(1)
     exec(compile(code, "README.md", "exec"), {})
+
+
+def test_tolerance_names_resolve():
+    # the tolerance table and the sentence after it name library objects;
+    # a bare name may also be a parameter of a function named there
+    section = README[README.index("## Default tolerances"):README.index("\nScenario files")]
+    names = re.findall(r"`([^`]*)`", section)
+    found, params = set(), set()
+    for name in names:
+        try:
+            obj = _resolve(dvsemigroup, name)
+        except AttributeError:
+            continue
+        found.add(name)
+        if inspect.isfunction(obj):
+            params.update(inspect.signature(obj).parameters)
+    missing = [name for name in names if name not in found | params]
+    assert not missing, f"README's tolerance table names {missing}, which dvsemigroup lacks"
