@@ -69,7 +69,7 @@ from .multiparticle import (
     separable_potential,
 )
 from .rate_function import dv_sup, rate_I, relative_entropy
-from .semigroup import growth_bound, make_operator
+from .semigroup import check_condition_B, growth_bound, make_operator
 from .spectral import (
     GroundData,
     ProbMeasure,
@@ -297,15 +297,13 @@ def _opt(options: dict, allowed: dict, task: str) -> dict:
 
 def _task_validate(sc: Scenario, options: dict) -> dict:
     opts = _opt(options, {"T": 1.0}, "validate")
-    # condition A clamps only negative round-off to zero, so its ratio is
-    # positive exactly when every entry of exp(TQ) is: that is condition B
-    epsilon_A = check_condition_A(sc.Q1, _real(opts["T"], "T", low=0.0))
+    T = _real(opts["T"], "T", low=0.0)
     return {
         "d": sc.Q1.dim,
         "N": sc.N,
         "product_states": sc.Q1.dim ** sc.N,
-        "epsilon_A": epsilon_A,
-        "condition_B": epsilon_A > 0,
+        "epsilon_A": check_condition_A(sc.Q1, T),
+        "condition_B": check_condition_B(sc.Q1, T),
         "condition_D": check_condition_D(sc.Q1),
     }
 

@@ -66,9 +66,12 @@ class UnsupportedSupport(DVSemigroupError):
 
 
 class StateSpaceTooLarge(DVSemigroupError):
-    def __init__(self, size, cap):
-        self.size, self.cap = size, cap
-        super().__init__(f"product state space has {size} states, cap is {cap}")
+    """A product system's arrays would exceed the memory budget. Carries the
+    bytes needed and the budget, both in bytes."""
+
+    def __init__(self, needed, budget):
+        self.needed, self.budget = needed, budget
+        super().__init__(f"product system needs {needed} bytes, budget is {budget} bytes")
 
 
 class ConfigError(DVSemigroupError):

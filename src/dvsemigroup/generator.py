@@ -15,10 +15,11 @@ P_t = exp(tQ), labelled (A), (B), (C), (D):
       function qualifies, so (C) holds trivially and is not checked;
   (D) nondegeneracy: Gamma(g) = 0 forces g constant.
 
-On a finite connected state space, (A) and (B) hold for every T > 0 and
-(D) is equivalent to connectivity of the support graph; this module
-quantifies (A) and decides (D), while (B) is verified numerically in the
-semigroup module through positivity of exp(TQ).
+On a finite state space (B) holds for every T > 0 exactly when the
+directed support graph is strongly connected, and then so does (A); (D)
+is equivalent to connectivity of the undirected support graph.  This
+module quantifies (A) and decides (D), while the semigroup module decides
+(B) on the directed graph.
 """
 
 from __future__ import annotations
@@ -95,6 +96,18 @@ def _as_vector(g, dim: int) -> np.ndarray:
     return g
 
 
+def _reachable(support: np.ndarray, start: int) -> np.ndarray:
+    """Mask of the states reachable from start along the edges i -> j with
+    support[i, j], by a breadth-first sweep: each frontier is the
+    successors of the last one that are not reached yet."""
+    reached = np.zeros(support.shape[0], dtype=bool)
+    frontier = np.arange(support.shape[0]) == start
+    while frontier.any():
+        reached |= frontier
+        frontier = support[frontier].any(axis=0) & ~reached
+    return reached
+
+
 def _undirected_components(mat: np.ndarray) -> list[list[int]]:
     """Connected components of the undirected support graph of mat."""
     d = mat.shape[0]
@@ -103,13 +116,7 @@ def _undirected_components(mat: np.ndarray) -> list[list[int]]:
     unseen = np.ones(d, dtype=bool)
     components = []
     while unseen.any():
-        # breadth-first sweep from the first unseen state: each frontier is
-        # the neighbours of the last one that are not in the component yet
-        comp = np.zeros(d, dtype=bool)
-        frontier = np.arange(d) == unseen.argmax()
-        while frontier.any():
-            comp |= frontier
-            frontier = support[frontier].any(axis=0) & ~comp
+        comp = _reachable(support, int(unseen.argmax()))
         unseen &= ~comp
         components.append(np.flatnonzero(comp).tolist())
     return components

@@ -31,7 +31,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import NotConverged, StateSpaceTooLarge
+from .errors import NotConverged
 from .generator import Generator, Potential, as_potential, carre_du_champ
 from .multiparticle import TensorSystem
 from .rate_function import _legendre_newton, _rate_parts, _simplex_newton, dv_sup, rate_I
@@ -96,12 +96,10 @@ class ReducedOptions:
     """Controls for i_hk and reduced_variational.
 
     tol bounds the duality bracket of each I_HK value relative to
-    max(1, |value|), and the Frank-Wolfe gap of reduced_variational; cap
-    bounds the number of permutation orbits the minimization runs on.
+    max(1, |value|), and the Frank-Wolfe gap of reduced_variational.
     """
 
     tol: float = 1e-4
-    cap: int = 256
 
 
 @dataclass(frozen=True)
@@ -181,13 +179,6 @@ def invert_potential(sys: TensorSystem, V0, rho_target,
 # reduced functional
 
 
-def _capped_orbits(sys: TensorSystem, cap: int):
-    """sys.orbits, or StateSpaceTooLarge when there are more than cap."""
-    if len(sys.orbits.reps) > cap:
-        raise StateSpaceTooLarge(len(sys.orbits.reps), cap)
-    return sys.orbits
-
-
 def reduced_functional(sys: TensorSystem, V0, rho,
                        opts: ReducedOptions | None = None) -> ReducedResult:
     """Constrained minimum of I(mu) - mu(V0) over symmetric mu with marginal rho.
@@ -205,7 +196,7 @@ def reduced_functional(sys: TensorSystem, V0, rho,
     exceeds tol max(1, |value|), or the constraint residual 1e-9.
     """
     opts = opts or ReducedOptions()
-    o = _capped_orbits(sys, opts.cap)
+    o = sys.orbits
     V0v = sys.on_orbits(V0)
     rho = as_measure(rho, sys.d)
     if (rho.weights <= 0).any():
@@ -261,7 +252,7 @@ def reduced_variational(sys: TensorSystem, V0, v,
     """
     opts = opts or ReducedOptions()
     v = as_potential(v, sys.d).values
-    C = _capped_orbits(sys, opts.cap).counts.T / sys.N
+    C = sys.orbits.counts.T / sys.N
     _, p = dv_sup(sys.lumped_QN, sys.on_orbits(V0) + C.T @ v)
     rho = C @ p.weights
     res = reduced_functional(sys, V0, rho, opts)

@@ -18,6 +18,13 @@ n_i Q1[i, j].  The dense d^N x d^N matrix is built only when it is read.
 A one-state chain (d = 1) has one product state for every N, and N may
 then reach 2**63: each construction answers it directly, with no work
 that grows with N.
+
+Memory is bounded by one budget, _MAX_BYTES, checked from sizes before
+anything is allocated where (d, N) turns into large arrays: the d^N x N
+digit grid behind orbits and the product potentials, and the dense chain
+(QN, or lumped_QN) that the solvers then run on.  Past it,
+StateSpaceTooLarge.  At N = 1 nothing is derived: the chain is Q1 itself,
+which is not checked.
 """
 
 from __future__ import annotations
@@ -32,13 +39,27 @@ from .errors import DimensionMismatch, StateSpaceTooLarge
 from .generator import Generator, Potential, as_potential, validate_generator
 from .spectral import GroundData, ProbMeasure, as_measure
 
-DEFAULT_STATE_CAP = 20000
+_MAX_BYTES = 2 ** 31
+
+# peak memory as a multiple of the largest 8-byte array, as measured:
+# np.unique on the digit grid peaks at 4.9 grids; on a chain of n states,
+# expm holds 10.0 n x n arrays, i_hk's simplex Newton 9.2, dv_sup 9.3, the
+# QN and lumped builds 4.0 and principal_eigen 2.0
+_GRID_PEAK = 5
+_CHAIN_PEAK = 10
+
+
+def _require_bytes(needed: int) -> None:
+    """StateSpaceTooLarge unless needed bytes fit in the budget."""
+    if needed > _MAX_BYTES:
+        raise StateSpaceTooLarge(needed, _MAX_BYTES)
 
 
 def _digits(d: int, N: int) -> np.ndarray:
     """Coordinates (x1, ..., xN) of every flat state, shape (d^N, N), by
     integer division: two axes for any N, where numpy allows at most 64.
     Callers handle d = 1 first, whose one state admits any N below 2**63."""
+    _require_bytes(_GRID_PEAK * 8 * N * d ** N)
     stride = d ** np.arange(N - 1, -1, -1)
     return np.arange(d ** N)[:, None] // stride % d
 
@@ -80,10 +101,12 @@ class TensorSystem:
 
     @cached_property
     def QN(self) -> Generator:
-        """The Kronecker sum on d^N states, built when first read."""
+        """The Kronecker sum on d^N states, built when first read; Q1 itself
+        when there is one particle or one state."""
         d, N = self.d, self.N
-        if d == 1:
+        if d == 1 or N == 1:
             return self.Q1
+        _require_bytes(_CHAIN_PEAK * 8 * self.size ** 2)
         QN = np.zeros((self.size, self.size))
         for i in range(N):
             QN += np.kron(np.kron(np.eye(d ** i), self.Q1.rates), np.eye(d ** (N - 1 - i)))
@@ -109,6 +132,7 @@ class TensorSystem:
         Q1 itself when every orbit is one state (N = 1 or d = 1)."""
         if self.d == 1 or self.N == 1:
             return self.Q1
+        _require_bytes(_CHAIN_PEAK * 8 * comb(self.d + self.N - 1, self.N) ** 2)
         o = self.orbits
         stride = self.d ** np.arange(self.N - 1, -1, -1)
         x = o.reps[:, None] // stride % self.d
@@ -134,23 +158,17 @@ class TensorSystem:
                           mu=ProbMeasure(o.spread(gd.mu.weights)))
 
 
-def kronecker_sum(Q1: Generator, N: int, cap: int = DEFAULT_STATE_CAP) -> TensorSystem:
+def kronecker_sum(Q1: Generator, N: int) -> TensorSystem:
     """Product system of N identical non-interacting particles."""
     if N < 1:
         raise ValueError("particle count must be at least one")
-    d = Q1.dim
-    size = d ** N
-    if size > cap:
-        raise StateSpaceTooLarge(size, cap)
-    return TensorSystem(d=d, N=N, Q1=Q1)
+    return TensorSystem(d=Q1.dim, N=N, Q1=Q1)
 
 
-def separable_potential(v, N: int, cap: int = DEFAULT_STATE_CAP) -> Potential:
+def separable_potential(v, N: int) -> Potential:
     """(v(x1) + ... + v(xN)) / N on the product space."""
     v = as_potential(v)
     d = len(v)
-    if d ** N > cap:
-        raise StateSpaceTooLarge(d ** N, cap)
     if d == 1:
         return Potential(v.values.copy())
     x = _digits(d, N)
@@ -160,7 +178,7 @@ def separable_potential(v, N: int, cap: int = DEFAULT_STATE_CAP) -> Potential:
     return Potential(acc / N)
 
 
-def pairwise_potential(w, N: int, cap: int = DEFAULT_STATE_CAP) -> Potential:
+def pairwise_potential(w, N: int) -> Potential:
     """Symmetric interaction sum_{i<j} w(x_i, x_j) / binom(N, 2).
 
     w must be a symmetric d x d matrix; the result is a symmetric
@@ -170,15 +188,13 @@ def pairwise_potential(w, N: int, cap: int = DEFAULT_STATE_CAP) -> Potential:
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise DimensionMismatch("pair interaction must be a square matrix")
-    if not np.allclose(w, w.T, atol=1e-12 * max(1.0, np.abs(w).max())):
+    if not np.allclose(w, w.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(w).max())):
         raise ValueError("pair interaction matrix must be symmetric")
     d = w.shape[0]
     if N < 1:
         raise ValueError("particle count must be at least one")
     if N == 1:
         return Potential(np.zeros(d))
-    if d ** N > cap:
-        raise StateSpaceTooLarge(d ** N, cap)
     if d == 1:
         return Potential(w[0].copy())
     x = _digits(d, N)

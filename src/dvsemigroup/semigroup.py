@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NegativeInput, NonFinite
-from .generator import Generator, Potential, as_potential, _as_vector
+from .generator import Generator, Potential, as_potential, _as_vector, _reachable
 
 # Coefficients of the degree-13 diagonal rational approximant to exp.
 _PADE13 = (
@@ -217,7 +217,15 @@ def growth_bound(M: SchrodingerOperator, lam: float, t_grid) -> float:
 
 
 def check_condition_B(Q: Generator, T: float = 1.0) -> bool:
-    """Positivity improving: every entry of exp(TQ) is strictly positive."""
+    """Positivity improving: every entry of exp(TQ) is strictly positive.
+
+    On a finite state space that holds, for any T > 0, exactly when the
+    directed support graph of Q is strongly connected, so it is decided on
+    the graph: every state is reachable from state 0 along the off-diagonal
+    support of Q and along that of Q^T.  exp(TQ) itself underflows to zero
+    entries on long chains (a 256-state birth-death chain at T = 1).
+    """
     if T <= 0:
         raise ValueError("T must be positive")
-    return bool(expm(T * Q.rates).min() > 0.0)
+    support = Q.rates > 0
+    return bool(_reachable(support, 0).all() and _reachable(support.T, 0).all())

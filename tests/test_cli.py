@@ -3,6 +3,7 @@
 import json
 import os
 import time
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -82,6 +83,14 @@ class TestLoadScenario:
         body = dict(BASE, N=2, V0={"pairwise": [[0.0, 1.0], [1.0, 0.0]]})
         sc = load_scenario(write_scenario(tmp_path, body))
         assert sc.V0.values.tolist() == [0.0, 1.0, 1.0, 0.0]
+
+    def test_nearly_symmetric_pairwise_V0_is_invalid(self, tmp_path, capsys):
+        # once read as the non-symmetric V0 [0, 1, 1.000001, 0], on which
+        # every hk task failed
+        body = dict(BASE, N=2, V0={"pairwise": [[0.0, 1.0], [1.0 + 1e-6, 0.0]]},
+                    tasks=["ihk"])
+        assert main(["run", write_scenario(tmp_path, body)]) == 2
+        assert "invalid V0" in capsys.readouterr().err
 
     def test_tolerances_accept_only_positive_finite_hk_tol(self, tmp_path):
         for ok in ({}, {"hk_tol": 1e-8}, {"hk_tol": 1}):
@@ -177,8 +186,12 @@ class TestLoadScenario:
         ({"N": True, "tasks": ["validate"]}, 2),
         ({"N": 63, "tasks": ["validate"]}, 2),
         ({"N": 62, "tasks": ["validate"]}, 0),
-        ({"N": 15, "tasks": ["spectral"]}, 1),
-    ], ids=["validate-20000", "spectral-20000", "V0-1e12", "bool", "63", "62", "15"])
+        # 2^15 states, once past a 20000-state cap, fit the byte budget;
+        # the digit grid of 2^40 states does not
+        ({"N": 15, "tasks": ["validate", "spectral"]}, 0),
+        ({"N": 40, "tasks": ["spectral"]}, 1),
+    ], ids=["validate-20000", "spectral-20000", "V0-1e12", "bool", "63", "62", "15",
+            "40"])
     def test_particle_count_bounded(self, tmp_path, capsys, extra, code):
         path = write_scenario(tmp_path, dict(BASE, **extra))
         out = str(tmp_path / "out.json")
@@ -187,11 +200,11 @@ class TestLoadScenario:
             assert not os.path.exists(out)
             assert "config error" in capsys.readouterr().err
             return
-        section = json.loads(open(out).read())["tasks"][0]
+        sections = json.loads(open(out).read())["tasks"]
         if code == 0:
-            assert section["result"]["product_states"] == 2 ** extra["N"]
+            assert sections[0]["result"]["product_states"] == 2 ** extra["N"]
         else:
-            assert section["error"]["type"] == "StateSpaceTooLarge"
+            assert sections[-1]["error"]["type"] == "StateSpaceTooLarge"
 
 
 class TestRun:
@@ -202,6 +215,47 @@ class TestRun:
         report = json.loads(open(out).read())
         lam = [t for t in report["tasks"] if t["task"] == "spectral"][0]["result"]["lambda"]
         assert lam == pytest.approx(oracles.two_state_lambda(1, 2, 1, 0), abs=1e-10)
+
+    @pytest.mark.parametrize("body, condition_B", [
+        # exp(Q) underflows to zero corners, so epsilon_A reads 0.0
+        (_cos_birth_death(256, 0.0), True),
+        ({"Q": [[0.0, 0.0], [1.0, -1.0]]}, False),
+    ], ids=["birth-death-256", "absorbing"])
+    def test_validate_decides_condition_B_on_the_graph(self, tmp_path, body, condition_B):
+        out = str(tmp_path / "report.json")
+        assert run(write_scenario(tmp_path, dict(body, tasks=["validate"])), out) == 0
+        result = json.loads(open(out).read())["tasks"][0]["result"]
+        assert result["epsilon_A"] == 0.0
+        assert result["condition_B"] is condition_B
+
+    def test_spectral_past_20000_states(self, tmp_path):
+        # 2^15 product states on 16 orbits: separable, so lambda is
+        # N lambda_1(Q1, v / N)
+        out = str(tmp_path / "result.json")
+        assert main(["spectral", write_scenario(tmp_path, dict(BASE, N=15)), "-o", out]) == 0
+        result = json.loads(open(out).read())
+        assert abs(result["lambda"] - 15 * oracles.two_state_lambda(1, 2, 1 / 15, 0)) <= 1e-12
+        assert len(result["psi"]) == 2 ** 15
+
+    @pytest.mark.parametrize("V0", [None, "array"], ids=["symmetric", "array-V0"])
+    def test_budget_refuses_before_allocating(self, tmp_path, V0):
+        # (d, N) = (141, 2): a non-symmetric array V0 would build a 3.16 GB
+        # QN on 19881 states, and the symmetric system solves on 10011
+        # orbits, ~8 GB for the solvers' n x n arrays
+        body = dict(_cos_birth_death(141, 1.0), N=2, tasks=["spectral"])
+        if V0 == "array":
+            body["V0"] = np.linspace(0.0, 1.0, 141 ** 2).tolist()
+        path, out = write_scenario(tmp_path, body), str(tmp_path / "report.json")
+        tracemalloc.start()
+        try:
+            code = run(path, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and peak < 64 * 2 ** 20
+        error = json.loads(open(out).read())["tasks"][0]["error"]
+        assert error["type"] == "StateSpaceTooLarge"
+        assert "budget is 2147483648 bytes" in error["message"]
 
     def test_negative_off_diagonal_exits_2(self, tmp_path, capsys):
         body = {"Q": [[-0.5, 0.5], [-1.0, 1.0]], "tasks": []}

@@ -399,15 +399,28 @@ class TestOrbitChain:
         lam, _, rho = equilibrium_marginal(sys, V0, v)
         assert abs(float(rho.weights @ v) - i_hk(sys, V0, rho) - lam) <= 1e-4
 
-    def test_cap_bounds_orbits(self, rng):
-        from dvsemigroup import ReducedOptions, StateSpaceTooLarge
-        sys, V0 = _pair_system(4, 4, rng)
+    def test_i_hk_past_256_orbits(self, rng):
+        # 715 orbits, which the former 256-orbit cap refused; i_hk returns
+        # only a value its dual bracket certifies
+        sys, V0 = _pair_system(10, 4, rng)
+        assert sys.lumped_QN.dim == 715
+        v = rng.uniform(-1, 1, 10)
+        lam, _, rho = equilibrium_marginal(sys, V0, v)
+        assert abs(float(rho.weights @ v) - i_hk(sys, V0, rho) - lam) <= 1e-4
+
+    def test_byte_budget_bounds_orbits(self, rng, monkeypatch):
+        # (4, 4) has 35 orbits: the orbit chain needs 10 x 35^2 x 8 bytes
+        from dvsemigroup import StateSpaceTooLarge, multiparticle
         rho = np.full(4, 0.25)
-        reduced_functional(sys, V0, rho, ReducedOptions(cap=35))
+        monkeypatch.setattr(multiparticle, "_MAX_BYTES", 98000)
+        sys, V0 = _pair_system(4, 4, rng)
+        reduced_functional(sys, V0, rho)
+        monkeypatch.setattr(multiparticle, "_MAX_BYTES", 97999)
+        sys = kronecker_sum(sys.Q1, 4)
         with pytest.raises(StateSpaceTooLarge):
-            reduced_functional(sys, V0, rho, ReducedOptions(cap=34))
+            reduced_functional(sys, V0, rho)
         with pytest.raises(StateSpaceTooLarge):
-            reduced_variational(sys, V0, np.zeros(4), ReducedOptions(cap=34))
+            reduced_variational(sys, V0, np.zeros(4))
 
     def test_solves_run_at_orbit_size(self, rng, monkeypatch):
         from dvsemigroup import hohenberg_kohn, rate_function

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from dvsemigroup import multiparticle
 from dvsemigroup import (
     DimensionMismatch,
     StateSpaceTooLarge,
@@ -64,9 +65,29 @@ class TestKroneckerSum:
         ones = np.ones(8)
         assert np.abs(expm(0.7 * sys.QN.rates) @ ones - 1.0).max() <= 1e-12
 
-    def test_cap(self, two_state):
+    def test_byte_budget(self, two_state, monkeypatch):
+        # QN on 8 states is admitted when 10 float64 copies of it fit the
+        # budget, 5120 bytes, and refused before allocation one byte below
+        monkeypatch.setattr(multiparticle, "_MAX_BYTES", 5120)
+        assert kronecker_sum(two_state, 3).QN.dim == 8
+        monkeypatch.setattr(multiparticle, "_MAX_BYTES", 5119)
+        with pytest.raises(StateSpaceTooLarge) as exc:
+            kronecker_sum(two_state, 3).QN
+        assert (exc.value.needed, exc.value.budget) == (5120, 5119)
+        assert "5120 bytes" in str(exc.value)
+
+    def test_budget_refuses_before_allocating(self, two_state):
+        # 2^13 states: QN would need 10 x 512 MiB, while the 14 orbits and
+        # the 13 x 2^13 digit grid fit
+        sys = kronecker_sum(two_state, 13)
         with pytest.raises(StateSpaceTooLarge):
-            kronecker_sum(two_state, 3, cap=7)
+            sys.QN
+        assert sys.lumped_QN.dim == 14
+        # the digit grid of 2^24 states x 24 coordinates needs 5 x 3 GiB
+        with pytest.raises(StateSpaceTooLarge):
+            separable_potential([0.0, 1.0], 24)
+        with pytest.raises(StateSpaceTooLarge):
+            kronecker_sum(two_state, 24).orbits
 
 
 class TestSeparablePotential:
@@ -101,6 +122,12 @@ class TestPairwisePotential:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             pairwise_potential(np.array([[0.0, 1.0], [2.0, 0.0]]), 2)
+
+    def test_rejects_asymmetry_below_relative_tolerance(self):
+        # 1e-6 apart passed np.allclose's default rtol, and gave a V that
+        # is_symmetric rejects
+        with pytest.raises(ValueError):
+            pairwise_potential(np.array([[0.0, 1.0], [1.0 + 1e-6, 0.0]]), 2)
 
 
 class TestSymmetrize:

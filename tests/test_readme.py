@@ -4,12 +4,14 @@ import builtins
 import dataclasses
 import importlib
 import inspect
+import math
 import re
 from pathlib import Path
 
 import pytest
 
 import dvsemigroup
+from dvsemigroup import multiparticle
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -100,3 +102,15 @@ def test_tolerance_names_resolve():
             params.update(inspect.signature(obj).parameters)
     missing = [name for name in names if name not in found | params]
     assert not missing, f"README's tolerance table names {missing}, which dvsemigroup lacks"
+
+
+def test_byte_budget_matches_the_library():
+    # the size limits the introduction states, against the budget and the
+    # peak factors they come from
+    intro = README[:README.index("## Install and test")]
+    budget = int(re.search(r"`multiparticle\._MAX_BYTES` = (\d+) bytes", intro).group(1))
+    grid = int(re.search(r"N x d\^N <= (\d+);", intro).group(1))
+    chain = int(re.search(r"n <= (\d+) states", intro).group(1))
+    assert budget == multiparticle._MAX_BYTES
+    assert grid == budget // (8 * multiparticle._GRID_PEAK)
+    assert chain == math.isqrt(budget // (8 * multiparticle._CHAIN_PEAK))

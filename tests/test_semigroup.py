@@ -89,6 +89,24 @@ class TestEvolve:
             Q = validate_generator(oracles.rand_rate_matrix(d, rng))
             assert check_condition_B(Q, float(rng.uniform(0.05, 2.0)))
 
+    def test_condition_B_on_long_chain(self):
+        # exp(Q) of the 256-state unit birth-death chain underflows to zero
+        # corners (condition A's ratio reads 0.0), but the chain is
+        # irreducible, so condition B holds for every T > 0
+        n = 256
+        Q = np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
+        Q = validate_generator(Q - np.diag(Q.sum(axis=1)))
+        assert check_condition_A(Q, 1.0) == 0.0
+        assert check_condition_B(Q, 1.0) and check_condition_B(Q, 1e-3)
+
+    def test_condition_B_fails_on_reducible_chain(self):
+        # state 0 absorbs: undirected-connected, so validated, but exp(TQ)
+        # keeps a zero in row 0
+        Q = validate_generator([[0.0, 0.0], [1.0, -1.0]])
+        assert not check_condition_B(Q, 1.0)
+        with pytest.raises(ValueError):
+            check_condition_B(Q, 0.0)
+
 
 class TestDuhamel:
     def test_zero_potential_vanishes(self, two_state):
