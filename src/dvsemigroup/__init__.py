@@ -75,7 +75,6 @@ from .hohenberg_kohn import (
     HKReport,
     InversionOptions,
     InversionResult,
-    ReducedOptions,
     ReducedResult,
     equilibrium_marginal,
     gamma_overlap_check,

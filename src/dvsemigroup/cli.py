@@ -54,7 +54,6 @@ from .generator import Generator, Potential, validate_generator
 from .generator import check_condition_A, check_condition_D
 from .hohenberg_kohn import (
     InversionOptions,
-    ReducedOptions,
     equilibrium_marginal,
     hk_verify,
     i_hk,
@@ -405,7 +404,7 @@ def _task_ihk(sc: Scenario, options: dict) -> dict:
         rho = marginal(sys.lift(sc.ground).mu, sys).weights
     else:
         rho = _vector(opts["rho"], "rho")
-    return {"rho": rho.tolist(), "I_HK": i_hk(sys, V0, rho, ReducedOptions())}
+    return {"rho": rho.tolist(), "I_HK": i_hk(sys, V0, rho)}
 
 
 def _task_mc(sc: Scenario, options: dict) -> dict:

@@ -48,6 +48,10 @@ _INNER_TOL = 1e-11
 _MAX_NEWTON = 60
 _CONSTRAINT_TOL = 1e-9
 
+# bound on the duality bracket of each I_HK value relative to max(1, |value|),
+# and on the Frank-Wolfe gap of reduced_variational
+_REDUCED_TOL = 1e-4
+
 
 class HKConclusion(Enum):
     SAME_POTENTIAL_UP_TO_CONSTANT = "same_potential_up_to_constant"
@@ -89,17 +93,6 @@ class InversionResult:
 class InversionOptions:
     tol: float = 1e-8
     max_iter: int = 500
-
-
-@dataclass(frozen=True)
-class ReducedOptions:
-    """Controls for i_hk and reduced_variational.
-
-    tol bounds the duality bracket of each I_HK value relative to
-    max(1, |value|), and the Frank-Wolfe gap of reduced_variational.
-    """
-
-    tol: float = 1e-4
 
 
 @dataclass(frozen=True)
@@ -179,8 +172,7 @@ def invert_potential(sys: TensorSystem, V0, rho_target,
 # reduced functional
 
 
-def reduced_functional(sys: TensorSystem, V0, rho,
-                       opts: ReducedOptions | None = None) -> ReducedResult:
+def reduced_functional(sys: TensorSystem, V0, rho) -> ReducedResult:
     """Constrained minimum of I(mu) - mu(V0) over symmetric mu with marginal rho.
 
     One rate_function._simplex_newton run minimizes I(p) - p V0 over orbit
@@ -193,9 +185,8 @@ def reduced_functional(sys: TensorSystem, V0, rho,
     The value is the primal I(p) - p V0.  Weak duality, I_HK(rho) >=
     rho(u) - lambda_{V0 + C^T u} for every u, tight at u = -y, certifies
     it with one Perron solve: NotConverged is raised when that bracket
-    exceeds tol max(1, |value|), or the constraint residual 1e-9.
+    exceeds 1e-4 max(1, |value|), or the constraint residual 1e-9.
     """
-    opts = opts or ReducedOptions()
     o = sys.orbits
     V0v = sys.on_orbits(V0)
     rho = as_measure(rho, sys.d)
@@ -216,13 +207,13 @@ def reduced_functional(sys: TensorSystem, V0, rho,
     if cviol > _CONSTRAINT_TOL:
         raise NotConverged(value, cviol)
     bracket = value + float(rho_v @ y) + principal_eigen(QL, V0v - C.T @ y).lam
-    if abs(bracket) > opts.tol * max(1.0, abs(value)):
+    if abs(bracket) > _REDUCED_TOL * max(1.0, abs(value)):
         raise NotConverged(value, abs(bracket))
     return ReducedResult(value=value, mu=ProbMeasure(o.spread(p)), multiplier=y,
                          constraint_violation=cviol, orbit_masses=p)
 
 
-def i_hk(sys: TensorSystem, V0, rho, opts: ReducedOptions | None = None) -> float:
+def i_hk(sys: TensorSystem, V0, rho) -> float:
     """Reduced functional value I_HK(rho); see reduced_functional.
 
     For a single particle the constraint set is the one-point set {rho},
@@ -232,11 +223,10 @@ def i_hk(sys: TensorSystem, V0, rho, opts: ReducedOptions | None = None) -> floa
         V0 = as_potential(V0, sys.size)
         rho = as_measure(rho, sys.d)
         return rate_I(sys.Q1, rho).value - float(rho.weights @ V0.values)
-    return reduced_functional(sys, V0, rho, opts).value
+    return reduced_functional(sys, V0, rho).value
 
 
-def reduced_variational(sys: TensorSystem, V0, v,
-                        opts: ReducedOptions | None = None):
+def reduced_variational(sys: TensorSystem, V0, v):
     """sup over marginals of rho(v) - I_HK(rho), the paper's reduction.
 
     With C = counts^T / N the marginal map, the sup over rho of rho(v) -
@@ -246,20 +236,19 @@ def reduced_variational(sys: TensorSystem, V0, v,
     independently, so lambda_hat = rho*(v) - I_HK(rho*).  The multiplier y
     of that run is -grad I_HK(rho*), and by concavity over the simplex the
     Frank-Wolfe gap max(v + y) - rho* (v + y) bounds sup - lambda_hat;
-    NotConverged is raised when it exceeds opts.tol.
+    NotConverged is raised when it exceeds 1e-4.
 
     Returns (lambda_hat, rho_star).
     """
-    opts = opts or ReducedOptions()
     v = as_potential(v, sys.d).values
     C = sys.orbits.counts.T / sys.N
     _, p = dv_sup(sys.lumped_QN, sys.on_orbits(V0) + C.T @ v)
     rho = C @ p.weights
-    res = reduced_functional(sys, V0, rho, opts)
+    res = reduced_functional(sys, V0, rho)
     value = float(rho @ v - res.value)
     grad = v + res.multiplier
     gap = float(grad.max() - grad @ rho)
-    if gap > opts.tol:
+    if gap > _REDUCED_TOL:
         raise NotConverged(value, gap)
     return value, ProbMeasure(rho)
 

@@ -10,27 +10,29 @@ x1 d^{N-1} + ... + xN, which makes the first-coordinate marginal a
 contiguous block sum.
 
 Permutation symmetry is held once, as orbits: multisets of coordinates,
-C(d+N-1, N) of them.  Symmetrizing averages over an orbit, and since Q_N
-commutes with coordinate permutations its chain is exactly lumpable onto
-the orbits (Kemeny & Snell 1960): orbit n moves to n - e_i + e_j at rate
-n_i Q1[i, j].  The dense d^N x d^N matrix is built only when it is read.
+C(d+N-1, N) of them, each given by its occupation counts n (Doi 1976).
+Symmetrizing averages over an orbit, and since Q_N commutes with coordinate
+permutations its chain is exactly lumpable onto the orbits (Kemeny & Snell
+1960): orbit n moves to n - e_i + e_j at rate n_i Q1[i, j].  The dense
+d^N x d^N matrix is built only when it is read.
 
 A one-state chain (d = 1) has one product state for every N, and N may
 then reach 2**63: each construction answers it directly, with no work
 that grows with N.
 
 Memory is bounded by one budget, _MAX_BYTES, checked from sizes before
-anything is allocated where (d, N) turns into large arrays: the d^N x N
-digit grid behind orbits and the product potentials, and the dense chain
-(QN, or lumped_QN) that the solvers then run on.  Past it,
-StateSpaceTooLarge.  At N = 1 nothing is derived: the chain is Q1 itself,
-which is not checked.
+anything is allocated where (d, N) turns into large arrays: the orbits
+behind the product potentials (a d^N x N coordinate grid and the
+occupation counts), and the dense chain (QN, or lumped_QN) that the
+solvers then run on.  Past it, StateSpaceTooLarge.  At N = 1 nothing is
+derived: the chain is Q1 itself, which is not checked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations_with_replacement
 from math import comb
 
 import numpy as np
@@ -41,11 +43,14 @@ from .spectral import GroundData, ProbMeasure, as_measure
 
 _MAX_BYTES = 2 ** 31
 
-# peak memory as a multiple of the largest 8-byte array, as measured:
-# np.unique on the digit grid peaks at 4.9 grids; on a chain of n states,
-# expm holds 10.0 n x n arrays, i_hk's simplex Newton 9.2, dv_sup 9.3, the
-# QN and lumped builds 4.0 and principal_eigen 2.0
-_GRID_PEAK = 5
+# peak memory in copies of the largest 8-byte array, as measured: the orbits
+# and product potentials hold 1 + 2/N copies of the d^N x N coordinate grid
+# (1.13 at (2, 16), 1.26 at (4, 8)) and, where the C(d+N-1, N) x d counts
+# are larger, up to 3.2 copies of those (pairwise_potential at (60, 3)); on
+# a chain of n states, expm holds 10.0 n x n arrays, i_hk's simplex Newton
+# 9.2, dv_sup 9.3, the QN and lumped builds 4.0 and principal_eigen 2.0
+_GRID_PEAK = 2
+_COUNTS_PEAK = 4
 _CHAIN_PEAK = 10
 
 
@@ -53,15 +58,6 @@ def _require_bytes(needed: int) -> None:
     """StateSpaceTooLarge unless needed bytes fit in the budget."""
     if needed > _MAX_BYTES:
         raise StateSpaceTooLarge(needed, _MAX_BYTES)
-
-
-def _digits(d: int, N: int) -> np.ndarray:
-    """Coordinates (x1, ..., xN) of every flat state, shape (d^N, N), by
-    integer division: two axes for any N, where numpy allows at most 64.
-    Callers handle d = 1 first, whose one state admits any N below 2**63."""
-    _require_bytes(_GRID_PEAK * 8 * N * d ** N)
-    stride = d ** np.arange(N - 1, -1, -1)
-    return np.arange(d ** N)[:, None] // stride % d
 
 
 @dataclass(frozen=True)
@@ -85,6 +81,28 @@ class Orbits:
         if len(masses) == len(self.of):
             return masses
         return (masses / self.sizes)[self.of]
+
+
+def _orbits(d: int, N: int) -> Orbits:
+    """Orbits enumerated as multisets: the sorted N-tuples over range(d), in
+    lexicographic order.  A sorted tuple is the smallest flat state of its
+    orbit, so it is the representative, and a state's orbit is that of its
+    sorted coordinates.  d = 1 has one orbit, for any N below 2**63."""
+    if d == 1:
+        return Orbits(of=np.zeros(1, dtype=np.intp), reps=np.zeros(1, dtype=np.intp),
+                      counts=np.array([[N]]), sizes=np.ones(1, dtype=np.intp))
+    _require_bytes(8 * (_GRID_PEAK * N * d ** N + _COUNTS_PEAK * d * comb(d + N - 1, N)))
+    x = np.array(list(combinations_with_replacement(range(d), N)))
+    stride = d ** np.arange(N - 1, -1, -1)
+    reps = x @ stride
+    # coordinates of every state, sorted in place: two axes for any N, where
+    # numpy allows at most 64
+    keys = np.arange(d ** N)[:, None] // stride
+    keys %= d
+    keys.sort(axis=1)
+    of = np.searchsorted(reps, keys @ stride)
+    return Orbits(of=of, reps=reps, counts=(x[:, :, None] == np.arange(d)).sum(axis=1),
+                  sizes=np.bincount(of))
 
 
 @dataclass(frozen=True)
@@ -114,16 +132,7 @@ class TensorSystem:
 
     @cached_property
     def orbits(self) -> Orbits:
-        """Orbits as the distinct sorted rows of the multi-index grid."""
-        if self.d == 1:
-            return Orbits(of=np.zeros(1, dtype=np.intp), reps=np.zeros(1, dtype=np.intp),
-                          counts=np.array([[self.N]]), sizes=np.ones(1, dtype=np.intp))
-        grid = _digits(self.d, self.N)
-        keys, reps, of, sizes = np.unique(np.sort(grid, axis=1), axis=0,
-                                          return_index=True, return_inverse=True,
-                                          return_counts=True)
-        counts = (keys[:, :, None] == np.arange(self.d)).sum(axis=1)
-        return Orbits(of=of.reshape(-1), reps=reps, counts=counts, sizes=sizes)
+        return _orbits(self.d, self.N)
 
     @cached_property
     def lumped_QN(self) -> Generator:
@@ -166,16 +175,12 @@ def kronecker_sum(Q1: Generator, N: int) -> TensorSystem:
 
 
 def separable_potential(v, N: int) -> Potential:
-    """(v(x1) + ... + v(xN)) / N on the product space."""
+    """(v(x1) + ... + v(xN)) / N on the product space, counts . v / N per orbit."""
+    if N < 1:
+        raise ValueError("particle count must be at least one")
     v = as_potential(v)
-    d = len(v)
-    if d == 1:
-        return Potential(v.values.copy())
-    x = _digits(d, N)
-    acc = np.zeros(d ** N)
-    for i in range(N):
-        acc = acc + v.values[x[:, i]]
-    return Potential(acc / N)
+    o = _orbits(len(v), N)
+    return Potential((o.counts @ v.values / N)[o.of])
 
 
 def pairwise_potential(w, N: int) -> Potential:
@@ -183,7 +188,8 @@ def pairwise_potential(w, N: int) -> Potential:
 
     w must be a symmetric d x d matrix; the result is a symmetric
     potential on d^N states, the discrete analogue of a two-body
-    repulsion shared between all particle pairs.
+    repulsion shared between all particle pairs.  On the orbit with counts
+    n the sum is sum_{a<b} n_a n_b w_ab + sum_a binom(n_a, 2) w_aa.
     """
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
@@ -195,14 +201,10 @@ def pairwise_potential(w, N: int) -> Potential:
         raise ValueError("particle count must be at least one")
     if N == 1:
         return Potential(np.zeros(d))
-    if d == 1:
-        return Potential(w[0].copy())
-    x = _digits(d, N)
-    acc = np.zeros(d ** N)
-    for i in range(N):
-        for j in range(i + 1, N):
-            acc = acc + w[x[:, i], x[:, j]]
-    return Potential(acc / comb(N, 2))
+    o = _orbits(d, N)
+    n = o.counts.astype(float)      # n (n - 1) overflows int64 at d = 1, N near 2**63
+    pairs = ((n @ np.triu(w, 1)) * n).sum(axis=1) + (n * (n - 1) / 2) @ np.diag(w)
+    return Potential((pairs / comb(N, 2))[o.of])
 
 
 def symmetrize_measure(mu, sys: TensorSystem) -> ProbMeasure:

@@ -6,6 +6,9 @@ scipy; eigendata from numpy's general solver; the rate function from
 closed forms or generic black-box minimization.
 """
 
+import itertools
+from math import comb
+
 import numpy as np
 import scipy.linalg
 import scipy.optimize
@@ -141,3 +144,32 @@ def rand_rate_matrix(d, rng, lo=0.2, hi=2.0):
 
 def rand_measure(d, rng, conc=4.0):
     return rng.dirichlet(np.full(d, conc))
+
+
+def digit_grid(d, N):
+    """Coordinates (x1, ..., xN) of every flat state on d^N, row-major."""
+    stride = d ** np.arange(N - 1, -1, -1)
+    return np.arange(d ** N)[:, None] // stride % d
+
+
+def unique_orbits(d, N):
+    """(of, reps, counts, sizes) of the permutation orbits on d^N states, as
+    the distinct sorted rows of the coordinate grid."""
+    keys, reps, of, sizes = np.unique(np.sort(digit_grid(d, N), axis=1), axis=0,
+                                      return_index=True, return_inverse=True,
+                                      return_counts=True)
+    counts = (keys[:, :, None] == np.arange(d)).sum(axis=1)
+    return of.reshape(-1), reps, counts, sizes
+
+
+def loop_separable(v, N):
+    """(v(x1) + ... + v(xN)) / N, one coordinate at a time."""
+    x = digit_grid(len(v), N)
+    return sum(np.asarray(v)[x[:, i]] for i in range(N)) / N
+
+
+def loop_pairwise(w, N):
+    """sum_{i<j} w(x_i, x_j) / binom(N, 2), one pair at a time."""
+    x = digit_grid(len(w), N)
+    pairs = itertools.combinations(range(N), 2)
+    return sum(w[x[:, i], x[:, j]] for i, j in pairs) / comb(N, 2)

@@ -187,7 +187,7 @@ class TestLoadScenario:
         ({"N": 63, "tasks": ["validate"]}, 2),
         ({"N": 62, "tasks": ["validate"]}, 0),
         # 2^15 states, once past a 20000-state cap, fit the byte budget;
-        # the digit grid of 2^40 states does not
+        # the coordinate grid of 2^40 states does not
         ({"N": 15, "tasks": ["validate", "spectral"]}, 0),
         ({"N": 40, "tasks": ["spectral"]}, 1),
     ], ids=["validate-20000", "spectral-20000", "V0-1e12", "bool", "63", "62", "15",

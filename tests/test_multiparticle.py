@@ -1,6 +1,8 @@
 """Kronecker sums, separable potentials, orbits, symmetrization, marginals."""
 
 import itertools
+import tracemalloc
+from math import comb
 
 import numpy as np
 import pytest
@@ -78,16 +80,54 @@ class TestKroneckerSum:
 
     def test_budget_refuses_before_allocating(self, two_state):
         # 2^13 states: QN would need 10 x 512 MiB, while the 14 orbits and
-        # the 13 x 2^13 digit grid fit
+        # the 13 x 2^13 coordinate grid fit
         sys = kronecker_sum(two_state, 13)
         with pytest.raises(StateSpaceTooLarge):
             sys.QN
         assert sys.lumped_QN.dim == 14
-        # the digit grid of 2^24 states x 24 coordinates needs 5 x 3 GiB
+        # the coordinate grid of 2^24 states x 24 coordinates needs 2 x 3 GiB
         with pytest.raises(StateSpaceTooLarge):
             separable_potential([0.0, 1.0], 24)
         with pytest.raises(StateSpaceTooLarge):
             kronecker_sum(two_state, 24).orbits
+
+    def test_budget_counts_the_occupation_counts(self, monkeypatch):
+        # at (300, 2) the 45150 x 300 counts, not the 90000 x 2 grid, are the
+        # large array: refused on them before allocating, where the grid
+        # alone passed and the orbits then took 139 MB
+        monkeypatch.setattr(multiparticle, "_MAX_BYTES", 10 ** 8)
+        for build in (lambda: multiparticle._orbits(300, 2),
+                      lambda: separable_potential(np.zeros(300), 2),
+                      lambda: pairwise_potential(np.zeros((300, 300)), 2)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(StateSpaceTooLarge):
+                    build()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 10 ** 7
+
+    @pytest.mark.parametrize("d, N", [(2, 16), (4, 8), (100, 2)])
+    def test_peak_memory_within_budgeted_bytes(self, d, N):
+        # the orbits and both product potentials stay within the bytes the
+        # budget is checked for; where the grid is the large array, within
+        # _GRID_PEAK grids
+        grid = 8 * N * d ** N
+        counts = 8 * d * comb(d + N - 1, N)
+        budgeted = multiparticle._GRID_PEAK * grid + multiparticle._COUNTS_PEAK * counts
+        for build in (lambda: multiparticle._orbits(d, N),
+                      lambda: separable_potential(np.ones(d), N),
+                      lambda: pairwise_potential(np.ones((d, d)), N)):
+            tracemalloc.start()
+            try:
+                build()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= budgeted
+            if grid > counts:
+                assert peak <= multiparticle._GRID_PEAK * grid
 
 
 class TestSeparablePotential:
@@ -102,6 +142,13 @@ class TestSeparablePotential:
     def test_two_by_two_example(self):
         V = separable_potential([0.0, 1.0], 2)
         assert V.values.tolist() == [0.0, 0.5, 0.5, 1.0]
+
+    @pytest.mark.parametrize("v, N", [([0.0, 1.0], 0), ([0.0, 1.0], -1), ([2.0], 0)])
+    def test_rejects_no_particles(self, v, N):
+        # N = 0 divided by zero, N = -1 failed in numpy with a TypeError, and
+        # a one-state v at N = 0 returned a potential
+        with pytest.raises(ValueError, match="particle count must be at least one"):
+            separable_potential(v, N)
 
 
 class TestPairwisePotential:
@@ -231,6 +278,22 @@ class TestOrbits:
             a = o.of[flat]
             assert sorted(x) == sorted(np.unravel_index(o.reps[a], shape))
             assert np.array_equal(np.bincount(x, minlength=3), o.counts[a])
+
+    @pytest.mark.parametrize("d, N", [(1, 5), (2, 7), (3, 4), (4, 4), (5, 3), (6, 4)])
+    def test_multisets_match_sorted_unique_rows(self, d, N, rng):
+        # enumerated as multisets, the orbits come in np.unique's order, on
+        # which the seeded draws of the mc task on the orbit chain depend;
+        # the potentials read off the counts match the coordinate loops
+        Q1 = validate_generator(oracles.rand_rate_matrix(d, rng))
+        o = kronecker_sum(Q1, N).orbits
+        for got, want in zip((o.of, o.reps, o.counts, o.sizes), oracles.unique_orbits(d, N)):
+            assert np.array_equal(got, want)
+        v = rng.uniform(-3, 3, d)
+        w = rng.uniform(-3, 3, (d, d))
+        w = w + w.T
+        for got, want in [(separable_potential(v, N), oracles.loop_separable(v, N)),
+                          (pairwise_potential(w, N), oracles.loop_pairwise(w, N))]:
+            assert np.abs(got.values - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
 
     @pytest.mark.parametrize("d, N", [(2, 3), (3, 3)])
     def test_lumped_rate_identity(self, d, N, rng):

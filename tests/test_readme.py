@@ -109,8 +109,13 @@ def test_byte_budget_matches_the_library():
     # peak factors they come from
     intro = README[:README.index("## Install and test")]
     budget = int(re.search(r"`multiparticle\._MAX_BYTES` = (\d+) bytes", intro).group(1))
-    grid = int(re.search(r"N x d\^N <= (\d+);", intro).group(1))
+    orbits = re.search(r"(\d+) x N x d\^N \+ (\d+) x d x C\(d\+N-1, N\) <= (\d+) ", intro)
+    two_state = int(re.search(r"d = 2, N <= (\d+)\)", intro).group(1))
     chain = int(re.search(r"n <= (\d+) states", intro).group(1))
     assert budget == multiparticle._MAX_BYTES
-    assert grid == budget // (8 * multiparticle._GRID_PEAK)
+    grid, counts, total = [int(x) for x in orbits.groups()]
+    assert (grid, counts, total) == (multiparticle._GRID_PEAK, multiparticle._COUNTS_PEAK,
+                                     budget // 8)
+    assert two_state == max(N for N in range(2, 64)
+                            if grid * N * 2 ** N + counts * 2 * (N + 1) <= total)
     assert chain == math.isqrt(budget // (8 * multiparticle._CHAIN_PEAK))
