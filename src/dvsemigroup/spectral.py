@@ -222,6 +222,13 @@ def ground_measure_by_averaging(Q: Generator, V, lam: float, mu0, T: float,
     contributes its time integral, which the window dilutes only
     linearly.  See ground_measure_by_evolution for the endpoint measure,
     which converges at the spectral-gap rate instead.
+
+    With S the step over one grid interval, r = mu0 and n = n_grid - 1,
+    the trapezoid sum is v + (w - r)/2 with v = sum_{k<n} r S^k and
+    w = r S^n.  Both come from a binary ladder over the bits of n that
+    keeps v, w and P = S^m for a prefix m of n: doubling m maps
+    (v, w, P) to (v + vP, wP, P^2), and a set bit to (v + w, wS, PS).
+    That is about 2 log2(n) matrix products instead of n row updates.
     """
     if T <= 0:
         raise ValueError("T must be positive")
@@ -231,13 +238,22 @@ def ground_measure_by_averaging(Q: Generator, V, lam: float, mu0, T: float,
     mu0 = as_measure(mu0, Q.dim)
     M = Q.rates + np.diag(V.values)
 
-    dt = T / (n_grid - 1)
-    step = expm(dt * (M - lam * np.eye(Q.dim)))
-    row = mu0.weights.copy()
-    acc = 0.5 * row
-    for k in range(1, n_grid):
-        row = row @ step
-        acc += (0.5 if k == n_grid - 1 else 1.0) * row
+    n = n_grid - 1
+    S = expm(T / n * (M - lam * np.eye(Q.dim)))
+    r = mu0.weights
+    v, w, P = r.copy(), r @ S, S          # m = 1, the leading bit of n
+    bits = bin(n)[3:]
+    for k, bit in enumerate(bits):
+        v += v @ P
+        w = w @ P
+        if k + 1 < len(bits):             # P is read again
+            P = P @ P
+            if bit == "1":
+                P = P @ S
+        if bit == "1":
+            v += w
+            w = w @ S
+    acc = v + 0.5 * (w - r)
     return ProbMeasure(acc / acc.sum())
 
 

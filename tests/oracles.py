@@ -130,6 +130,19 @@ def simpson(values, h):
     return acc * h / 3.0
 
 
+def trapezoid_row_average(Q, V, lam, mu0, T, n_grid):
+    """The normalized trapezoid average of ground_measure_by_averaging,
+    summed by n_grid - 1 row updates with scipy's expm as the step."""
+    M = np.asarray(Q, dtype=float) + np.diag(V)
+    step = scipy_expm(T / (n_grid - 1) * (M - lam * np.eye(len(M))))
+    row = np.array(mu0, dtype=float)
+    acc = 0.5 * row
+    for k in range(1, n_grid):
+        row = row @ step
+        acc += (0.5 if k == n_grid - 1 else 1.0) * row
+    return acc / acc.sum()
+
+
 def tv(a, b):
     return 0.5 * float(np.abs(np.asarray(a) - np.asarray(b)).sum())
 

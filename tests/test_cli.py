@@ -337,6 +337,22 @@ class TestRun:
         assert report["tasks"][0]["status"] == "error"
         assert report["tasks"][0]["error"]["type"] == "UnsupportedSupport"
 
+    def test_huge_averaging_grid_returns(self, tmp_path):
+        # the trapezoid sum took n_grid - 1 row updates, so this grid ran
+        # for hours; the binary ladder takes about 60 matrix products
+        ladders = []
+        for n_grid in (2 ** 30 + 1, 65537):
+            body = dict(BASE, t_grid=[1.0, 4.0],
+                        tasks=[{"name": "averaging", "options": {"n_grid": n_grid}}])
+            out = str(tmp_path / "report.json")
+            start = time.perf_counter()
+            assert run(write_scenario(tmp_path, body), out) == 0
+            assert time.perf_counter() - start < 5.0
+            ladders.append(json.loads(open(out).read())["tasks"][0]["result"]["ladder"])
+        for fine, coarse in zip(*ladders):
+            for key in ("tv_average", "entropy_average"):
+                assert abs(fine[key] - coarse[key]) <= 1e-8, key
+
     def test_rate_task_solves_perron_once(self, tmp_path, monkeypatch):
         from dvsemigroup import cli, rate_function, spectral
         calls = []

@@ -302,6 +302,20 @@ class TestAveraging:
             assert relative_entropy(gd.mu, avg) <= logC + 1e-12
             assert relative_entropy(gd.mu, end) <= logC + 1e-12
 
+    @pytest.mark.parametrize("d", [2, 8, 64])
+    def test_ladder_matches_row_loop(self, d):
+        # the binary ladder against the row-by-row trapezoid sum, including
+        # n_grid - 1 = 1, 2, 3 and non-powers of two
+        rng = np.random.default_rng(d)
+        Q = validate_generator(oracles.rand_rate_matrix(d, rng))
+        V = rng.normal(0.0, 1.0, d)
+        mu0 = oracles.rand_measure(d, rng)
+        lam = principal_eigen(Q, V).lam
+        for n_grid in (2, 3, 4, 17, 1000, 1025):
+            avg = ground_measure_by_averaging(Q, V, lam, mu0, 3.0, n_grid)
+            ref = oracles.trapezoid_row_average(Q.rates, V, lam, mu0, 3.0, n_grid)
+            np.testing.assert_allclose(avg.weights, ref, rtol=1e-12, atol=0.0)
+
     def test_quadrature_grid_refinement(self, two_state):
         # trapezoid average converges as the grid refines
         V = [1.0, 0.0]
