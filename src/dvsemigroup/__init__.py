@@ -56,7 +56,6 @@ from .spectral import (
 from .rate_function import (
     RateResult,
     dv_sup,
-    legendre_I,
     rate_I,
     rate_IV,
     relative_entropy,

@@ -10,7 +10,6 @@ A scenario is a JSON object describing one system and a list of tasks:
       "V0": [...] or {"pairwise": [[...]]},     // N > 1 only
       "t_grid": [1, 2, 4, 8],
       "seed": 0,
-      "tolerances": {"hk_tol": 1e-10},
       "tasks": ["validate", "spectral", {"name": "mc", "options": {"t": 50}}]
     }
 
@@ -59,14 +58,7 @@ from .hohenberg_kohn import (
     i_hk,
     invert_potential,
 )
-from .multiparticle import (
-    TensorSystem,
-    is_symmetric,
-    kronecker_sum,
-    marginal,
-    pairwise_potential,
-    separable_potential,
-)
+from .multiparticle import TensorSystem, _pair_sums, is_symmetric, kronecker_sum
 from .rate_function import dv_sup, rate_I, relative_entropy
 from .semigroup import check_condition_B, growth_bound, make_operator
 from .spectral import (
@@ -82,8 +74,7 @@ from .feynman_kac import estimate_lambda
 
 log = logging.getLogger("dvsemigroup")
 
-SCENARIO_KEYS = {"name", "Q", "V", "v", "N", "V0", "t_grid", "seed",
-                 "tolerances", "tasks"}
+SCENARIO_KEYS = {"name", "Q", "V", "v", "N", "V0", "t_grid", "seed", "tasks"}
 TASK_NAMES = ("validate", "spectral", "rate", "hk-verify", "hk-invert",
               "ihk", "mc", "averaging")
 
@@ -92,36 +83,29 @@ TASK_NAMES = ("validate", "spectral", "rate", "hk-verify", "hk-invert",
 class Scenario:
     name: str
     raw: dict
-    Q1: Generator
+    system: TensorSystem
     v: np.ndarray
-    N: int
-    V0: Potential | None
+    V0: Potential | None        # on the d^N states, permutation symmetric
     t_grid: list[float]
     seed: int
-    tolerances: dict
     tasks: list[tuple[str, dict]]
 
-    @cached_property
-    def system(self) -> TensorSystem:
-        return kronecker_sum(self.Q1, self.N)
+    @property
+    def Q1(self) -> Generator:
+        return self.system.Q1
 
-    @cached_property
-    def potential(self) -> Potential:
-        """V0 + separable(v) on the product space (just v when N = 1)."""
-        sep = separable_potential(self.v, self.N)
-        if self.V0 is None:
-            return sep
-        return Potential(self.V0.values + sep.values)
+    @property
+    def N(self) -> int:
+        return self.system.N
 
     @cached_property
     def chain(self) -> tuple[Generator, Potential]:
-        """The chain every task runs on, with its potential: the chain lumped
-        onto permutation orbits when the d^N potential is symmetric (always
-        at N = 1), else QN itself (a non-symmetric array V0)."""
-        system, V = self.system, self.potential
-        if is_symmetric(V, system):
-            return system.lumped_QN, Potential(V.values[system.orbits.reps])
-        return system.QN, V
+        """The chain every task runs on: the product chain lumped onto its
+        permutation orbits (Q1 itself at N = 1), with V0 + separable(v) at
+        each orbit, the latter counts . v / N."""
+        o = self.system.orbits
+        V0 = 0.0 if self.V0 is None else self.V0.values[o.reps]
+        return self.system.lumped_QN, Potential(V0 + o.counts @ self.v / self.N)
 
     @cached_property
     def ground(self) -> GroundData:
@@ -129,10 +113,11 @@ class Scenario:
         return principal_eigen(*self.chain)
 
     def gather(self, mu: np.ndarray) -> ProbMeasure:
-        """A measure on the d^N states summed onto the chain's states (as given
-        on QN or at N = 1); on orbits it must be permutation symmetric."""
+        """A permutation-symmetric measure on the d^N states summed onto the
+        orbits; as given at N = 1, where every orbit is one state and the
+        sum would only normalize it again."""
         mu = as_measure(mu, self.system.size)
-        if self.chain[0].dim == self.system.size:
+        if self.N == 1:
             return mu
         if not is_symmetric(mu, self.system):
             raise ValueError("mu must be symmetric under particle permutations")
@@ -215,6 +200,7 @@ def load_scenario(path: str) -> Scenario:
     # never forms a huge integer
     _require(Q1.dim ** min(N, 64) < 2 ** 63,
              f"{Q1.dim}^N product states must stay below 2**63", key="N")
+    system = kronecker_sum(Q1, N)
 
     _require(not ("V" in raw and "v" in raw),
              "give either V or v, not both", key="V")
@@ -222,22 +208,25 @@ def load_scenario(path: str) -> Scenario:
     v = _vector(raw[key], key) if key in raw else np.zeros(Q1.dim)
     _require(v.shape == (Q1.dim,), f"potential must have {Q1.dim} entries", key=key)
 
+    # every task runs on the orbit chain, so V0 must be permutation
+    # symmetric; the system's orbits, read here, serve the tasks too
     V0 = None
     if "V0" in raw:
         given = raw["V0"]
-        size = Q1.dim ** N
         try:
             if isinstance(given, dict):
                 unknown = set(given) - {"pairwise"}
                 _require(not unknown, "unknown V0 keys", key=",".join(sorted(unknown)))
                 _require("pairwise" in given, "V0 object needs a pairwise matrix",
                          key="V0")
-                V0 = pairwise_potential(np.asarray(given["pairwise"], dtype=float), N)
+                o = system.orbits
+                V0 = Potential(_pair_sums(given["pairwise"], o, N)[o.of])
             else:
-                arr = np.asarray(given, dtype=float)
-                _require(arr.shape == (size,),
-                         f"V0 must have {size} entries", key="V0")
-                V0 = Potential(arr)
+                V0 = Potential(np.asarray(given, dtype=float))
+                _require(len(V0) == system.size,
+                         f"V0 must have {system.size} entries", key="V0")
+                _require(is_symmetric(V0, system),
+                         "V0 must be symmetric under particle permutations", key="V0")
         except (DVSemigroupError, TypeError, ValueError, OverflowError) as exc:
             if isinstance(exc, ConfigError):
                 raise
@@ -250,14 +239,6 @@ def load_scenario(path: str) -> Scenario:
              "t_grid must be a list of finite positive numbers", key="t_grid")
 
     seed = _count(raw.get("seed", 0), "seed", 0)
-
-    tolerances = raw.get("tolerances", {})
-    _require(isinstance(tolerances, dict), "tolerances must be an object",
-             key="tolerances")
-    unknown = set(tolerances) - {"hk_tol"}
-    _require(not unknown, "unknown tolerances", key=",".join(sorted(unknown)))
-    for x in tolerances.values():
-        _real(x, "hk_tol", low=0.0)
 
     tasks = []
     for entry in raw.get("tasks", []):
@@ -276,9 +257,8 @@ def load_scenario(path: str) -> Scenario:
         _require(name in TASK_NAMES, f"unknown task '{name}'", key="tasks")
         tasks.append((name, options))
 
-    return Scenario(name=scenario_name, raw=raw,
-                    Q1=Q1, v=v, N=N, V0=V0, t_grid=[float(x) for x in t_grid],
-                    seed=seed, tolerances=tolerances, tasks=tasks)
+    return Scenario(name=scenario_name, raw=raw, system=system, v=v, V0=V0,
+                    t_grid=[float(x) for x in t_grid], seed=seed, tasks=tasks)
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +338,7 @@ def _hk_system(sc: Scenario) -> tuple[TensorSystem, Potential]:
 
 
 def _task_hk_verify(sc: Scenario, options: dict) -> dict:
-    opts = _opt(options, {"v1": None, "v2": None,
-                          "tol": sc.tolerances.get("hk_tol", 1e-10)}, "hk-verify")
+    opts = _opt(options, {"v1": None, "v2": None, "tol": 1e-10}, "hk-verify")
     _require(opts["v2"] is not None, "hk-verify needs option v2", key="v2")
     sys, V0 = _hk_system(sc)
     v1 = sc.v if opts["v1"] is None else _vector(opts["v1"], "v1")
@@ -401,7 +380,7 @@ def _task_ihk(sc: Scenario, options: dict) -> dict:
     opts = _opt(options, {"rho": None}, "ihk")
     sys, V0 = _hk_system(sc)
     if opts["rho"] is None:
-        rho = marginal(sys.lift(sc.ground).mu, sys).weights
+        rho = ProbMeasure(sys.orbits.counts.T @ sc.ground.mu.weights / sys.N).weights
     else:
         rho = _vector(opts["rho"], "rho")
     return {"rho": rho.tolist(), "I_HK": i_hk(sys, V0, rho)}

@@ -76,10 +76,7 @@ class Orbits:
     sizes: np.ndarray
 
     def spread(self, masses: np.ndarray) -> np.ndarray:
-        """Vector on d^N, constant on each orbit, with the given orbit sums;
-        masses already on the d^N states (of QN, or N = 1) as given."""
-        if len(masses) == len(self.of):
-            return masses
+        """Vector on d^N, constant on each orbit, with the given orbit sums."""
         return (masses / self.sizes)[self.of]
 
 
@@ -159,8 +156,8 @@ class TensorSystem:
 
     def lift(self, gd: GroundData) -> GroundData:
         """Ground data of lumped_QN (symmetric V) as those of QN on d^N states;
-        gd itself when already on the d^N states (of QN, or N = 1 or d = 1)."""
-        if len(gd.psi) == self.size:
+        gd itself when every orbit is one state (N = 1 or d = 1)."""
+        if self.d == 1 or self.N == 1:
             return gd
         o = self.orbits
         return GroundData(lam=gd.lam, psi=gd.psi[o.of], pi=ProbMeasure(o.spread(gd.pi.weights)),
@@ -183,28 +180,40 @@ def separable_potential(v, N: int) -> Potential:
     return Potential((o.counts @ v.values / N)[o.of])
 
 
+def _pair_sums(w, o: Orbits, N: int) -> np.ndarray:
+    """sum_{i<j} w(x_i, x_j) / binom(N, 2) on each orbit of N particles.
+
+    w must be a symmetric d x d matrix, d the states of the orbits.  On the
+    orbit with counts n the sum is sum_{a<b} n_a n_b w_ab + sum_a
+    binom(n_a, 2) w_aa; with one particle there is no pair, and it is 0.
+    """
+    w = np.asarray(w, dtype=float)
+    d = o.counts.shape[1]
+    if w.shape != (d, d):
+        raise DimensionMismatch(f"pair interaction must be a {d} x {d} matrix")
+    if not np.allclose(w, w.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(w).max())):
+        raise ValueError("pair interaction matrix must be symmetric")
+    if N == 1:
+        return np.zeros(len(o.reps))
+    n = o.counts.astype(float)      # n (n - 1) overflows int64 at d = 1, N near 2**63
+    pairs = ((n @ np.triu(w, 1)) * n).sum(axis=1) + (n * (n - 1) / 2) @ np.diag(w)
+    return pairs / comb(N, 2)
+
+
 def pairwise_potential(w, N: int) -> Potential:
     """Symmetric interaction sum_{i<j} w(x_i, x_j) / binom(N, 2).
 
     w must be a symmetric d x d matrix; the result is a symmetric
     potential on d^N states, the discrete analogue of a two-body
-    repulsion shared between all particle pairs.  On the orbit with counts
-    n the sum is sum_{a<b} n_a n_b w_ab + sum_a binom(n_a, 2) w_aa.
+    repulsion shared between all particle pairs, read off the occupation
+    counts of each orbit.
     """
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise DimensionMismatch("pair interaction must be a square matrix")
-    if not np.allclose(w, w.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(w).max())):
-        raise ValueError("pair interaction matrix must be symmetric")
-    d = w.shape[0]
     if N < 1:
         raise ValueError("particle count must be at least one")
-    if N == 1:
-        return Potential(np.zeros(d))
-    o = _orbits(d, N)
-    n = o.counts.astype(float)      # n (n - 1) overflows int64 at d = 1, N near 2**63
-    pairs = ((n @ np.triu(w, 1)) * n).sum(axis=1) + (n * (n - 1) / 2) @ np.diag(w)
-    return Potential((pairs / comb(N, 2))[o.of])
+    if np.ndim(w) != 2:
+        raise DimensionMismatch("pair interaction must be a square matrix")
+    o = _orbits(len(w), N)
+    return Potential(_pair_sums(w, o, N)[o.of])
 
 
 def symmetrize_measure(mu, sys: TensorSystem) -> ProbMeasure:

@@ -17,16 +17,16 @@ for the derivatives of I:
     grad I(mu) = -(L u*/u*),      Hess I(mu) = L_w H^+ L_w^T,
 
 with H the (positive semidefinite) Hessian of F at the minimizer.  These
-feed the concave maximizations
+feed the concave maximization
 
     lambda_V = sup_mu ( mu(V) - I(mu) )          [dv_sup]
-    I(mu)    = sup_V  ( mu(V) - lambda_V )       [legendre_I]
 
-the first by damped Newton over the simplex on mu -> I(mu) - mu(V)
-(_simplex_newton, which under linear equality rows A mu = A mu0 also
-runs the constrained minimization of hohenberg_kohn.reduced_functional),
-the second by Newton ascent using the fact that the equilibrium measure
-of V is the gradient of lambda_V.
+by damped Newton over the simplex on mu -> I(mu) - mu(V) (_simplex_newton,
+which under linear equality rows A mu = A mu0 also runs the constrained
+minimization of hohenberg_kohn.reduced_functional).  Its Legendre dual
+I(mu) = sup_V ( mu(V) - lambda_V ) is climbed by Newton ascent, using the
+fact that the equilibrium measure of V is the gradient of lambda_V
+(_legendre_newton, with which hohenberg_kohn inverts the marginal map).
 
 Every candidate mu gives the rigorous lower bound mu(V) - I(mu) <= lambda_V,
 and every positive u gives the Collatz-Wielandt upper bound
@@ -44,9 +44,8 @@ from .generator import Generator, as_potential
 from .spectral import ProbMeasure, as_measure, principal_eigen
 
 
-# convergence tolerance of rate_I (sup-norm of its Newton gradient) and of
-# legendre_I (TV distance of its fitted measure), and the step cap of
-# rate_I, dv_sup and legendre_I
+# convergence tolerance of rate_I (sup-norm of its Newton gradient), and
+# the step cap of rate_I and dv_sup
 _TOL = 1e-10
 _MAX_ITER = 200
 
@@ -349,24 +348,6 @@ def _legendre_newton(Q: Generator, V0: np.ndarray, F: np.ndarray, target: np.nda
         v, gd, G, g, err = trial
         steps += 1
     return v, G, err, steps
-
-
-def legendre_I(Q: Generator, mu) -> float:
-    """Legendre route to the rate: sup_V (mu(V) - lambda_V), gauge sum V = 0.
-
-    The concave objective has gradient mu - mu_V, so _legendre_newton with
-    F = I, V0 = 0 climbs to stationarity mu = mu_V.  Serves as an
-    independent cross-check of rate_I; the shift covariance of lambda
-    makes the zero-mean gauge harmless.
-    """
-    mu = as_measure(mu, Q.dim)
-    if (mu.weights <= 0).any():
-        raise UnsupportedSupport("legendre_I needs a strictly positive measure")
-    _, value, err, steps = _legendre_newton(Q, np.zeros(Q.dim), np.eye(Q.dim), mu.weights,
-                                            _TOL, _MAX_ITER)
-    if err > 1e-6:
-        raise NotConverged(value, err, iterations=steps)
-    return value
 
 
 def relative_entropy(mu, pi) -> float:

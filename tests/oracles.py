@@ -3,7 +3,9 @@
 Everything here deliberately avoids the library's own numerical paths:
 matrix exponentials come from eigendecompositions, Taylor series, or
 scipy; eigendata from numpy's general solver; the rate function from
-closed forms or generic black-box minimization.
+closed forms or generic black-box minimization.  legendre_I is the one
+exception: it climbs the Legendre dual with the library's Perron solves,
+a route that shares no code with rate_I's Newton solve.
 """
 
 import itertools
@@ -13,6 +15,9 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 import scipy.sparse.csgraph
+
+from dvsemigroup import NotConverged, as_measure
+from dvsemigroup.rate_function import _legendre_newton
 
 
 def eig_expm(A):
@@ -119,6 +124,22 @@ def rate_brute(Q, mu):
                                                "maxiter": 20000, "maxfev": 20000})
         best = min(best, float(res.fun))
     return -best
+
+
+def legendre_I(Q, mu):
+    """The rate as sup_V (mu(V) - lambda_V), gauge sum V = 0.
+
+    The concave objective has gradient mu - mu_V, so _legendre_newton with
+    F = I, V0 = 0 climbs to stationarity mu = mu_V; the shift covariance of
+    lambda makes the zero-mean gauge harmless.  mu must be positive.
+    """
+    mu = as_measure(mu, Q.dim).weights
+    assert (mu > 0).all(), "legendre_I needs a strictly positive measure"
+    _, value, err, steps = _legendre_newton(Q, np.zeros(Q.dim), np.eye(Q.dim), mu,
+                                            1e-10, 200)
+    if err > 1e-6:
+        raise NotConverged(value, err, iterations=steps)
+    return value
 
 
 def simpson(values, h):

@@ -11,6 +11,7 @@ import pytest
 
 import oracles
 from dvsemigroup import (
+    Potential,
     dv_sup,
     ground_measure_by_averaging,
     ground_measure_by_evolution,
@@ -19,6 +20,7 @@ from dvsemigroup import (
     principal_eigen,
     rate_I,
     relative_entropy,
+    separable_potential,
     total_variation,
     validate_generator,
 )
@@ -92,21 +94,25 @@ class TestLoadScenario:
         assert main(["run", write_scenario(tmp_path, body)]) == 2
         assert "invalid V0" in capsys.readouterr().err
 
-    def test_tolerances_accept_only_positive_finite_hk_tol(self, tmp_path):
-        for ok in ({}, {"hk_tol": 1e-8}, {"hk_tol": 1}):
-            sc = load_scenario(write_scenario(tmp_path, dict(BASE, tolerances=ok)))
-            assert sc.tolerances == ok
-        for bad in ({"bogus": 1}, {"bogus": 1, "hk_tol": 1e-10}, {"hk_tol": True},
-                    {"hk_tol": 0}, {"hk_tol": -1e-10}, {"hk_tol": "1e-10"},
-                    {"hk_tol": 1e999}, [1e-10]):
+    def test_hk_verify_tol_accepts_only_positive_finite(self, tmp_path):
+        def scenario(options):
+            task = {"name": "hk-verify", "options": options}
+            return load_scenario(write_scenario(tmp_path, dict(BASE, N=2, tasks=[task])))
+
+        for ok in ({}, {"tol": 1e-8}, {"tol": 1}):
+            assert run_scenario(scenario(dict(ok, v2=[0.0, 2.0])))[1]
+        for bad in ({"bogus": 1}, {"bogus": 1, "tol": 1e-10}, {"tol": True},
+                    {"tol": 0}, {"tol": -1e-10}, {"tol": "1e-10"}, {"tol": 1e999}):
             with pytest.raises(ConfigError):
-                load_scenario(write_scenario(tmp_path, dict(BASE, tolerances=bad)))
+                run_scenario(scenario(dict(bad, v2=[0.0, 2.0])))
+        with pytest.raises(ConfigError):
+            scenario([1e-10])
 
     def test_non_finite_tokens_rejected(self, tmp_path, capsys):
         # json.dumps writes NaN, Infinity and -Infinity, which are not JSON.
-        # Once loaded, a NaN hk_tol read v2 = v1 + 5 as distinct marginals
-        # at distance 0, and an infinite t_grid failed averaging.
-        for body in (dict(BASE, tolerances={"hk_tol": float("nan")}),
+        # Once loaded, a NaN hk-verify tol read v2 = v1 + 5 as distinct
+        # marginals at distance 0, and an infinite t_grid failed averaging.
+        for body in (dict(BASE, v=[1.0, float("nan")]),
                      dict(BASE, t_grid=[1.0, float("-inf")]),
                      dict(BASE, tasks=[{"name": "mc", "options": {"t": float("inf")}}])):
             with pytest.raises(ConfigError) as exc:
@@ -114,8 +120,8 @@ class TestLoadScenario:
             assert "non-finite" in str(exc.value)
         with pytest.raises(ConfigError):
             load_scenario(write_scenario(tmp_path, dict(BASE, t_grid=[1e999])))
-        body = dict(BASE, N=2, tolerances={"hk_tol": float("nan")},
-                    tasks=[{"name": "hk-verify", "options": {"v2": [6.0, 5.0]}}])
+        body = dict(BASE, N=2, tasks=[{"name": "hk-verify",
+                                       "options": {"v2": [6.0, 5.0], "tol": float("nan")}}])
         out = str(tmp_path / "out.json")
         assert main(["hk-verify", write_scenario(tmp_path, body), "-o", out]) == 2
         body = dict(BASE, t_grid=[float("inf")], tasks=["averaging"])
@@ -239,12 +245,12 @@ class TestRun:
 
     @pytest.mark.parametrize("V0", [None, "array"], ids=["symmetric", "array-V0"])
     def test_budget_refuses_before_allocating(self, tmp_path, V0):
-        # (d, N) = (141, 2): a non-symmetric array V0 would build a 3.16 GB
-        # QN on 19881 states, and the symmetric system solves on 10011
-        # orbits, ~8 GB for the solvers' n x n arrays
+        # (d, N) = (141, 2): the system solves on 10011 orbits, ~8 GB for the
+        # solvers' n x n arrays, with or without a symmetric array V0
         body = dict(_cos_birth_death(141, 1.0), N=2, tasks=["spectral"])
         if V0 == "array":
-            body["V0"] = np.linspace(0.0, 1.0, 141 ** 2).tolist()
+            a = np.linspace(0.0, 1.0, 141)
+            body["V0"] = np.add.outer(a, a).ravel().tolist()
         path, out = write_scenario(tmp_path, body), str(tmp_path / "report.json")
         tracemalloc.start()
         try:
@@ -265,7 +271,7 @@ class TestRun:
     def test_empty_tasks_echoes_config(self, tmp_path):
         # every field but Q is echoed as read; Q as its shape and CRC-32
         body = dict(BASE, N=2, V0={"pairwise": [[0, 1.5], [1.5, 0]]},
-                    t_grid=[1, 2.5], tolerances={"hk_tol": 1e-9}, tasks=[])
+                    t_grid=[1, 2.5], tasks=[])
         out = str(tmp_path / "report.json")
         assert run(write_scenario(tmp_path, body), out) == 0
         report = json.loads(open(out).read())
@@ -438,18 +444,55 @@ class TestRun:
         assert time.perf_counter() - start < 1.0
         assert json.loads(open(out).read())["error"]["type"] == "NotConverged"
 
-    def test_non_symmetric_V0_fails_hk_tasks_only(self, tmp_path):
-        # V0(0, 1) != V0(1, 0): the full-chain spectral task still runs,
-        # the orbit-lumped hk tasks reject the interaction
+    def test_non_symmetric_array_V0_exits_2(self, tmp_path, capsys):
+        # V0(0, 1) != V0(1, 0) has no orbit chain: it once ran spectral on
+        # the d^N chain, while the hk tasks rejected it
         body = dict(BASE, N=2, V0=[0.0, 1.0, 0.0, 0.0],
                     tasks=["spectral", {"name": "hk-verify", "options": {"v2": [0.0, 2.0]}}])
         out = str(tmp_path / "report.json")
-        assert run(write_scenario(tmp_path, body), out) == 1
-        report = json.loads(open(out).read())
-        spectral, verify = report["tasks"]
-        assert spectral["status"] == "ok"
-        assert verify["status"] == "error"
-        assert verify["error"]["type"] == "ValueError"
+        assert run(write_scenario(tmp_path, body), out) == 2
+        assert not os.path.exists(out)
+        assert "V0 must be symmetric" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("N", [1, 2])
+    def test_pairwise_V0_of_wrong_size_exits_2(self, tmp_path, capsys, N):
+        # a 3 x 3 interaction for a 2-state Q once loaded, and every task
+        # then failed on numpy's broadcast ValueError
+        body = dict(BASE, N=N, V0={"pairwise": np.ones((3, 3)).tolist()}, tasks=["spectral"])
+        out = str(tmp_path / "report.json")
+        assert run(write_scenario(tmp_path, body), out) == 2
+        assert not os.path.exists(out)
+        assert "2 x 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("V0", [None, "pairwise", "array"])
+    def test_every_task_shares_one_orbit_enumeration(self, tmp_path, monkeypatch, V0):
+        # the pairwise V0, the separable potential and the system each
+        # enumerated the orbits once, and no task reads the d^N x d^N QN
+        from dvsemigroup import multiparticle
+        calls = []
+        orbits = multiparticle._orbits
+
+        def counted(*args):
+            calls.append(args)
+            return orbits(*args)
+
+        monkeypatch.setattr(multiparticle, "_orbits", counted)
+        w = np.array([[0.0, 1.0, 0.5], [1.0, 0.2, 0.0], [0.5, 0.0, 0.3]])
+        body = {"Q": oracles.rand_rate_matrix(3, np.random.default_rng(4)).tolist(),
+                "v": [0.3, -0.2, 0.5], "N": 3, "t_grid": [1.0],
+                "tasks": ["validate", "spectral", "rate", "averaging", "ihk",
+                          {"name": "hk-verify", "options": {"v2": [0.0, 1.0, 0.0]}},
+                          {"name": "hk-invert", "options": {"v_star": [0.0, 1.0, 0.5]}},
+                          {"name": "mc", "options": {"t": 1.0, "paths": 50}}]}
+        if V0 == "pairwise":
+            body["V0"] = {"pairwise": w.tolist()}
+        elif V0 == "array":
+            body["V0"] = oracles.loop_pairwise(w, 3).tolist()
+        sc = load_scenario(write_scenario(tmp_path, body))
+        report, ok = run_scenario(sc)
+        assert ok and len(report["tasks"]) == 8
+        assert calls == [(3, 3)]
+        assert "QN" not in sc.system.__dict__
 
     def test_infinite_mc_horizon_is_echoed_as_infinity(self, tmp_path):
         # json.load reads 1e999 as inf without calling parse_constant, so
@@ -488,7 +531,8 @@ class TestRun:
         assert "QN" not in sc.system.__dict__
         results = [section["result"] for section in report["tasks"]]
         got = results[1]
-        QN, V = sc.system.QN, sc.potential
+        QN = sc.system.QN
+        V = Potential(sc.V0.values + separable_potential(sc.v, 4).values)
         full = principal_eigen(QN, V)
         scale = max(1.0, np.abs(QN.rates + np.diag(V.values)).max())
         assert abs(got["lambda"] - full.lam) <= 1e-12 * scale
@@ -526,16 +570,6 @@ class TestRun:
                        .sum(axis=1).mean()) / 5.0
         assert L.dim == 15
         assert abs(got["lambda_mc"] - exact) <= 4.0 * got["stderr"]
-
-        # a non-symmetric array V0 has no orbit chain: spectral reads QN
-        V0 = np.zeros(81)
-        V0[1] = 1.0
-        sc = load_scenario(write_scenario(tmp_path, dict(body, V0=V0.tolist(),
-                                                         tasks=["spectral"])))
-        report, ok = run_scenario(sc)
-        assert ok and "QN" in sc.system.__dict__
-        assert report["tasks"][0]["result"]["lambda"] == principal_eigen(
-            sc.system.QN, sc.potential).lam
 
     @pytest.mark.parametrize("N, V0, tasks", [
         (100, None, ["validate", "spectral", "ihk"]),
