@@ -15,7 +15,6 @@ from .errors import (
     DimensionMismatch,
     DVSemigroupError,
     GraphDisconnected,
-    NegativeInput,
     NegativeOffDiagonal,
     NonFinite,
     NotConverged,
@@ -36,12 +35,10 @@ from .generator import (
 from .semigroup import (
     SchrodingerOperator,
     check_condition_B,
-    duhamel_residual,
     evolve,
     expm,
     growth_bound,
     make_operator,
-    sandwich_check,
 )
 from .spectral import (
     GroundData,
@@ -72,7 +69,6 @@ from .multiparticle import (
 from .hohenberg_kohn import (
     HKConclusion,
     HKReport,
-    InversionOptions,
     InversionResult,
     ReducedResult,
     equilibrium_marginal,

@@ -52,7 +52,6 @@ from .errors import ConfigError, DVSemigroupError
 from .generator import Generator, Potential, validate_generator
 from .generator import check_condition_A, check_condition_D
 from .hohenberg_kohn import (
-    InversionOptions,
     equilibrium_marginal,
     hk_verify,
     i_hk,
@@ -282,7 +281,7 @@ def _task_validate(sc: Scenario, options: dict) -> dict:
         "N": sc.N,
         "product_states": sc.Q1.dim ** sc.N,
         "epsilon_A": check_condition_A(sc.Q1, T),
-        "condition_B": check_condition_B(sc.Q1, T),
+        "condition_B": check_condition_B(sc.Q1),
         "condition_D": check_condition_D(sc.Q1),
     }
 
@@ -357,8 +356,8 @@ def _task_hk_verify(sc: Scenario, options: dict) -> dict:
 def _task_hk_invert(sc: Scenario, options: dict) -> dict:
     opts = _opt(options, {"rho_target": None, "v_star": None, "tol": 1e-8,
                           "max_iter": 500}, "hk-invert")
-    inv = InversionOptions(tol=_real(opts["tol"], "tol", low=0.0),
-                           max_iter=_count(opts["max_iter"], "max_iter", 1))
+    tol = _real(opts["tol"], "tol", low=0.0)
+    max_iter = _count(opts["max_iter"], "max_iter", 1)
     sys, V0 = _hk_system(sc)
     if opts["rho_target"] is not None:
         rho_target = _vector(opts["rho_target"], "rho_target")
@@ -367,7 +366,7 @@ def _task_hk_invert(sc: Scenario, options: dict) -> dict:
         rho_target = rho.weights
     else:
         raise ConfigError("hk-invert needs rho_target or v_star", key="rho_target")
-    result = invert_potential(sys, V0, rho_target, inv)
+    result = invert_potential(sys, V0, rho_target, tol=tol, max_iter=max_iter)
     return {
         "v_recovered": result.v_recovered.values.tolist(),
         "iterations": result.iterations,

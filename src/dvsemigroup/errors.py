@@ -38,10 +38,6 @@ class NonFinite(DVSemigroupError):
     is required, or produced NaN; reported, never saturated."""
 
 
-class NegativeInput(DVSemigroupError):
-    pass
-
-
 class ConvergenceFailure(DVSemigroupError):
     """Eigensolver stalled. Carries iteration count and last residual."""
 
@@ -62,7 +58,7 @@ class NotConverged(DVSemigroupError):
 
 
 class UnsupportedSupport(DVSemigroupError):
-    """A measure has zero entries and the boundary policy is 'reject'."""
+    """A measure has a zero entry where every entry must be positive."""
 
 
 class StateSpaceTooLarge(DVSemigroupError):

@@ -90,15 +90,8 @@ class InversionResult:
 
 
 @dataclass(frozen=True)
-class InversionOptions:
-    tol: float = 1e-8
-    max_iter: int = 500
-
-
-@dataclass(frozen=True)
 class ReducedResult:
     value: float
-    mu: ProbMeasure
     multiplier: np.ndarray
     constraint_violation: float
     orbit_masses: np.ndarray
@@ -149,23 +142,24 @@ def hk_verify(sys: TensorSystem, V0, v1, v2, tol: float = 1e-10) -> HKReport:
                     kappa=kappa, inequality_margins=margins)
 
 
-def invert_potential(sys: TensorSystem, V0, rho_target,
-                     opts: InversionOptions | None = None) -> InversionResult:
+def invert_potential(sys: TensorSystem, V0, rho_target, tol: float = 1e-8,
+                     max_iter: int = 500) -> InversionResult:
     """Recover the external potential from a target marginal.
 
     The potential maximizes the concave dual rho_target(v) - lambda_{V0+v}
     (Lieb 1983; Wu & Yang 2003); _legendre_newton solves it on the orbit
-    chain with F = counts / N.  Returns the last iterate and a converged
-    flag: feasibility of arbitrary targets is open, so failure is data.
+    chain with F = counts / N, stopping once the marginal error (total
+    variation) is at most tol or after max_iter Newton steps.  Returns the
+    last iterate and a converged flag: feasibility of arbitrary targets is
+    open, so failure is data.
     """
-    opts = opts or InversionOptions()
     rho_target = as_measure(rho_target, sys.d)
     if (rho_target.weights <= 0).any():
         raise ValueError("target marginal must be strictly positive")
     v, _, err, steps = _legendre_newton(sys.lumped_QN, sys.on_orbits(V0),
                                         sys.orbits.counts / sys.N, rho_target.weights,
-                                        opts.tol, opts.max_iter)
-    return InversionResult(Potential(v), steps, err, converged=err <= opts.tol)
+                                        tol, max_iter)
+    return InversionResult(Potential(v), steps, err, converged=err <= tol)
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +193,9 @@ def reduced_functional(sys: TensorSystem, V0, rho) -> ReducedResult:
 
     p = np.maximum(o.sizes * np.prod(rho_v ** o.counts, axis=1), 1e-300)
     p /= p.sum()
-    p, w0, y = _simplex_newton(QL.rates, p, V0v, C, _INNER_TOL, _MAX_NEWTON, None)
+    p, w0, y = _simplex_newton(QL.rates, p, V0v, C, _INNER_TOL, _MAX_NEWTON)
 
-    I, _, _, _, _ = _rate_parts(QL.rates, p, _INNER_TOL, 100, w0)
+    I, _, _, _, _ = _rate_parts(QL.rates, p, _INNER_TOL, w0)
     value = float(I - p @ V0v)
     cviol = float(np.abs(C @ p - rho_v).max())
     if cviol > _CONSTRAINT_TOL:
@@ -209,8 +203,8 @@ def reduced_functional(sys: TensorSystem, V0, rho) -> ReducedResult:
     bracket = value + float(rho_v @ y) + principal_eigen(QL, V0v - C.T @ y).lam
     if abs(bracket) > _REDUCED_TOL * max(1.0, abs(value)):
         raise NotConverged(value, abs(bracket))
-    return ReducedResult(value=value, mu=ProbMeasure(o.spread(p)), multiplier=y,
-                         constraint_violation=cviol, orbit_masses=p)
+    return ReducedResult(value=value, multiplier=y, constraint_violation=cviol,
+                         orbit_masses=p)
 
 
 def i_hk(sys: TensorSystem, V0, rho) -> float:

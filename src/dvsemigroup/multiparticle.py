@@ -183,14 +183,16 @@ def separable_potential(v, N: int) -> Potential:
 def _pair_sums(w, o: Orbits, N: int) -> np.ndarray:
     """sum_{i<j} w(x_i, x_j) / binom(N, 2) on each orbit of N particles.
 
-    w must be a symmetric d x d matrix, d the states of the orbits.  On the
-    orbit with counts n the sum is sum_{a<b} n_a n_b w_ab + sum_a
+    w must be a finite symmetric d x d matrix, d the states of the orbits.
+    On the orbit with counts n the sum is sum_{a<b} n_a n_b w_ab + sum_a
     binom(n_a, 2) w_aa; with one particle there is no pair, and it is 0.
     """
     w = np.asarray(w, dtype=float)
     d = o.counts.shape[1]
     if w.shape != (d, d):
         raise DimensionMismatch(f"pair interaction must be a {d} x {d} matrix")
+    if not np.isfinite(w).all():
+        raise ValueError("pair interaction must be finite")
     if not np.allclose(w, w.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(w).max())):
         raise ValueError("pair interaction matrix must be symmetric")
     if N == 1:

@@ -128,36 +128,18 @@ def _newton_min(Q: np.ndarray, mu: np.ndarray, tol: float, max_iter: int,
     return F, w, float(np.abs(g).max()), iterations, tw
 
 
-def rate_I(Q: Generator, mu, boundary: str = "reject") -> RateResult:
+def rate_I(Q: Generator, mu) -> RateResult:
     """Donsker-Varadhan rate of an occupation measure.
 
     Returns -min F(w) together with the gauge-fixed minimizer.  The value
-    is always >= 0 because F(0) = 0 is a feasible point.  Measures with
-    zero entries are rejected unless boundary = 'reduce', in which case
-    the infimum is realized on the support: terms leaving the support are
-    driven to their infimum (zero), equivalent to deleting the
-    corresponding columns.
+    is always >= 0 because F(0) = 0 is a feasible point.  A measure with
+    zero entries raises UnsupportedSupport.
     """
-    mu = as_measure(mu, Q.dim)
-    m = mu.weights
-    support = m > 0.0
-
-    if support.all():
-        F, w, gnorm, iters, _ = _newton_min(Q.rates, m, _TOL, _MAX_ITER)
-        logu = w
-    elif boundary == "reject":
-        raise UnsupportedSupport(
-            f"measure vanishes on states {np.nonzero(~support)[0].tolist()}; "
-            "pass boundary='reduce' to minimize on the support")
-    else:
-        sub = np.ix_(support, support)
-        Qr = Q.rates[sub].copy()
-        # keep the full diagonal: it carries the -sum of all rates,
-        # including edges out of the support whose tilt infimum is zero
-        np.fill_diagonal(Qr, np.diag(Q.rates)[support])
-        F, w_s, gnorm, iters, _ = _newton_min(Qr, m[support], _TOL, _MAX_ITER)
-        logu = np.full(Q.dim, np.nan)
-        logu[support] = w_s
+    m = as_measure(mu, Q.dim).weights
+    zero = np.nonzero(m == 0.0)[0]
+    if zero.size:
+        raise UnsupportedSupport(f"measure vanishes on states {zero.tolist()}")
+    F, logu, gnorm, iters, _ = _newton_min(Q.rates, m, _TOL, _MAX_ITER)
 
     converged = gnorm <= _TOL
     value = max(-F, 0.0)
@@ -178,10 +160,9 @@ def rate_IV(Q: Generator, V, mu) -> float:
     return rate_I(Q, mu).value - float(mu.weights @ V.values) + lam
 
 
-def _rate_parts(Q: np.ndarray, mu: np.ndarray, tol: float, max_iter: int,
-                w0: np.ndarray | None):
-    """Inner solve plus the derivative ingredients of I at mu."""
-    F, w, gnorm, _, tw = _newton_min(Q, mu, tol, max_iter, w0)
+def _rate_parts(Q: np.ndarray, mu: np.ndarray, tol: float, w0: np.ndarray | None):
+    """Inner solve, at most 100 steps from w0, plus the derivative ingredients of I at mu."""
+    F, w, gnorm, _, tw = _newton_min(Q, mu, tol, 100, w0)
     T = _tilted(Q, w)
     h = T.sum(axis=1) + np.diag(Q)                     # (L u*/u*)_i
     Lw = T.copy()
@@ -222,8 +203,8 @@ def dv_sup(Q: Generator, V):
         return float(Vv[0]), ProbMeasure(np.ones(1))
 
     mu, w0, _ = _simplex_newton(Q.rates, np.full(d, 1.0 / d), Vv, np.ones((1, d)), 1e-12,
-                                _MAX_ITER, None, gap_tol=1e-9)
-    I, _, h, _, _ = _rate_parts(Q.rates, mu, 1e-12, 100, w0)
+                                _MAX_ITER, gap_tol=1e-9)
+    I, _, h, _, _ = _rate_parts(Q.rates, mu, 1e-12, w0)
     value = float(mu @ Vv - I)
     gap = float((Vv + h).max() - value)
     if gap > 1e-5 * max(1.0, abs(value)):
@@ -232,8 +213,7 @@ def dv_sup(Q: Generator, V):
 
 
 def _simplex_newton(Q: np.ndarray, p: np.ndarray, c: np.ndarray, A: np.ndarray,
-                    tol: float, max_steps: int, w0: np.ndarray | None,
-                    gap_tol: float | None = None):
+                    tol: float, max_steps: int, gap_tol: float | None = None):
     """Damped Newton over the simplex interior for
 
         phi(p) = I(p) - c p    subject to  A p = A p0,
@@ -260,8 +240,9 @@ def _simplex_newton(Q: np.ndarray, p: np.ndarray, c: np.ndarray, A: np.ndarray,
     K[:m, m:] = A.T
     K[m:, :m] = A
     rhs = np.zeros(m + k)
+    w0 = None
     for _ in range(max_steps):
-        I, w0, h, Lw, H = _rate_parts(Q, p, tol, 100, w0)
+        I, w0, h, Lw, H = _rate_parts(Q, p, tol, w0)
         g = -h - c
         gap = float(g @ p - g.min())
         if gap_tol is not None and gap <= gap_tol:

@@ -9,6 +9,9 @@ and for f >= 0 obeys the sandwich
 
     e^{t min V} P_t f  <=  P_t^V f  <=  e^{t max V} P_t f.
 
+The tests check both of evolve: the Duhamel residual and the sandwich
+check live in tests/test_semigroup.py.
+
 Matrix exponentials use scaling and squaring with a fixed-order [13/13]
 rational approximant, the matrix being scaled so its infinity norm is at
 most theta13 = 5.37 before evaluation: up to that norm the approximant's
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NegativeInput, NonFinite
+from .errors import DimensionMismatch, NonFinite
 from .generator import Generator, Potential, as_potential, _as_vector, _reachable
 
 # Coefficients of the degree-13 diagonal rational approximant to exp.
@@ -138,54 +141,6 @@ def _clamped(out: np.ndarray, t: float, nonnegative: bool) -> np.ndarray:
     return out
 
 
-def duhamel_residual(M: SchrodingerOperator, t: float, f, n_steps: int) -> float:
-    """Sup-norm defect of u(t) = P_t f + int_0^t P_{t-s} V u(s) ds.
-
-    The integral uses composite Simpson quadrature on n_steps panels
-    (rounded up to an even count), so the residual decreases like
-    n_steps^{-4} until it hits the floating-point floor.
-    """
-    if t <= 0:
-        raise ValueError("time must be positive")
-    if n_steps < 2:
-        raise ValueError("need at least two quadrature panels")
-    n = n_steps + (n_steps % 2)
-    f = _as_vector(f, M.dim)
-
-    V = M.V.values
-    P0 = expm(t * M.Q.rates) @ f
-    u_t = evolve(M, t, f)
-
-    h = t / n
-    integral = np.zeros(M.dim)
-    for k in range(n + 1):
-        s = k * h
-        u_s = expm(s * M.matrix) @ f
-        g = expm((t - s) * M.Q.rates) @ (V * u_s)
-        weight = 1.0 if k in (0, n) else (4.0 if k % 2 == 1 else 2.0)
-        integral += weight * g
-    integral *= h / 3.0
-
-    return float(np.abs(u_t - P0 - integral).max())
-
-
-def sandwich_check(M: SchrodingerOperator, t: float, f, tol: float = 1e-12) -> bool:
-    """Entrywise e^{t min V} P_t f <= P_t^V f <= e^{t max V} P_t f for f >= 0."""
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    f = _as_vector(f, M.dim)
-    if (f < 0).any():
-        i = int(np.argmin(f))
-        raise NegativeInput(f"f[{i}] = {f[i]} is negative")
-    V = M.V.values
-    base = expm(t * M.Q.rates) @ f if t > 0 else f
-    mid = evolve(M, t, f)
-    lower = np.exp(t * float(V.min())) * base
-    upper = np.exp(t * float(V.max())) * base
-    band = tol * max(1.0, float(np.abs(upper).max()))
-    return bool(np.all(mid >= lower - band) and np.all(mid <= upper + band))
-
-
 def growth_bound(M: SchrodingerOperator, lam: float, t_grid) -> float:
     """max over the grid of e^{-lam t} ||P_t^V 1||_inf.
 
@@ -216,16 +171,14 @@ def growth_bound(M: SchrodingerOperator, lam: float, t_grid) -> float:
     return float(best)
 
 
-def check_condition_B(Q: Generator, T: float = 1.0) -> bool:
+def check_condition_B(Q: Generator) -> bool:
     """Positivity improving: every entry of exp(TQ) is strictly positive.
 
-    On a finite state space that holds, for any T > 0, exactly when the
+    On a finite state space that holds, for every T > 0 alike, exactly when the
     directed support graph of Q is strongly connected, so it is decided on
     the graph: every state is reachable from state 0 along the off-diagonal
     support of Q and along that of Q^T.  exp(TQ) itself underflows to zero
     entries on long chains (a 256-state birth-death chain at T = 1).
     """
-    if T <= 0:
-        raise ValueError("T must be positive")
     support = Q.rates > 0
     return bool(_reachable(support, 0).all() and _reachable(support.T, 0).all())

@@ -5,6 +5,7 @@ import os
 import time
 import tracemalloc
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,6 +94,18 @@ class TestLoadScenario:
                     tasks=["ihk"])
         assert main(["run", write_scenario(tmp_path, body)]) == 2
         assert "invalid V0" in capsys.readouterr().err
+
+    def test_infinite_pairwise_V0_is_invalid(self, tmp_path, capsys):
+        # 1e999 reads as inf; the pair sums once emitted three numpy
+        # RuntimeWarnings before the NaN potential was refused
+        path = tmp_path / "scenario.json"
+        path.write_text('{"Q": [[-1.0, 1.0], [2.0, -2.0]], "N": 2, '
+                        '"V0": {"pairwise": [[0, 1e999], [1e999, 0]]}, "tasks": ["spectral"]}')
+        out = str(tmp_path / "report.json")
+        assert run(str(path), out) == 2
+        assert not os.path.exists(out)
+        err = capsys.readouterr().err
+        assert "pair interaction must be finite" in err and "Warning" not in err
 
     def test_hk_verify_tol_accepts_only_positive_finite(self, tmp_path):
         def scenario(options):
@@ -746,6 +759,16 @@ class TestMain:
         assert by_task["hk-invert"]["converged"] is True
         # I(mu) >= 0 so I_HK is bounded below by -max(V0) = -1
         assert -1.0 <= by_task["ihk"]["I_HK"] < 0.5
+
+    def test_hk_invert_max_iter_caps_the_newton_steps(self, tmp_path):
+        demo = Path(__file__).resolve().parents[1] / "scenarios" / "pair_interaction_demo.json"
+        body = dict(json.loads(demo.read_text()),
+                    tasks=[{"name": "hk-invert",
+                            "options": {"v_star": [0.0, 1.0], "max_iter": 1}}])
+        out = str(tmp_path / "report.json")
+        assert run(write_scenario(tmp_path, body), out) == 0
+        result = json.loads(open(out).read())["tasks"][0]["result"]
+        assert result["iterations"] == 1 and result["converged"] is False
 
     def test_multi_scenario_jobs(self, tmp_path):
         # concurrent scenarios share no mutable state, so each report

@@ -131,7 +131,7 @@ class TestConditionA:
             expected = float((P.min(axis=0) / P.max(axis=0)).min())
             assert expected < 1e-9
             assert check_condition_A(Q, T) == pytest.approx(expected, rel=1e-12)
-            assert check_condition_B(Q, T)
+            assert check_condition_B(Q)
 
     def test_positive_for_t_ladder(self, rng):
         for _ in range(10):

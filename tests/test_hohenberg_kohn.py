@@ -102,6 +102,20 @@ class TestInvertPotential:
         centered = v_star - v_star.mean()
         assert np.abs(res.v_recovered.values - centered).max() <= 1e-4
 
+    def test_tol_and_max_iter_stop_the_ascent(self, rng):
+        Q1 = validate_generator(oracles.rand_rate_matrix(3, rng))
+        sys = kronecker_sum(Q1, 2)
+        w = rng.uniform(0, 1, (3, 3))
+        V0 = pairwise_potential(0.5 * (w + w.T), 2)
+        _, _, rho = equilibrium_marginal(sys, V0, rng.uniform(-2, 2, 3))
+        default = invert_potential(sys, V0, rho)
+        loose = invert_potential(sys, V0, rho, tol=1e-4)
+        assert default.converged and default.marginal_error <= 1e-8
+        assert loose.converged and loose.marginal_error <= 1e-4
+        assert loose.iterations <= default.iterations
+        capped = invert_potential(sys, V0, rho, max_iter=1)
+        assert capped.iterations == 1 and not capped.converged
+
     def test_seeded_sweep_converges(self):
         # rates over four decades, strong pair interactions, and targets
         # that are reachable marginals or Dirichlet draws floored at 1e-6
@@ -155,7 +169,7 @@ class TestReducedFunctional:
         # the optimal coupling is the stationary product measure
         res = reduced_functional(sys, np.zeros(4), pi)
         prod = np.kron(pi.weights, pi.weights)
-        assert np.abs(res.mu.weights - prod).max() <= 1e-6
+        assert np.abs(sys.orbits.spread(res.orbit_masses) - prod).max() <= 1e-6
 
     def test_product_start_is_feasible_upper_bound(self, pair_system, rng):
         sys, V0 = pair_system
@@ -170,9 +184,9 @@ class TestReducedFunctional:
         from dvsemigroup import is_symmetric, marginal
         sys, V0 = pair_system
         rho = oracles.rand_measure(2, rng)
-        res = reduced_functional(sys, V0, rho)
-        assert total_variation(marginal(res.mu, sys), rho) <= 1e-8
-        assert is_symmetric(res.mu, sys, tol=1e-9)
+        mu = sys.orbits.spread(reduced_functional(sys, V0, rho).orbit_masses)
+        assert total_variation(marginal(mu, sys), rho) <= 1e-8
+        assert is_symmetric(mu, sys, tol=1e-9)
 
     def test_inner_solves_do_not_chase_round_off(self, pair_system, monkeypatch):
         # The projected gradient can stick at round-off above a gradient
@@ -297,8 +311,8 @@ class TestReducedVariational:
         lam = principal_eigen(sys.QN, total).lam
         for _ in range(5):
             rho = oracles.rand_measure(2, rng)
-            res = reduced_functional(sys, V0, rho)
-            bound = float(res.mu.weights @ total) - rate_I(sys.QN, res.mu).value
+            mu = sys.orbits.spread(reduced_functional(sys, V0, rho).orbit_masses)
+            bound = float(mu @ total) - rate_I(sys.QN, mu).value
             assert bound <= lam + 1e-9
         lam_hat, _ = reduced_variational(sys, V0, v)
         assert lam_hat <= lam + 1e-9

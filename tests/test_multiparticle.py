@@ -176,6 +176,13 @@ class TestPairwisePotential:
         with pytest.raises(ValueError):
             pairwise_potential(np.array([[0.0, 1.0], [1.0 + 1e-6, 0.0]]), 2)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite(self, bad):
+        # equal infinities once passed the symmetry test, and the pair sums
+        # warned before the NaN potential was refused
+        with pytest.raises(ValueError, match="must be finite"):
+            pairwise_potential(np.array([[0.0, bad], [bad, 0.0]]), 2)
+
 
 class TestSymmetrize:
     def test_symmetric_fixed_point(self, two_state):

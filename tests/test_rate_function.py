@@ -78,33 +78,6 @@ class TestRateI:
         with pytest.raises(UnsupportedSupport):
             rate_I(two_state, [1.0, 0.0])
 
-    def test_boundary_reduce_matches_restriction(self, rng):
-        # deleting the zero-mass states realizes the infimum
-        d = 4
-        Q = validate_generator(oracles.rand_rate_matrix(d, rng))
-        mu = np.array([0.45, 0.55, 0.0, 0.0])
-        res = rate_I(Q, mu, boundary="reduce")
-        # oracle: brute-force over the reduced objective on the support
-        sub = Q.rates[:2, :2].copy()
-        np.fill_diagonal(sub, np.diag(Q.rates)[:2])
-        assert res.value == pytest.approx(-_brute_reduced(sub, mu[:2]), abs=1e-7)
-        assert np.isnan(res.minimizer_logu[2:]).all()
-
-
-def _brute_reduced(Qr, mu_s):
-    import scipy.optimize
-
-    def F(w):
-        E = np.exp(w[None, :] - w[:, None])
-        T = Qr * E
-        np.fill_diagonal(T, np.diag(Qr))
-        return float((mu_s[:, None] * T).sum())
-
-    res = scipy.optimize.minimize(F, np.zeros(len(mu_s)), method="Nelder-Mead",
-                                  options={"xatol": 1e-12, "fatol": 1e-14,
-                                           "maxiter": 20000})
-    return float(res.fun)
-
 
 class TestRateIV:
     def test_zero_at_equilibrium(self, rng):

@@ -5,18 +5,55 @@ import pytest
 
 import oracles
 from dvsemigroup import (
-    NegativeInput,
     NonFinite,
     check_condition_A,
     check_condition_B,
-    duhamel_residual,
     evolve,
     expm,
     growth_bound,
     make_operator,
-    sandwich_check,
     validate_generator,
 )
+
+
+# The two checks below run on the library's own expm, so they are test
+# helpers here rather than oracles (oracles.py avoids the library's
+# numerical paths).
+
+def duhamel_residual(M, t, f, n_steps):
+    """Sup-norm defect of u(t) = P_t f + int_0^t P_{t-s} V u(s) ds.
+
+    The integral uses composite Simpson quadrature on n_steps panels
+    (rounded up to an even count), so the residual decreases like
+    n_steps^{-4} until it hits the floating-point floor.
+    """
+    n = n_steps + (n_steps % 2)
+    V = M.V.values
+    P0 = expm(t * M.Q.rates) @ f
+    u_t = evolve(M, t, f)
+
+    h = t / n
+    integral = np.zeros(M.dim)
+    for k in range(n + 1):
+        s = k * h
+        u_s = expm(s * M.matrix) @ f
+        g = expm((t - s) * M.Q.rates) @ (V * u_s)
+        weight = 1.0 if k in (0, n) else (4.0 if k % 2 == 1 else 2.0)
+        integral += weight * g
+    integral *= h / 3.0
+
+    return float(np.abs(u_t - P0 - integral).max())
+
+
+def sandwich_check(M, t, f, tol=1e-12):
+    """Entrywise e^{t min V} P_t f <= P_t^V f <= e^{t max V} P_t f for f >= 0."""
+    V = M.V.values
+    base = expm(t * M.Q.rates) @ f if t > 0 else f
+    mid = evolve(M, t, f)
+    lower = np.exp(t * float(V.min())) * base
+    upper = np.exp(t * float(V.max())) * base
+    band = tol * max(1.0, float(np.abs(upper).max()))
+    return bool(np.all(mid >= lower - band) and np.all(mid <= upper + band))
 
 
 class TestExpm:
@@ -87,7 +124,7 @@ class TestEvolve:
         for _ in range(30):
             d = int(rng.integers(2, 8))
             Q = validate_generator(oracles.rand_rate_matrix(d, rng))
-            assert check_condition_B(Q, float(rng.uniform(0.05, 2.0)))
+            assert check_condition_B(Q)
 
     def test_condition_B_on_long_chain(self):
         # exp(Q) of the 256-state unit birth-death chain underflows to zero
@@ -97,15 +134,13 @@ class TestEvolve:
         Q = np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
         Q = validate_generator(Q - np.diag(Q.sum(axis=1)))
         assert check_condition_A(Q, 1.0) == 0.0
-        assert check_condition_B(Q, 1.0) and check_condition_B(Q, 1e-3)
+        assert check_condition_B(Q)
 
     def test_condition_B_fails_on_reducible_chain(self):
         # state 0 absorbs: undirected-connected, so validated, but exp(TQ)
         # keeps a zero in row 0
         Q = validate_generator([[0.0, 0.0], [1.0, -1.0]])
-        assert not check_condition_B(Q, 1.0)
-        with pytest.raises(ValueError):
-            check_condition_B(Q, 0.0)
+        assert not check_condition_B(Q)
 
 
 class TestDuhamel:
@@ -148,11 +183,6 @@ class TestSandwich:
     def test_zero_function(self, two_state):
         op = make_operator(two_state, [1.0, 0.0])
         assert sandwich_check(op, 1.0, np.zeros(2))
-
-    def test_negative_input_rejected(self, two_state):
-        op = make_operator(two_state, [1.0, 0.0])
-        with pytest.raises(NegativeInput):
-            sandwich_check(op, 1.0, np.array([1.0, -0.1]))
 
     def test_random_trials(self, rng):
         for _ in range(1000):
