@@ -62,12 +62,12 @@ class UnsupportedSupport(DVSemigroupError):
 
 
 class StateSpaceTooLarge(DVSemigroupError):
-    """A product system's arrays would exceed the memory budget. Carries the
-    bytes needed and the budget, both in bytes."""
+    """Arrays sized from the input would exceed the memory budget. Carries
+    the bytes needed and the budget, both in bytes."""
 
     def __init__(self, needed, budget):
         self.needed, self.budget = needed, budget
-        super().__init__(f"product system needs {needed} bytes, budget is {budget} bytes")
+        super().__init__(f"arrays need {needed} bytes, budget is {budget} bytes")
 
 
 class ConfigError(DVSemigroupError):

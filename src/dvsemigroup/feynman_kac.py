@@ -30,8 +30,13 @@ import math
 import numpy as np
 
 from .generator import Generator, as_potential
+from .multiparticle import _require_bytes
 
 _BLOCK = 1 << 16  # paths per random stream in estimate_lambda
+# peak memory of estimate_lambda in float64 copies of its per-path exponents,
+# as measured: the exponents plus two same-length temporaries in the
+# log-mean-exp and the standard error
+_PATHS_PEAK = 3
 
 
 def path_stream(seed: int, index: int) -> np.random.Generator:
@@ -40,8 +45,8 @@ def path_stream(seed: int, index: int) -> np.random.Generator:
     SFC64 seeded by SeedSequence(entropy=seed, spawn_key=(index,)).  A
     block of _BLOCK paths draws everything from its own stream, so its
     weights do not depend on how many blocks follow it, and the sampler
-    holds one block's vectors at a time: O(_BLOCK) memory plus the d x d
-    alias tables.
+    advances one block's vectors at a time: O(_BLOCK) working memory plus
+    the d x d alias tables, next to the one exponent per path it returns.
     """
     return np.random.Generator(
         np.random.SFC64(np.random.SeedSequence(entropy=seed, spawn_key=(index,))))
@@ -109,8 +114,8 @@ def _weight_exponents(Q: Generator, vv: np.ndarray, t: float, n_paths: int,
 
     Block b of _BLOCK paths draws from path_stream(seed, b): its start
     states, then per step one exponential and one uniform for each path
-    still short of the horizon.  Working memory is O(_BLOCK) plus the
-    d x d alias tables.
+    still short of the horizon.  Returns one float64 per path; the
+    working vectors are O(_BLOCK), plus the d x d alias tables.
     """
     d = Q.dim
     rates, prob, alias = _jump_chain(Q)
@@ -150,7 +155,9 @@ def estimate_lambda(Q: Generator, V, t: float, n_paths: int, seed: int):
     overflow.  Start states are drawn uniformly, one per path, from the
     stream of the path's block.  A constant potential makes every weight
     deterministic, so that case returns the constant exactly with zero
-    error and no sampling.
+    error and no sampling.  Otherwise the per-path exponents and two
+    temporaries of their length must fit multiparticle._MAX_BYTES, else
+    StateSpaceTooLarge before anything is allocated.
     """
     if n_paths < 2:
         raise ValueError("need at least two paths")
@@ -159,6 +166,7 @@ def estimate_lambda(Q: Generator, V, t: float, n_paths: int, seed: int):
     vv = V.values
     if float(vv.max() - vv.min()) == 0.0:
         return float(vv[0]), 0.0
+    _require_bytes(_PATHS_PEAK * 8 * n_paths)
 
     exponents = _weight_exponents(Q, vv, t, n_paths, seed)
     estimate = log_mean_exp(exponents) / t

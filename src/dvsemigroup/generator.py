@@ -205,8 +205,6 @@ def check_condition_A(Q: Generator, T: float) -> float:
         raise ValueError("T must be positive")
     from .semigroup import expm  # local import, avoids cycle at module load
 
-    if Q.dim == 1:
-        return 1.0
     P = expm(T * Q.rates)
     P = np.where((P < 0) & (P > -_EXPM_ROUNDOFF), 0.0, P)
     col_min = P.min(axis=0)

@@ -34,7 +34,7 @@ import numpy as np
 from .errors import NotConverged
 from .generator import Generator, Potential, as_potential, carre_du_champ
 from .multiparticle import TensorSystem
-from .rate_function import _legendre_newton, _rate_parts, _simplex_newton, dv_sup, rate_I
+from .rate_function import _legendre_newton, _simplex_newton, dv_sup, rate_I
 from .spectral import ProbMeasure, as_measure, principal_eigen, total_variation
 
 # largest potential residual per unit of tol that hk_verify still reads as
@@ -193,9 +193,7 @@ def reduced_functional(sys: TensorSystem, V0, rho) -> ReducedResult:
 
     p = np.maximum(o.sizes * np.prod(rho_v ** o.counts, axis=1), 1e-300)
     p /= p.sum()
-    p, w0, y = _simplex_newton(QL.rates, p, V0v, C, _INNER_TOL, _MAX_NEWTON)
-
-    I, _, _, _, _ = _rate_parts(QL.rates, p, _INNER_TOL, w0)
+    p, I, _, y = _simplex_newton(QL.rates, p, V0v, C, _INNER_TOL, _MAX_NEWTON)
     value = float(I - p @ V0v)
     cviol = float(np.abs(C @ p - rho_v).max())
     if cviol > _CONSTRAINT_TOL:

@@ -25,7 +25,9 @@ anything is allocated where (d, N) turns into large arrays: the orbits
 behind the product potentials (a d^N x N coordinate grid and the
 occupation counts), and the dense chain (QN, or lumped_QN) that the
 solvers then run on.  Past it, StateSpaceTooLarge.  At N = 1 nothing is
-derived: the chain is Q1 itself, which is not checked.
+derived: the chain is Q1 itself, which is not checked.  The Monte Carlo
+sampler (feynman_kac.estimate_lambda) checks its per-path arrays against
+the same budget.
 """
 
 from __future__ import annotations

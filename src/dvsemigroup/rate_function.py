@@ -59,13 +59,6 @@ class RateResult:
     gradient_norm: float
 
 
-def _tilted(Q: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Off-diagonal part of the tilted generator, T_ij = Q_ij e^{w_j - w_i}."""
-    T = Q * np.exp(w[None, :] - w[:, None])
-    np.fill_diagonal(T, 0.0)
-    return T
-
-
 def _newton_min(Q: np.ndarray, mu: np.ndarray, tol: float, max_iter: int,
                 w0: np.ndarray | None = None):
     """Damped Newton for F(w) with sum(w) = 0 gauge.
@@ -74,21 +67,24 @@ def _newton_min(Q: np.ndarray, mu: np.ndarray, tol: float, max_iter: int,
     null direction without moving the constrained solution; a small ridge
     keeps the solve well posed when the tilted support graph degenerates.
     Falls back to gradient steps whenever the Newton direction fails to
-    produce Armijo decrease.
+    produce Armijo decrease.  Returns (F, w, gradient sup-norm, steps,
+    mu_i T_ij, T) at the last accepted w, T the off-diagonal part of its
+    tilted generator.
     """
     d = Q.shape[0]
     qdiag = float(mu @ np.diag(Q))
     ones = np.ones((d, d))
 
     def f_parts(w):
-        T = _tilted(Q, w)
+        T = Q * np.exp(w[None, :] - w[:, None])    # T_ij = Q_ij e^{w_j - w_i}, i != j
+        np.fill_diagonal(T, 0.0)
         tw = mu[:, None] * T
         F = float(tw.sum()) + qdiag
         g = tw.sum(axis=0) - tw.sum(axis=1)
-        return F, g, tw
+        return F, g, tw, T
 
     w = np.zeros(d) if w0 is None else np.asarray(w0, dtype=float) - np.mean(w0)
-    F, g, tw = f_parts(w)
+    F, g, tw, T = f_parts(w)
     iterations = 0
     for iterations in range(max_iter):
         gnorm = float(np.abs(g).max())
@@ -106,26 +102,26 @@ def _newton_min(Q: np.ndarray, mu: np.ndarray, tol: float, max_iter: int,
         # Newton contracts the gradient quadratically near the minimum,
         # where F-differences drown in round-off; accept the full step on
         # gradient contraction first, fall back to Armijo backtracking
-        Fn, gn, twn = f_parts(w + step)
-        if float(np.abs(gn).max()) < 0.5 * gnorm:
+        trial = f_parts(w + step)
+        if float(np.abs(trial[1]).max()) < 0.5 * gnorm:
             w = w + step
             w -= w.mean()
-            F, g, tw = Fn, gn, twn
+            F, g, tw, T = trial
             continue
         s = 1.0
         accepted = False
         for _ in range(60):
-            Fn, gn, twn = f_parts(w + s * step)
-            if Fn < F + 1e-4 * s * descent:
+            trial = f_parts(w + s * step)
+            if trial[0] < F + 1e-4 * s * descent:
                 w = w + s * step
                 w -= w.mean()
-                F, g, tw = Fn, gn, twn
+                F, g, tw, T = trial
                 accepted = True
                 break
             s *= 0.5
         if not accepted:
             break
-    return F, w, float(np.abs(g).max()), iterations, tw
+    return F, w, float(np.abs(g).max()), iterations, tw, T
 
 
 def rate_I(Q: Generator, mu) -> RateResult:
@@ -139,7 +135,7 @@ def rate_I(Q: Generator, mu) -> RateResult:
     zero = np.nonzero(m == 0.0)[0]
     if zero.size:
         raise UnsupportedSupport(f"measure vanishes on states {zero.tolist()}")
-    F, logu, gnorm, iters, _ = _newton_min(Q.rates, m, _TOL, _MAX_ITER)
+    F, logu, gnorm, iters, _, _ = _newton_min(Q.rates, m, _TOL, _MAX_ITER)
 
     converged = gnorm <= _TOL
     value = max(-F, 0.0)
@@ -161,12 +157,16 @@ def rate_IV(Q: Generator, V, mu) -> float:
 
 
 def _rate_parts(Q: np.ndarray, mu: np.ndarray, tol: float, w0: np.ndarray | None):
-    """Inner solve, at most 100 steps from w0, plus the derivative ingredients of I at mu."""
-    F, w, gnorm, _, tw = _newton_min(Q, mu, tol, 100, w0)
-    T = _tilted(Q, w)
-    h = T.sum(axis=1) + np.diag(Q)                     # (L u*/u*)_i
-    Lw = T.copy()
-    np.fill_diagonal(Lw, -T.sum(axis=1))
+    """One inner solve at mu, at most 100 steps from w0, and what I's derivatives need.
+
+    Returns (I, w, h, Lw, H): the rate I(mu) = -min F, the log-tilt w of
+    the minimizer u* = e^w, h = L u*/u* (so grad I = -h and I = -mu(h)),
+    the tilted generator Lw and the Hessian H of F at w.
+    """
+    F, w, _, _, tw, Lw = _newton_min(Q, mu, tol, 100, w0)
+    out = Lw.sum(axis=1)
+    h = out + np.diag(Q)
+    np.fill_diagonal(Lw, -out)
     H = np.diag(tw.sum(axis=0) + tw.sum(axis=1)) - (tw + tw.T)
     return -F, w, h, Lw, H
 
@@ -196,15 +196,10 @@ def dv_sup(Q: Generator, V):
 
     Returns (lambda_hat, mu_star).
     """
-    V = as_potential(V, Q.dim)
     d = Q.dim
-    Vv = V.values
-    if d == 1:
-        return float(Vv[0]), ProbMeasure(np.ones(1))
-
-    mu, w0, _ = _simplex_newton(Q.rates, np.full(d, 1.0 / d), Vv, np.ones((1, d)), 1e-12,
-                                _MAX_ITER, gap_tol=1e-9)
-    I, _, h, _, _ = _rate_parts(Q.rates, mu, 1e-12, w0)
+    Vv = as_potential(V, d).values
+    mu, I, h, _ = _simplex_newton(Q.rates, np.full(d, 1.0 / d), Vv, np.ones((1, d)), 1e-12,
+                                  _MAX_ITER, gap_tol=1e-9)
     value = float(mu @ Vv - I)
     gap = float((Vv + h).max() - value)
     if gap > 1e-5 * max(1.0, abs(value)):
@@ -230,9 +225,12 @@ def _simplex_newton(Q: np.ndarray, p: np.ndarray, c: np.ndarray, A: np.ndarray,
     round-off.  With gap_tol it stops once the Frank-Wolfe gap g p - min g
     (g = grad phi) is at most gap_tol, and also accepts a full step that
     halves that gap: the gap is a max over states, so it still contracts
-    where states of tiny mass leave phi-differences at round-off.  Returns
-    p, the log-tilt of its last rate solve (a warm start for a rate solve
-    at p) and y.
+    where states of tiny mass leave phi-differences at round-off.
+
+    Each point gets one rate solve, warm-started from the previous point's
+    log-tilt: an accepted trial's solve serves the next step.  Returns
+    (p, I, h, y): the final p, its rate I(p) and h = L u*/u* there (see
+    _rate_parts) from that point's solve, and the last multiplier y.
     """
     m, k = len(p), A.shape[0]
     y = np.zeros(k)
@@ -240,17 +238,18 @@ def _simplex_newton(Q: np.ndarray, p: np.ndarray, c: np.ndarray, A: np.ndarray,
     K[:m, m:] = A.T
     K[m:, :m] = A
     rhs = np.zeros(m + k)
-    w0 = None
+    I, w, h, Lw, H = _rate_parts(Q, p, tol, None)
     for _ in range(max_steps):
-        I, w0, h, Lw, H = _rate_parts(Q, p, tol, w0)
         g = -h - c
         gap = float(g @ p - g.min())
         if gap_tol is not None and gap <= gap_tol:
             break
         rhs[:m] = -g
         try:
-            Hphi = hessian_of_rate(Lw, H)
-            K[:m, :m] = Hphi + 1e-12 * max(float(np.trace(Hphi)) / m, 1.0) * np.eye(m)
+            # Hess I written in place: a separate m x m array would stay
+            # alive through the trial solves below
+            K[:m, :m] = hessian_of_rate(Lw, H)
+            K[:m, :m] += 1e-12 * max(float(np.trace(K[:m, :m])) / m, 1.0) * np.eye(m)
             sol = np.linalg.solve(K, rhs)
             step, y = sol[:m], sol[m:]
         except np.linalg.LinAlgError:
@@ -271,19 +270,19 @@ def _simplex_newton(Q: np.ndarray, p: np.ndarray, c: np.ndarray, A: np.ndarray,
         for _ in range(50):
             p_try = p + s * step
             if p_try.min() > 0:
-                F_try, w_try, _, _, _ = _newton_min(Q, p_try, tol, 100, w0)
-                if -F_try - p_try @ c <= phi0 + 1e-4 * s * descent:
+                trial = _rate_parts(Q, p_try, tol, w)
+                if trial[0] - p_try @ c <= phi0 + 1e-4 * s * descent:
                     moved = True
                 elif gap_tol is not None and s == 1.0:
-                    g_try = -(_tilted(Q, w_try).sum(axis=1) + np.diag(Q)) - c
+                    g_try = -trial[2] - c
                     moved = float(g_try @ p_try - g_try.min()) < 0.5 * gap
                 if moved:
-                    p, w0 = p_try, w_try
+                    p, (I, w, h, Lw, H) = p_try, trial
                     break
             s *= 0.5
         if not moved:
             break
-    return p, w0, y
+    return p, I, h, y
 
 
 def _legendre_newton(Q: Generator, V0: np.ndarray, F: np.ndarray, target: np.ndarray,

@@ -172,11 +172,6 @@ def principal_eigen(Q: Generator, V) -> GroundData:
     """
     V = as_potential(V, Q.dim)
     M = Q.rates + np.diag(V.values)
-    if Q.dim == 1:
-        one = np.ones(1)
-        return GroundData(lam=float(V.values[0]), psi=one,
-                          pi=ProbMeasure(one), mu=ProbMeasure(one))
-
     scale = max(1.0, float(np.abs(M).max()))
     v, steps_v = _noda(M, scale)
     cap = float(((M @ v) / v).max())

@@ -276,6 +276,24 @@ class TestRun:
         assert error["type"] == "StateSpaceTooLarge"
         assert "budget is 2147483648 bytes" in error["message"]
 
+    def test_mc_path_count_past_budget_fails_the_task(self, tmp_path):
+        # 10^12 paths would hold 8 TB of weight exponents; the sampler once
+        # died in numpy's allocator, with a traceback and no report
+        body = dict(BASE, tasks=["spectral", {"name": "mc", "options": {"paths": 10 ** 12}}])
+        path, out = write_scenario(tmp_path, body), str(tmp_path / "report.json")
+        tracemalloc.start()
+        try:
+            code = run(path, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and peak < 64 * 2 ** 20
+        spectral, mc = json.loads(open(out).read())["tasks"]
+        assert "result" in spectral
+        assert mc["error"]["type"] == "StateSpaceTooLarge"
+        assert mc["error"]["message"] == (
+            "arrays need 24000000000000 bytes, budget is 2147483648 bytes")
+
     def test_negative_off_diagonal_exits_2(self, tmp_path, capsys):
         body = {"Q": [[-0.5, 0.5], [-1.0, 1.0]], "tasks": []}
         assert run(write_scenario(tmp_path, body), str(tmp_path / "o.json")) == 2

@@ -133,6 +133,29 @@ class TestEstimateLambda:
             tracemalloc.stop()
         assert peak <= 8 * (8 * feynman_kac._BLOCK + 8 * d * d)
 
+    def test_path_count_bounded_in_bytes(self, two_state, monkeypatch):
+        # the per-path exponents and two temporaries of their length must
+        # fit the byte budget, checked before sampling
+        from dvsemigroup import StateSpaceTooLarge, multiparticle
+        monkeypatch.setattr(multiparticle, "_MAX_BYTES", 24 * 1000)
+        estimate_lambda(two_state, [1.0, 0.0], 1.0, 1000, seed=0)
+        with pytest.raises(StateSpaceTooLarge) as exc:
+            estimate_lambda(two_state, [1.0, 0.0], 1.0, 1001, seed=0)
+        assert (exc.value.needed, exc.value.budget) == (24 * 1001, 24 * 1000)
+        # a constant potential samples nothing
+        assert estimate_lambda(two_state, [0.3, 0.3], 1.0, 10 ** 12, seed=0) == (0.3, 0.0)
+
+    def test_peak_memory_is_three_exponent_copies(self, two_state):
+        # what the byte check counts, plus one block's working vectors
+        n = 16 * feynman_kac._BLOCK
+        tracemalloc.start()
+        try:
+            estimate_lambda(two_state, [1.0, 0.0], 0.5, n, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= feynman_kac._PATHS_PEAK * 8 * n + 16 * 8 * feynman_kac._BLOCK
+
     @pytest.mark.parametrize("raw_Q, V, t, n", [
         # unequal exit rates, state 0 absorbing
         ([[0.0, 0.0], [1.0, -1.0]], [0.3, 0.0], 20.0, 4000),

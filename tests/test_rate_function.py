@@ -167,6 +167,42 @@ class TestDvSupStress:
             certified += 1
         assert certified >= 44
 
+    def test_one_rate_solve_per_point(self, monkeypatch):
+        # the simplex Newton run once solved every accepted point again at
+        # its next step, and dv_sup solved the final point once more: 18
+        # inner solves on 9 points of this 32-state chain
+        from dvsemigroup import rate_function
+        points = []
+        inner = rate_function._newton_min
+
+        def recorded(Q, mu, *args, **kwargs):
+            points.append(mu.tobytes())
+            return inner(Q, mu, *args, **kwargs)
+
+        monkeypatch.setattr(rate_function, "_newton_min", recorded)
+        Q, V = next((Q, V) for Q, V in _stress_draws(50) if Q.dim == 32)
+        lam_hat, _ = dv_sup(Q, V)
+        assert abs(lam_hat - principal_eigen(Q, V).lam) <= 1e-8
+        assert len(points) == len(set(points)) <= 10
+
+    def test_peak_memory_within_chain_budget(self):
+        # the byte budget admits a chain of n states when _CHAIN_PEAK n x n
+        # float64 arrays fit; a step's Hess I held through its trial solves
+        # took dv_sup to 10.2 copies here
+        import tracemalloc
+        from dvsemigroup import multiparticle
+        n = 256
+        rng = np.random.default_rng(256)
+        Q = validate_generator(oracles.rand_rate_matrix(n, rng))
+        V = rng.uniform(-1, 1, n)
+        tracemalloc.start()
+        try:
+            dv_sup(Q, V)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= multiparticle._CHAIN_PEAK * 8 * n * n
+
 
 class TestLegendre:
     def test_stationary_gives_zero(self, two_state):

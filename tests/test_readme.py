@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import dvsemigroup
-from dvsemigroup import multiparticle
+from dvsemigroup import feynman_kac, multiparticle
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -119,3 +119,6 @@ def test_byte_budget_matches_the_library():
     assert two_state == max(N for N in range(2, 64)
                             if grid * N * 2 ** N + counts * 2 * (N + 1) <= total)
     assert chain == math.isqrt(budget // (8 * multiparticle._CHAIN_PEAK))
+    per_path, limit = re.search(r"(\d+) x paths <= \d+, so\s+paths <= (\d+)", intro).groups()
+    assert int(per_path) == 8 * feynman_kac._PATHS_PEAK
+    assert int(limit) == budget // int(per_path)

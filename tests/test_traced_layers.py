@@ -23,7 +23,8 @@ tr = tracer.Tracer()
 tracer.install(tr)
 out, scenarios = sys.argv[1], sys.argv[2:]
 codes = [cli.main(["run", path, "-o", out]) for path in scenarios]
-print(json.dumps({"codes": codes, "layers": sorted(tr.self_times()),
+calls = {name: row[0] for name, row in tr.self_times().items()}
+print(json.dumps({"codes": codes, "calls": calls,
                   "metrics": sorted(tracer.layer_metrics(tr, 0.0))}))
 """
 
@@ -44,5 +45,11 @@ def test_tracer_installs_and_traces_the_demos(tmp_path):
     assert {"rate_function.rate_I", "rate_function.dv_sup", "rate_function.newton",
             "rate_function.rate_parts", "rate_function.hessian",
             "hohenberg_kohn.invert_potential",
-            "hohenberg_kohn.reduced_functional"} <= set(result["layers"])
+            "hohenberg_kohn.reduced_functional"} <= set(result["calls"])
     assert "pass.unaccounted_s" in result["metrics"]
+    # every inner rate solve serves rate_I or one _rate_parts point, of
+    # which the simplex Newton run makes one per point: 11 = 10 + 1 solves
+    # here, where solving each point again made 21 against 12 + 1
+    calls = result["calls"]
+    assert calls["rate_function.newton"] == (calls["rate_function.rate_parts"]
+                                             + calls["rate_function.rate_I"])
