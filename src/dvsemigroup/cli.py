@@ -297,7 +297,9 @@ def _task_rate(sc: Scenario, options: dict) -> dict:
     opts = _opt(options, {"mu": None}, "rate")
     (Q, V), gd = sc.chain, sc.ground
     mu = gd.mu if opts["mu"] is None else sc.gather(_vector(opts["mu"], "mu"))
-    lam_dual, mu_star = dv_sup(Q, V)
+    # the ascent starts at the certified equilibrium measure, where its
+    # gap is at round-off; the value still rests on dv_sup's own gap
+    lam_dual, mu_star = dv_sup(Q, V, start=gd.mu)
     # rate_IV's I - mu(V) + lambda, reusing this task's rate solve and the
     # scenario's ground data
     I = rate_I(Q, mu).value

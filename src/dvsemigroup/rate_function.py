@@ -48,6 +48,8 @@ from .spectral import ProbMeasure, as_measure, principal_eigen
 # the step cap of rate_I and dv_sup
 _TOL = 1e-10
 _MAX_ITER = 200
+# outer steps without a new smallest Frank-Wolfe gap that end dv_sup's ascent
+_STALL = 10
 
 
 @dataclass(frozen=True)
@@ -57,6 +59,16 @@ class RateResult:
     converged: bool
     iterations: int
     gradient_norm: float
+
+
+def _positive_weights(mu, dim: int) -> np.ndarray:
+    """The weights of a probability vector on dim states; a zero entry
+    raises UnsupportedSupport."""
+    m = as_measure(mu, dim).weights
+    zero = np.nonzero(m == 0.0)[0]
+    if zero.size:
+        raise UnsupportedSupport(f"measure vanishes on states {zero.tolist()}")
+    return m
 
 
 def _newton_min(Q: np.ndarray, mu: np.ndarray, tol: float, max_iter: int,
@@ -131,10 +143,7 @@ def rate_I(Q: Generator, mu) -> RateResult:
     is always >= 0 because F(0) = 0 is a feasible point.  A measure with
     zero entries raises UnsupportedSupport.
     """
-    m = as_measure(mu, Q.dim).weights
-    zero = np.nonzero(m == 0.0)[0]
-    if zero.size:
-        raise UnsupportedSupport(f"measure vanishes on states {zero.tolist()}")
+    m = _positive_weights(mu, Q.dim)
     F, logu, gnorm, iters, _, _ = _newton_min(Q.rates, m, _TOL, _MAX_ITER)
 
     converged = gnorm <= _TOL
@@ -182,23 +191,29 @@ def hessian_of_rate(Lw: np.ndarray, H: np.ndarray) -> np.ndarray:
     return Lw @ np.linalg.solve(H + (a / m) * np.ones((m, m)), Lw.T)
 
 
-def dv_sup(Q: Generator, V):
+def dv_sup(Q: Generator, V, start=None):
     """Variational principal eigenvalue sup_mu (mu(V) - I(mu)).
 
     _simplex_newton minimizes the convex I(mu) - mu(V) over the simplex
-    from the uniform measure, with the ones row as its only constraint;
-    convexity makes one start enough.  With h = L u*/u* at the rate
-    minimizer u*, I(mu) = -mu(h), so the Frank-Wolfe gap it stops on,
+    from start (the uniform measure when None; a start with a zero entry
+    raises UnsupportedSupport), with the ones row as its only constraint;
+    convexity makes one start enough, and a good one, such as the
+    equilibrium measure of (Q, V), saves steps.  With h = L u*/u* at the
+    rate minimizer u*, I(mu) = -mu(h), so the Frank-Wolfe gap it stops on,
     max(V + h) - mu(V + h),
-    is the Collatz-Wielandt duality gap that certifies the value.
-    NotConverged is raised when that gap exceeds 1e-5 max(1, |value|).
-    The inner rate solves run at 1e-12: h at states of tiny mass needs it.
+    is the Collatz-Wielandt duality gap that certifies the value.  The
+    ascent stops once that gap is at most 1e-9, or after _STALL steps
+    without a smaller one, and returns the point of smallest gap; the
+    start is never trusted, only that gap.  NotConverged is raised when
+    the gap exceeds 1e-5 max(1, |value|).  The inner rate solves run at
+    1e-12: h at states of tiny mass needs it.
 
     Returns (lambda_hat, mu_star).
     """
     d = Q.dim
     Vv = as_potential(V, d).values
-    mu, I, h, _ = _simplex_newton(Q.rates, np.full(d, 1.0 / d), Vv, np.ones((1, d)), 1e-12,
+    p0 = np.full(d, 1.0 / d) if start is None else _positive_weights(start, d)
+    mu, I, h, _ = _simplex_newton(Q.rates, p0, Vv, np.ones((1, d)), 1e-12,
                                   _MAX_ITER, gap_tol=1e-9)
     value = float(mu @ Vv - I)
     gap = float((Vv + h).max() - value)
@@ -223,14 +238,17 @@ def _simplex_newton(Q: np.ndarray, p: np.ndarray, c: np.ndarray, A: np.ndarray,
 
     Without gap_tol the loop stops once the Newton decrement is at
     round-off.  With gap_tol it stops once the Frank-Wolfe gap g p - min g
-    (g = grad phi) is at most gap_tol, and also accepts a full step that
-    halves that gap: the gap is a max over states, so it still contracts
-    where states of tiny mass leave phi-differences at round-off.
+    (g = grad phi) is at most gap_tol, or after _STALL steps without a
+    new smallest gap, and also accepts a full step that halves that gap:
+    the gap is a max over states, so it still contracts where states of
+    tiny mass leave phi-differences at round-off, and there round-off can
+    also hold it above gap_tol.
 
     Each point gets one rate solve, warm-started from the previous point's
     log-tilt: an accepted trial's solve serves the next step.  Returns
-    (p, I, h, y): the final p, its rate I(p) and h = L u*/u* there (see
-    _rate_parts) from that point's solve, and the last multiplier y.
+    (p, I, h, y): the final point p (with gap_tol, the point of smallest
+    gap), its rate I(p) and h = L u*/u* there (see _rate_parts) from that
+    point's solve, and the last multiplier y.
     """
     m, k = len(p), A.shape[0]
     y = np.zeros(k)
@@ -239,10 +257,18 @@ def _simplex_newton(Q: np.ndarray, p: np.ndarray, c: np.ndarray, A: np.ndarray,
     K[m:, :m] = A
     rhs = np.zeros(m + k)
     I, w, h, Lw, H = _rate_parts(Q, p, tol, None)
-    for _ in range(max_steps):
+    # with gap_tol: the smallest gap so far, the step it came at, and its
+    # point's vectors
+    best_gap, best_step, best = np.inf, 0, None
+    for steps in range(max_steps + 1):
         g = -h - c
         gap = float(g @ p - g.min())
-        if gap_tol is not None and gap <= gap_tol:
+        if gap_tol is not None:
+            if gap < best_gap:
+                best_gap, best_step, best = gap, steps, (p, I, h)
+            if gap <= gap_tol or steps - best_step == _STALL:
+                break
+        if steps == max_steps:
             break
         rhs[:m] = -g
         try:
@@ -282,6 +308,8 @@ def _simplex_newton(Q: np.ndarray, p: np.ndarray, c: np.ndarray, A: np.ndarray,
             s *= 0.5
         if not moved:
             break
+    if best is not None:
+        p, I, h = best
     return p, I, h, y
 
 

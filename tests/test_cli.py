@@ -406,6 +406,33 @@ class TestRun:
             assert run(write_scenario(tmp_path, body), str(tmp_path / "r.json")) == 0
             assert len(calls) == 1
 
+    def test_rate_task_ascent_starts_at_the_ground_measure(self, tmp_path, monkeypatch):
+        # dv_sup starts at the scenario's certified equilibrium measure,
+        # whose gap is already below 1e-9: one inner rate solve, where the
+        # ascent from the uniform measure made one per point
+        from dvsemigroup import cli, rate_function
+        calls, in_dv_sup = [], []
+        inner = rate_function._newton_min
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return inner(*args, **kwargs)
+
+        def recorded(*args, **kwargs):
+            before = len(calls)
+            try:
+                return dv_sup(*args, **kwargs)
+            finally:
+                in_dv_sup.append(len(calls) - before)
+
+        monkeypatch.setattr(rate_function, "_newton_min", counted)
+        monkeypatch.setattr(cli, "dv_sup", recorded)
+        rng = np.random.default_rng(64)
+        body = {"Q": oracles.rand_rate_matrix(64, rng).tolist(),
+                "v": rng.uniform(-1, 1, 64).tolist(), "tasks": ["rate"]}
+        assert run(write_scenario(tmp_path, body), str(tmp_path / "r.json")) == 0
+        assert in_dv_sup == [1]
+
     def test_averaging_task_solves_perron_once(self, tmp_path, monkeypatch):
         # the ground-measure helpers take lambda from the scenario's ground
         # data; when they solved for it themselves, this scenario took 9

@@ -1,10 +1,13 @@
 """Rate function, tilted rate, dual problems, and relative entropy."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 import oracles
 from dvsemigroup import (
+    DimensionMismatch,
     NotConverged,
     UnsupportedSupport,
     dv_sup,
@@ -128,6 +131,21 @@ class TestDvSup:
             assert abs(lam_hat - gd.lam) <= 1e-8
             assert total_variation(mu_star, gd.mu) <= 1e-6
 
+    @pytest.mark.parametrize("start, error", [
+        ([0.2, 0.3, 0.5], DimensionMismatch),
+        ([0.6, 0.6], ValueError),
+        ([1.0, 0.0], UnsupportedSupport),
+    ])
+    def test_start_checked_before_any_solve(self, two_state, monkeypatch, start, error):
+        from dvsemigroup import rate_function
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a rate solve ran before the start was checked")
+
+        monkeypatch.setattr(rate_function, "_newton_min", no_solve)
+        with pytest.raises(error):
+            dv_sup(two_state, [1.0, 0.0], start=start)
+
 
 def _stress_draws(n):
     """Seeded chains that rotate through birth-death, sparse and dense."""
@@ -153,19 +171,47 @@ def _stress_draws(n):
 class TestDvSupStress:
     def test_certified_or_not_converged(self):
         # Every draw either matches the Perron eigenvalue or raises
-        # NotConverged; a RuntimeWarning fails the test (pyproject).  Each
+        # NotConverged, from the uniform measure, from the equilibrium
+        # measure and from a Dirichlet(1) draw: the start is never trusted,
+        # only the gap.  A RuntimeWarning fails the test (pyproject).  Each
         # failure has an equilibrium mass below 3e-9 at some state.  The
         # ascent with an exponentiated-gradient fallback and Dirichlet
         # restarts warned on 6 of these 50 draws and certified 42.
-        certified = 0
-        for Q, V in _stress_draws(50):
-            try:
-                lam_hat, _ = dv_sup(Q, V)
-            except NotConverged:
-                continue
-            assert abs(lam_hat - principal_eigen(Q, V).lam) <= 1e-8
-            certified += 1
-        assert certified >= 44
+        rng = np.random.default_rng(50)
+        certified = {"uniform": set(), "ground": set(), "dirichlet": set()}
+        for k, (Q, V) in enumerate(_stress_draws(50)):
+            gd = principal_eigen(Q, V)
+            starts = {"uniform": None, "ground": gd.mu,
+                      "dirichlet": rng.dirichlet(np.ones(Q.dim))}
+            for name, start in starts.items():
+                try:
+                    lam_hat, _ = dv_sup(Q, V, start=start)
+                except NotConverged:
+                    continue
+                assert abs(lam_hat - gd.lam) <= 1e-8
+                certified[name].add(k)
+        assert len(certified["uniform"]) >= 44
+        assert certified["uniform"] <= certified["ground"]
+        assert certified["uniform"] <= certified["dirichlet"]
+
+    @pytest.mark.parametrize("k", [96, 141])
+    def test_stalled_ascent_ends(self, k, monkeypatch):
+        # these birth-death draws put masses below 1e-18 on some states,
+        # where the gap stops shrinking well above 1e-9; the ascent once
+        # took all 200 steps, 201 inner rate solves, before NotConverged
+        from dvsemigroup import rate_function
+        calls = []
+        inner = rate_function._newton_min
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(rate_function, "_newton_min", counted)
+        Q, V = next(itertools.islice(_stress_draws(k + 1), k, None))
+        with pytest.raises(NotConverged):
+            dv_sup(Q, V)
+        assert len(calls) <= 40
 
     def test_one_rate_solve_per_point(self, monkeypatch):
         # the simplex Newton run once solved every accepted point again at

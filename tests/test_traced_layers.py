@@ -48,8 +48,13 @@ def test_tracer_installs_and_traces_the_demos(tmp_path):
             "hohenberg_kohn.reduced_functional"} <= set(result["calls"])
     assert "pass.unaccounted_s" in result["metrics"]
     # every inner rate solve serves rate_I or one _rate_parts point, of
-    # which the simplex Newton run makes one per point: 11 = 10 + 1 solves
+    # which the simplex Newton run makes one per point: 6 = 5 + 1 solves
     # here, where solving each point again made 21 against 12 + 1
     calls = result["calls"]
     assert calls["rate_function.newton"] == (calls["rate_function.rate_parts"]
                                              + calls["rate_function.rate_I"])
+    # the rate task's ascent starts at the certified equilibrium measure
+    # and takes no Newton step; the Hess I solves left are the pair demo's
+    # reduced_functional run, where the ascent from the uniform measure
+    # made 9
+    assert calls["rate_function.hessian"] <= 4
