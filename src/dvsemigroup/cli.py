@@ -49,14 +49,9 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, DVSemigroupError
-from .generator import Generator, Potential, validate_generator
+from .generator import Generator, Potential, as_potential, validate_generator
 from .generator import check_condition_A, check_condition_D
-from .hohenberg_kohn import (
-    equilibrium_marginal,
-    hk_verify,
-    i_hk,
-    invert_potential,
-)
+from .hohenberg_kohn import _orbit_marginal, hk_verify, i_hk, invert_potential
 from .multiparticle import TensorSystem, _pair_sums, is_symmetric, kronecker_sum
 from .rate_function import dv_sup, rate_I, relative_entropy
 from .semigroup import check_condition_B, growth_bound, make_operator
@@ -297,12 +292,16 @@ def _task_rate(sc: Scenario, options: dict) -> dict:
     opts = _opt(options, {"mu": None}, "rate")
     (Q, V), gd = sc.chain, sc.ground
     mu = gd.mu if opts["mu"] is None else sc.gather(_vector(opts["mu"], "mu"))
+    # I comes from a rate solve started at w = 0; at the default mu, the
+    # equilibrium measure, its log-tilt starts dv_sup's rate solve there
+    rate = rate_I(Q, mu)
+    I = rate.value
     # the ascent starts at the certified equilibrium measure, where its
     # gap is at round-off; the value still rests on dv_sup's own gap
-    lam_dual, mu_star = dv_sup(Q, V, start=gd.mu)
+    lam_dual, mu_star = dv_sup(Q, V, start=gd.mu,
+                               logu=rate.minimizer_logu if opts["mu"] is None else None)
     # rate_IV's I - mu(V) + lambda, reusing this task's rate solve and the
     # scenario's ground data
-    I = rate_I(Q, mu).value
     return {
         "I": I,
         "IV": I - float(mu.weights @ V.values) + gd.lam,
@@ -343,8 +342,10 @@ def _task_hk_verify(sc: Scenario, options: dict) -> dict:
     _require(opts["v2"] is not None, "hk-verify needs option v2", key="v2")
     sys, V0 = _hk_system(sc)
     v1 = sc.v if opts["v1"] is None else _vector(opts["v1"], "v1")
+    # at the scenario's own v, the scenario's ground data start v1's solve
     report = hk_verify(sys, V0, v1, _vector(opts["v2"], "v2"),
-                       tol=_real(opts["tol"], "tol", low=0.0))
+                       tol=_real(opts["tol"], "tol", low=0.0),
+                       start=sc.ground if opts["v1"] is None else None)
     return {
         "marginal_distance": report.marginal_distance,
         "potential_residual": report.potential_residual,
@@ -364,8 +365,8 @@ def _task_hk_invert(sc: Scenario, options: dict) -> dict:
     if opts["rho_target"] is not None:
         rho_target = _vector(opts["rho_target"], "rho_target")
     elif opts["v_star"] is not None:
-        _, _, rho = equilibrium_marginal(sys, V0, _vector(opts["v_star"], "v_star"))
-        rho_target = rho.weights
+        v_star = as_potential(_vector(opts["v_star"], "v_star"), sys.d).values
+        rho_target = _orbit_marginal(sys, sys.on_orbits(V0), v_star)[1].weights
     else:
         raise ConfigError("hk-invert needs rho_target or v_star", key="rho_target")
     result = invert_potential(sys, V0, rho_target, tol=tol, max_iter=max_iter)
@@ -381,10 +382,13 @@ def _task_ihk(sc: Scenario, options: dict) -> dict:
     opts = _opt(options, {"rho": None}, "ihk")
     sys, V0 = _hk_system(sc)
     if opts["rho"] is None:
-        rho = ProbMeasure(sys.orbits.counts.T @ sc.ground.mu.weights / sys.N).weights
+        # the marginal of the scenario's equilibrium measure, from which
+        # the constrained Newton run starts
+        start = sc.ground.mu
+        rho = ProbMeasure(sys.orbits.counts.T @ start.weights / sys.N).weights
     else:
-        rho = _vector(opts["rho"], "rho")
-    return {"rho": rho.tolist(), "I_HK": i_hk(sys, V0, rho)}
+        start, rho = None, _vector(opts["rho"], "rho")
+    return {"rho": rho.tolist(), "I_HK": i_hk(sys, V0, rho, start)}
 
 
 def _task_mc(sc: Scenario, options: dict) -> dict:

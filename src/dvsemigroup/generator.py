@@ -197,9 +197,13 @@ def check_condition_A(Q: Generator, T: float) -> float:
     """Uniform positivity ratio of P_T = exp(TQ).
 
     Returns eps = min over columns j of (min_x P[x,j] / max_y P[y,j]).
-    For a connected generator and T > 0 every entry of P_T is strictly
-    positive, hence eps in (0, 1].  Entries that dip below zero by less
-    than 1e-13 (round-off) are clamped before forming the ratio.
+    For T > 0, P[x,j] > 0 exactly when j is reachable from x in the
+    directed support graph, so every entry of P_T is strictly positive,
+    and eps in (0, 1], when that graph is strongly connected (condition
+    B).  validate_generator checks only undirected connectivity: on a
+    reducible generator such as [[0, 0], [1, -1]] some P[x,j] vanishes
+    and eps is 0.  Entries that dip below zero by less than 1e-13
+    (round-off) are clamped before forming the ratio.
     """
     if T <= 0:
         raise ValueError("T must be positive")

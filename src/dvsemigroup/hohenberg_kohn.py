@@ -34,8 +34,9 @@ import numpy as np
 from .errors import NotConverged
 from .generator import Generator, Potential, as_potential, carre_du_champ
 from .multiparticle import TensorSystem
-from .rate_function import _legendre_newton, _simplex_newton, dv_sup, rate_I
-from .spectral import ProbMeasure, as_measure, principal_eigen, total_variation
+from .rate_function import (_legendre_newton, _positive_weights, _simplex_newton, dv_sup,
+                            rate_I)
+from .spectral import GroundData, ProbMeasure, as_measure, principal_eigen, total_variation
 
 # largest potential residual per unit of tol that hk_verify still reads as
 # the same potential up to a constant
@@ -97,15 +98,24 @@ class ReducedResult:
     orbit_masses: np.ndarray
 
 
+def _orbit_marginal(sys: TensorSystem, V0v: np.ndarray, v: np.ndarray,
+                   start: GroundData | None = None) -> tuple[GroundData, ProbMeasure]:
+    """Ground data of the orbit chain at V0v + counts . v / N, V0v the
+    interaction on the orbits, and its one-particle marginal; start as
+    for principal_eigen.  No d^N vector is formed."""
+    counts = sys.orbits.counts
+    gd = principal_eigen(sys.lumped_QN, V0v + counts @ v / sys.N, start)
+    return gd, ProbMeasure(counts.T @ gd.mu.weights / sys.N)
+
+
 def equilibrium_marginal(sys: TensorSystem, V0, v):
     """Forward map: (lambda, symmetric equilibrium measure, its marginal)."""
-    v = as_potential(v, sys.d)
-    counts = sys.orbits.counts
-    gd = principal_eigen(sys.lumped_QN, sys.on_orbits(V0) + counts @ v.values / sys.N)
-    return gd.lam, sys.lift(gd).mu, ProbMeasure(counts.T @ gd.mu.weights / sys.N)
+    gd, rho = _orbit_marginal(sys, sys.on_orbits(V0), as_potential(v, sys.d).values)
+    return gd.lam, sys.lift(gd).mu, rho
 
 
-def hk_verify(sys: TensorSystem, V0, v1, v2, tol: float = 1e-10) -> HKReport:
+def hk_verify(sys: TensorSystem, V0, v1, v2, tol: float = 1e-10,
+              start: GroundData | None = None) -> HKReport:
     """Compare the marginals induced by two external potentials.
 
     Marginals that agree within tol must come from potentials equal up to
@@ -114,11 +124,18 @@ def hk_verify(sys: TensorSystem, V0, v1, v2, tol: float = 1e-10) -> HKReport:
     the potential difference is non-constant, the two strict comparison
     inequalities of the uniqueness argument are evaluated and their
     margins reported.
+
+    Both solves run on the orbit chain.  v1's starts from start (see
+    principal_eigen), such as the ground data of the orbit chain at v1
+    when a caller holds them, and v2's from v1's; v2 = v1 reuses v1's.
     """
     v1 = as_potential(v1, sys.d)
     v2 = as_potential(v2, sys.d)
-    lam1, _, rho1 = equilibrium_marginal(sys, V0, v1)
-    lam2, _, rho2 = equilibrium_marginal(sys, V0, v2)
+    V0v = sys.on_orbits(V0)
+    gd1, rho1 = _orbit_marginal(sys, V0v, v1.values, start)
+    gd2, rho2 = ((gd1, rho1) if np.array_equal(v1.values, v2.values)
+                 else _orbit_marginal(sys, V0v, v2.values, gd1))
+    lam1, lam2 = gd1.lam, gd2.lam
 
     tv = total_variation(rho1, rho2)
     diff = v1.values - v2.values
@@ -166,20 +183,25 @@ def invert_potential(sys: TensorSystem, V0, rho_target, tol: float = 1e-8,
 # reduced functional
 
 
-def reduced_functional(sys: TensorSystem, V0, rho) -> ReducedResult:
+def reduced_functional(sys: TensorSystem, V0, rho, start=None) -> ReducedResult:
     """Constrained minimum of I(mu) - mu(V0) over symmetric mu with marginal rho.
 
     One rate_function._simplex_newton run minimizes I(p) - p V0 over orbit
     masses p subject to C p = rho, with I the lumped chain's rate and
     C = counts^T / N the marginal map (its columns sum to one, so it fixes
-    sum(p) too).  The start, the product measure rho x ... x rho, is
+    sum(p) too).  It starts from start, a measure on the orbits with
+    marginal rho (within 1e-9) and no zero entry, or from the product
+    measure rho x ... x rho when None; a good start, such as the
+    equilibrium measure whose marginal rho is, saves steps.  Either is
     feasible and the steps stay in null(C).  The KKT multiplier y is
     returned as `multiplier`.
 
     The value is the primal I(p) - p V0.  Weak duality, I_HK(rho) >=
     rho(u) - lambda_{V0 + C^T u} for every u, tight at u = -y, certifies
     it with one Perron solve: NotConverged is raised when that bracket
-    exceeds 1e-4 max(1, |value|), or the constraint residual 1e-9.
+    exceeds 1e-4 max(1, |value|), or the constraint residual 1e-9.  That
+    solve starts from the final point's rate minimizer u* = e^w and p/u*,
+    the ground state and measure of V0 - C^T y at the optimum.
     """
     o = sys.orbits
     V0v = sys.on_orbits(V0)
@@ -191,31 +213,52 @@ def reduced_functional(sys: TensorSystem, V0, rho) -> ReducedResult:
     C = o.counts.T / sys.N
     rho_v = rho.weights
 
-    p = np.maximum(o.sizes * np.prod(rho_v ** o.counts, axis=1), 1e-300)
-    p /= p.sum()
-    p, I, _, y = _simplex_newton(QL.rates, p, V0v, C, _INNER_TOL, _MAX_NEWTON)
+    if start is None:
+        p = np.maximum(o.sizes * np.prod(rho_v ** o.counts, axis=1), 1e-300)
+        p /= p.sum()
+    else:
+        p = _positive_weights(start, len(o.reps))
+        if float(np.abs(C @ p - rho_v).max()) > _CONSTRAINT_TOL:
+            raise ValueError("start measure does not have marginal rho")
+    p, I, _, y, w = _simplex_newton(QL.rates, p, V0v, C, _INNER_TOL, _MAX_NEWTON)
     value = float(I - p @ V0v)
     cviol = float(np.abs(C @ p - rho_v).max())
     if cviol > _CONSTRAINT_TOL:
         raise NotConverged(value, cviol)
-    bracket = value + float(rho_v @ y) + principal_eigen(QL, V0v - C.T @ y).lam
+    # at the optimum, lambda_{V0 - C^T y} = -(value + rho y)
+    offset = value + float(rho_v @ y)
+    bracket = offset + principal_eigen(QL, V0v - C.T @ y, _tilt_start(p, w, -offset)).lam
     if abs(bracket) > _REDUCED_TOL * max(1.0, abs(value)):
         raise NotConverged(value, abs(bracket))
     return ReducedResult(value=value, multiplier=y, constraint_violation=cviol,
                          orbit_masses=p)
 
 
-def i_hk(sys: TensorSystem, V0, rho) -> float:
-    """Reduced functional value I_HK(rho); see reduced_functional.
+def _tilt_start(p: np.ndarray, w: np.ndarray, lam: float) -> GroundData:
+    """Ground data that the rate minimizer u* = e^w at p predicts for the
+    potential it represents, with eigenvalue lam: psi ~ e^w and pi ~ p/e^w.
+    Both are scaled to peak 1 in logs and floored at the smallest normal
+    float, so a start stays positive where exp underflows."""
+    tiny = np.finfo(float).tiny
+    psi = np.maximum(np.exp(w - w.max()), tiny)
+    log_pi = np.log(p) - w
+    pi = np.maximum(np.exp(log_pi - log_pi.max()), tiny)
+    return GroundData(lam=lam, psi=psi, pi=ProbMeasure(pi / pi.sum()),
+                      mu=ProbMeasure(p / p.sum()))
+
+
+def i_hk(sys: TensorSystem, V0, rho, start=None) -> float:
+    """Reduced functional value I_HK(rho); see reduced_functional, which
+    starts from start.
 
     For a single particle the constraint set is the one-point set {rho},
-    so the value is I(rho) - rho(V0) directly.
+    so the value is I(rho) - rho(V0) directly, and start is not read.
     """
     if sys.N == 1:
         V0 = as_potential(V0, sys.size)
         rho = as_measure(rho, sys.d)
         return rate_I(sys.Q1, rho).value - float(rho.weights @ V0.values)
-    return reduced_functional(sys, V0, rho).value
+    return reduced_functional(sys, V0, rho, start).value
 
 
 def reduced_variational(sys: TensorSystem, V0, v):

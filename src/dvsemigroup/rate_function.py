@@ -191,15 +191,18 @@ def hessian_of_rate(Lw: np.ndarray, H: np.ndarray) -> np.ndarray:
     return Lw @ np.linalg.solve(H + (a / m) * np.ones((m, m)), Lw.T)
 
 
-def dv_sup(Q: Generator, V, start=None):
+def dv_sup(Q: Generator, V, start=None, logu=None):
     """Variational principal eigenvalue sup_mu (mu(V) - I(mu)).
 
     _simplex_newton minimizes the convex I(mu) - mu(V) over the simplex
     from start (the uniform measure when None; a start with a zero entry
     raises UnsupportedSupport), with the ones row as its only constraint;
     convexity makes one start enough, and a good one, such as the
-    equilibrium measure of (Q, V), saves steps.  With h = L u*/u* at the
-    rate minimizer u*, I(mu) = -mu(h), so the Frank-Wolfe gap it stops on,
+    equilibrium measure of (Q, V), saves steps.  logu, a finite log-tilt
+    on the d states such as rate_I's minimizer_logu at start, starts the
+    inner rate solve at start (w = 0 when None); that solve still runs to
+    its own tolerance.  With h = L u*/u* at the rate minimizer u*,
+    I(mu) = -mu(h), so the Frank-Wolfe gap it stops on,
     max(V + h) - mu(V + h),
     is the Collatz-Wielandt duality gap that certifies the value.  The
     ascent stops once that gap is at most 1e-9, or after _STALL steps
@@ -213,8 +216,9 @@ def dv_sup(Q: Generator, V, start=None):
     d = Q.dim
     Vv = as_potential(V, d).values
     p0 = np.full(d, 1.0 / d) if start is None else _positive_weights(start, d)
-    mu, I, h, _ = _simplex_newton(Q.rates, p0, Vv, np.ones((1, d)), 1e-12,
-                                  _MAX_ITER, gap_tol=1e-9)
+    w0 = None if logu is None else as_potential(logu, d).values
+    mu, I, h, _, _ = _simplex_newton(Q.rates, p0, Vv, np.ones((1, d)), 1e-12,
+                                     _MAX_ITER, gap_tol=1e-9, w0=w0)
     value = float(mu @ Vv - I)
     gap = float((Vv + h).max() - value)
     if gap > 1e-5 * max(1.0, abs(value)):
@@ -223,7 +227,8 @@ def dv_sup(Q: Generator, V, start=None):
 
 
 def _simplex_newton(Q: np.ndarray, p: np.ndarray, c: np.ndarray, A: np.ndarray,
-                    tol: float, max_steps: int, gap_tol: float | None = None):
+                    tol: float, max_steps: int, gap_tol: float | None = None,
+                    w0: np.ndarray | None = None):
     """Damped Newton over the simplex interior for
 
         phi(p) = I(p) - c p    subject to  A p = A p0,
@@ -245,10 +250,11 @@ def _simplex_newton(Q: np.ndarray, p: np.ndarray, c: np.ndarray, A: np.ndarray,
     also hold it above gap_tol.
 
     Each point gets one rate solve, warm-started from the previous point's
-    log-tilt: an accepted trial's solve serves the next step.  Returns
-    (p, I, h, y): the final point p (with gap_tol, the point of smallest
-    gap), its rate I(p) and h = L u*/u* there (see _rate_parts) from that
-    point's solve, and the last multiplier y.
+    log-tilt (the start's from w0, zero when None): an accepted trial's
+    solve serves the next step.  Returns (p, I, h, y, w): the final point
+    p (with gap_tol, the point of smallest gap), its rate I(p), h = L u*/u*
+    there and the log-tilt w of u* (see _rate_parts) from that point's
+    solve, and the last multiplier y.
     """
     m, k = len(p), A.shape[0]
     y = np.zeros(k)
@@ -256,7 +262,7 @@ def _simplex_newton(Q: np.ndarray, p: np.ndarray, c: np.ndarray, A: np.ndarray,
     K[:m, m:] = A.T
     K[m:, :m] = A
     rhs = np.zeros(m + k)
-    I, w, h, Lw, H = _rate_parts(Q, p, tol, None)
+    I, w, h, Lw, H = _rate_parts(Q, p, tol, w0)
     # with gap_tol: the smallest gap so far, the step it came at, and its
     # point's vectors
     best_gap, best_step, best = np.inf, 0, None
@@ -265,7 +271,7 @@ def _simplex_newton(Q: np.ndarray, p: np.ndarray, c: np.ndarray, A: np.ndarray,
         gap = float(g @ p - g.min())
         if gap_tol is not None:
             if gap < best_gap:
-                best_gap, best_step, best = gap, steps, (p, I, h)
+                best_gap, best_step, best = gap, steps, (p, I, h, w)
             if gap <= gap_tol or steps - best_step == _STALL:
                 break
         if steps == max_steps:
@@ -309,8 +315,8 @@ def _simplex_newton(Q: np.ndarray, p: np.ndarray, c: np.ndarray, A: np.ndarray,
         if not moved:
             break
     if best is not None:
-        p, I, h = best
-    return p, I, h, y
+        p, I, h, w = best
+    return p, I, h, y, w
 
 
 def _legendre_newton(Q: Generator, V0: np.ndarray, F: np.ndarray, target: np.ndarray,
@@ -323,12 +329,13 @@ def _legendre_newton(Q: Generator, V0: np.ndarray, F: np.ndarray, target: np.nda
     F sum to one, so G is flat along constants: v is kept mean-zero and a
     rank-one term fixes that gauge in the solve.  A full step that halves
     the gradient passes unless G drops beyond round-off, else Armijo
-    backtracking runs; a failed eigenproblem rejects a trial.  Returns
+    backtracking runs; a failed eigenproblem rejects a trial.  Each trial's
+    Perron solve starts from the current point's ground data.  Returns
     (v, G, TV(target, F^T mu), steps), stopping once that TV <= tol.
     """
-    def point(v):
+    def point(v, start=None):
         v = v - v.mean()
-        gd = principal_eigen(Q, V0 + F @ v)
+        gd = principal_eigen(Q, V0 + F @ v, start)
         g = target - F.T @ gd.mu.weights
         return v, gd, float(target @ v - gd.lam), g, 0.5 * float(np.abs(g).sum())
 
@@ -344,7 +351,7 @@ def _legendre_newton(Q: Generator, V0: np.ndarray, F: np.ndarray, target: np.nda
             step, ascent = g, float(g @ g)
         for s in 0.5 ** np.arange(60):
             try:
-                trial = point(v + s * step)
+                trial = point(v + s * step, gd)
             except (ConvergenceFailure, NonFinite):
                 continue
             G_try, err_try = trial[2], trial[4]

@@ -151,7 +151,21 @@ def _noda(M: np.ndarray, scale: float, x: np.ndarray | None = None,
     return x, steps
 
 
-def principal_eigen(Q: Generator, V) -> GroundData:
+def _start_vector(x, dim: int, name: str) -> np.ndarray:
+    """A positive start vector of dim entries, scaled to unit sum."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (dim,):
+        raise DimensionMismatch(f"start {name} has {x.size} entries, expected {dim}")
+    if not (np.all(np.isfinite(x)) and x.min() > 0):
+        raise ValueError(f"start {name} must be finite and positive")
+    x = x / x.max()
+    x /= x.sum()
+    if x.min() == 0.0:  # an entry underflowed
+        raise ValueError(f"start {name} does not scale to a positive unit-sum vector")
+    return x
+
+
+def principal_eigen(Q: Generator, V, start: GroundData | None = None) -> GroundData:
     """Principal eigenvalue and eigenvectors of M = Q + diag(V).
 
     _noda runs on M for psi, then on M^T for pi as a warm continuation:
@@ -169,13 +183,25 @@ def principal_eigen(Q: Generator, V) -> GroundData:
     below 1e-9 * max|M_ij| and both vectors are positive, and NonFinite
     when psi * pi underflows to zero.  Output is deterministic: no random
     starts, fixed sign convention.
+
+    start, the ground data of a nearby potential (say the previous point
+    of a Newton run), starts the psi side at start.psi and the pi side at
+    start.pi instead of the uniform vector and psi; Noda's iteration
+    converges from any positive start, and at the exact eigenvectors both
+    brackets hold at once, so no solve runs.  start is checked (length,
+    positive entries) before any solve and never trusted: the brackets
+    and the residual check decide as above.
     """
     V = as_potential(V, Q.dim)
+    x0 = y0 = None
+    if start is not None:
+        x0 = _start_vector(start.psi, Q.dim, "psi")
+        y0 = _start_vector(start.pi.weights, Q.dim, "pi")
     M = Q.rates + np.diag(V.values)
     scale = max(1.0, float(np.abs(M).max()))
-    v, steps_v = _noda(M, scale)
+    v, steps_v = _noda(M, scale, x0)
     cap = float(((M @ v) / v).max())
-    w, steps_w = _noda(M.T, scale, v, cap)
+    w, steps_w = _noda(M.T, scale, v if y0 is None else y0, cap)
     lam = float((w @ (M @ v)) / (w @ v))
     residual = max(float(np.abs(M @ v - lam * v).max()),
                    float(np.abs(M.T @ w - lam * w).max()))

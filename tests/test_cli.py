@@ -35,6 +35,8 @@ def write_scenario(tmp_path, body, name="scenario.json"):
     return str(path)
 
 
+DEMOS = Path(__file__).resolve().parents[1] / "scenarios"
+
 BASE = {
     "name": "demo",
     "Q": [[-1.0, 1.0], [2.0, -2.0]],
@@ -432,6 +434,91 @@ class TestRun:
                 "v": rng.uniform(-1, 1, 64).tolist(), "tasks": ["rate"]}
         assert run(write_scenario(tmp_path, body), str(tmp_path / "r.json")) == 0
         assert in_dv_sup == [1]
+
+    def test_rate_task_ascent_starts_from_the_rate_solve(self, tmp_path, monkeypatch):
+        # I comes from rate_I started at w = 0; its log-tilt at the
+        # equilibrium measure starts dv_sup's inner solve there, which then
+        # needs at most one Newton step (3 from w = 0 on this chain)
+        from dvsemigroup import cli, rate_function
+        steps, in_dv_sup = [], []
+        inner = rate_function._newton_min
+
+        def counted(*args, **kwargs):
+            out = inner(*args, **kwargs)
+            steps.append(out[3])
+            return out
+
+        def recorded(*args, **kwargs):
+            before = len(steps)
+            try:
+                return dv_sup(*args, **kwargs)
+            finally:
+                in_dv_sup.extend(steps[before:])
+
+        monkeypatch.setattr(rate_function, "_newton_min", counted)
+        monkeypatch.setattr(cli, "dv_sup", recorded)
+        rng = np.random.default_rng(64)
+        body = {"Q": oracles.rand_rate_matrix(64, rng).tolist(),
+                "v": rng.uniform(-1, 1, 64).tolist(), "tasks": ["rate"]}
+        assert run(write_scenario(tmp_path, body), str(tmp_path / "r.json")) == 0
+        assert len(steps) == 2 and steps[0] >= 2
+        assert in_dv_sup == steps[1:] and in_dv_sup[0] <= 1
+
+    def test_pair_demo_hk_verify_starts_at_the_ground(self, tmp_path, monkeypatch):
+        # v1 is the scenario's own v, so its solve starts from the
+        # scenario's certified ground data, and Noda's brackets hold at
+        # once: no LU solve (at least one from the uniform start)
+        from dvsemigroup import hohenberg_kohn, spectral
+        lus, per_solve, inside = [], [], []
+        noda, solve, eigen = spectral._noda, np.linalg.solve, spectral.principal_eigen
+
+        def counted_solve(*args, **kwargs):
+            if inside:
+                lus.append(1)
+            return solve(*args, **kwargs)
+
+        def in_noda(*args, **kwargs):
+            inside.append(1)
+            try:
+                return noda(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        def seen(*args, **kwargs):
+            before = len(lus)
+            try:
+                return eigen(*args, **kwargs)
+            finally:
+                per_solve.append(len(lus) - before)
+
+        monkeypatch.setattr(np.linalg, "solve", counted_solve)
+        monkeypatch.setattr(spectral, "_noda", in_noda)
+        monkeypatch.setattr(hohenberg_kohn, "principal_eigen", seen)
+        raw = json.loads((DEMOS / "pair_interaction_demo.json").read_text())
+        raw["tasks"] = [t for t in raw["tasks"] if isinstance(t, dict)
+                        and t["name"] == "hk-verify"]
+        report, ok = run_scenario(load_scenario(write_scenario(tmp_path, raw)))
+        assert ok and report["tasks"][0]["task"] == "hk-verify"
+        assert len(per_solve) == 2 and per_solve[0] == 0 < per_solve[1]
+
+    def test_pair_demo_ihk_starts_at_the_ground_measure(self, tmp_path, monkeypatch):
+        # the constrained Newton run starts at the scenario's equilibrium
+        # measure, its own optimum: one inner rate solve, 4 from the product
+        # measure
+        from dvsemigroup import rate_function
+        calls = []
+        inner = rate_function._newton_min
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(rate_function, "_newton_min", counted)
+        raw = json.loads((DEMOS / "pair_interaction_demo.json").read_text())
+        raw["tasks"] = ["ihk"]
+        report, ok = run_scenario(load_scenario(write_scenario(tmp_path, raw)))
+        assert ok
+        assert len(calls) <= 2
 
     def test_averaging_task_solves_perron_once(self, tmp_path, monkeypatch):
         # the ground-measure helpers take lambda from the scenario's ground

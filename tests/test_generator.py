@@ -133,6 +133,14 @@ class TestConditionA:
             assert check_condition_A(Q, T) == pytest.approx(expected, rel=1e-12)
             assert check_condition_B(Q)
 
+    def test_reducible_chain_is_zero(self):
+        # state 0 never leaves, so P_T[0, 1] = 0 for every T: the support
+        # graph is connected but not strongly connected
+        Q = validate_generator([[0.0, 0.0], [1.0, -1.0]])
+        for T in (0.5, 1.0, 10.0):
+            assert check_condition_A(Q, T) == 0.0
+        assert not check_condition_B(Q)
+
     def test_positive_for_t_ladder(self, rng):
         for _ in range(10):
             d = int(rng.integers(2, 6))

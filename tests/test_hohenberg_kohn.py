@@ -5,7 +5,9 @@ import pytest
 
 import oracles
 from dvsemigroup import (
+    DimensionMismatch,
     HKConclusion,
+    UnsupportedSupport,
     equilibrium_marginal,
     gamma_overlap_check,
     hk_verify,
@@ -53,6 +55,20 @@ class TestHkVerify:
         assert rep.marginal_distance > 1e-4
         assert min(rep.inequality_margins) > 0.0
         assert rep.kappa > 0.0
+
+    def test_start_moves_values_at_round_off_only(self, rng):
+        # v1's solve from the ground data of the orbit chain at v1 takes no
+        # Noda solve; the report matches the one from the uniform start
+        from dvsemigroup.hohenberg_kohn import _orbit_marginal
+        sys, V0, _ = _d4_system(4)
+        v1, v2 = rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 4)
+        ground, _ = _orbit_marginal(sys, sys.on_orbits(V0), v1)
+        cold = hk_verify(sys, V0, v1, v2)
+        warm = hk_verify(sys, V0, v1, v2, start=ground)
+        assert warm.conclusion is cold.conclusion
+        assert np.allclose(warm.lambdas, cold.lambdas, rtol=1e-13, atol=0)
+        assert warm.marginal_distance == pytest.approx(cold.marginal_distance, rel=1e-10)
+        assert np.allclose(warm.inequality_margins, cold.inequality_margins, rtol=1e-9)
 
     def test_random_instances_never_violate(self, rng):
         for _ in range(30):
@@ -170,6 +186,23 @@ class TestReducedFunctional:
         res = reduced_functional(sys, np.zeros(4), pi)
         prod = np.kron(pi.weights, pi.weights)
         assert np.abs(sys.orbits.spread(res.orbit_masses) - prod).max() <= 1e-6
+
+    @pytest.mark.parametrize("start, error", [
+        ([0.2, 0.3, 0.5, 0.0], DimensionMismatch),   # 3 orbits
+        ([0.7, 0.7, 0.7], ValueError),
+        ([0.5, 0.0, 0.5], UnsupportedSupport),
+        ([0.6, 0.2, 0.2], ValueError),     # marginal (0.7, 0.3), not rho
+    ])
+    def test_start_checked_before_any_solve(self, pair_system, monkeypatch, start, error):
+        from dvsemigroup import rate_function
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a rate solve ran before the start was checked")
+
+        monkeypatch.setattr(rate_function, "_newton_min", no_solve)
+        sys, V0 = pair_system
+        with pytest.raises(error):
+            reduced_functional(sys, V0, [0.5, 0.5], start=start)
 
     def test_product_start_is_feasible_upper_bound(self, pair_system, rng):
         sys, V0 = pair_system
@@ -290,6 +323,18 @@ class TestFeasibleNewton:
         res = reduced_functional(sys, V0, rho)
         assert abs(lam - (float(rho.weights @ v) - res.value)) <= 1e-12
         assert len(points) == len(set(points)) <= 5
+
+    def test_ground_start_certifies_tiny_mass_draws(self):
+        # started at the equilibrium measure whose marginal rho is, the run
+        # certifies every draw, 60 and 73 included, to round-off; from the
+        # product measure those two raise (below)
+        for k in range(100):
+            sys, V0, v = _tiny_mass_draw(k)
+            counts = sys.orbits.counts
+            gd = principal_eigen(sys.lumped_QN, sys.on_orbits(V0) + counts @ v / sys.N)
+            rho = counts.T @ gd.mu.weights / sys.N
+            res = reduced_functional(sys, V0, rho, start=gd.mu)
+            assert abs(float(rho @ v) - res.value - gd.lam) <= 1e-12, k
 
     @pytest.mark.parametrize("k", [60, 73])
     def test_tiny_orbit_mass_raises(self, k):
@@ -462,9 +507,9 @@ class TestOrbitChain:
         dims = []
         eigen, newton = hohenberg_kohn.principal_eigen, rate_function._newton_min
 
-        def seen_eigen(Q, V):
+        def seen_eigen(Q, V, *args):
             dims.append(("eigen", Q.dim))
-            return eigen(Q, V)
+            return eigen(Q, V, *args)
 
         def seen_newton(Q, mu, *args):
             dims.append(("newton", len(mu)))

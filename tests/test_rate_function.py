@@ -147,6 +147,44 @@ class TestDvSup:
             dv_sup(two_state, [1.0, 0.0], start=start)
 
 
+    @pytest.mark.parametrize("logu, error", [
+        ([0.0, 0.0, 0.0], DimensionMismatch),
+        ([0.0, np.nan], ValueError),
+    ])
+    def test_logu_checked_before_any_solve(self, two_state, monkeypatch, logu, error):
+        from dvsemigroup import rate_function
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a rate solve ran before logu was checked")
+
+        monkeypatch.setattr(rate_function, "_newton_min", no_solve)
+        with pytest.raises(error):
+            dv_sup(two_state, [1.0, 0.0], start=[0.5, 0.5], logu=logu)
+
+    def test_logu_starts_the_inner_solve(self, rng, monkeypatch):
+        # rate_I's minimizer at the equilibrium measure, solved to 1e-10,
+        # leaves dv_sup's solve there at most one Newton step to 1e-12
+        from dvsemigroup import rate_function
+        steps = []
+        inner = rate_function._newton_min
+
+        def counted(*args, **kwargs):
+            out = inner(*args, **kwargs)
+            steps.append(out[3])
+            return out
+
+        Q = validate_generator(oracles.rand_rate_matrix(64, rng))
+        V = rng.uniform(-1, 1, 64)
+        gd = principal_eigen(Q, V)
+        rate = rate_I(Q, gd.mu)
+        monkeypatch.setattr(rate_function, "_newton_min", counted)
+        cold = dv_sup(Q, V, start=gd.mu)
+        warm = dv_sup(Q, V, start=gd.mu, logu=rate.minimizer_logu)
+        assert len(steps) == 2 and steps[0] >= 3 and steps[1] <= 1
+        assert abs(warm[0] - cold[0]) <= 1e-13
+        assert abs(warm[0] - gd.lam) <= 1e-8
+
+
 def _stress_draws(n):
     """Seeded chains that rotate through birth-death, sparse and dense."""
     rng = np.random.default_rng(3)

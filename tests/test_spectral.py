@@ -6,6 +6,8 @@ import pytest
 import oracles
 from dvsemigroup import spectral
 from dvsemigroup import (
+    ConvergenceFailure,
+    DimensionMismatch,
     NonFinite,
     ProbMeasure,
     doob_transform,
@@ -239,6 +241,70 @@ class TestPrincipalEigen:
         assert abs(gd.lam - lam) <= 1e-12 * np.abs(M).max()
         err = np.log(gd.psi) - oracles.tridiagonal_log_ground_state(M, lam)
         assert np.ptp(err) <= 1e-12
+
+
+class TestWarmStart:
+    """principal_eigen started from the ground data of a nearby potential
+    certifies exactly what the uniform start certifies; the start is never
+    trusted, only the brackets and the residual check."""
+
+    def test_stress_draws_certify_as_from_uniform(self):
+        from test_rate_function import _stress_draws
+        rng = np.random.default_rng(150)
+        for k, (Q, V) in enumerate(_stress_draws(150)):
+            W = V + rng.uniform(-0.5, 0.5, Q.dim)
+            outcomes = []
+            for start in (None, principal_eigen(Q, V)):
+                try:
+                    outcomes.append(principal_eigen(Q, W, start))
+                except (ConvergenceFailure, NonFinite) as exc:
+                    outcomes.append(type(exc))
+            uniform, warm = outcomes
+            assert isinstance(uniform, type) == isinstance(warm, type), k
+            if isinstance(uniform, type):
+                assert uniform is warm, k
+                continue
+            scale = max(1.0, np.abs(Q.rates + np.diag(W)).max())
+            assert abs(warm.lam - uniform.lam) <= 1e-12 * scale, k
+
+    @pytest.mark.parametrize("Q, V, lam", HARD_INSTANCES)
+    def test_hard_instances_from_a_nearby_potential(self, Q, V, lam):
+        # the start's tail is wrong by many decades where V moves
+        Q = validate_generator(Q)
+        start = principal_eigen(Q, V + 0.5 * np.cos(np.arange(len(V))))
+        gd = principal_eigen(Q, V, start)
+        scale = max(1.0, np.abs(Q.rates + np.diag(V)).max())
+        assert abs(gd.lam - lam) <= 1e-9 * scale
+
+    def test_own_ground_data_take_no_solve(self, rng, noda_steps):
+        Q = validate_generator(oracles.rand_rate_matrix(64, rng))
+        V = rng.uniform(-1, 1, 64)
+        gd = principal_eigen(Q, V)
+        noda_steps.clear()
+        again = principal_eigen(Q, V, gd)
+        assert noda_steps == [1, 1]
+        assert abs(again.lam - gd.lam) <= 1e-14
+        assert np.abs(again.mu.weights / gd.mu.weights - 1).max() <= 1e-12
+
+    @pytest.mark.parametrize("psi, pi, error", [
+        ([1.0, 1.0, 1.0], [0.5, 0.5], DimensionMismatch),
+        ([1.0, 1.0], [0.2, 0.3, 0.5], DimensionMismatch),
+        ([1.0, 0.0], [0.5, 0.5], ValueError),
+        ([1.0, -1.0], [0.5, 0.5], ValueError),
+        ([-1.0, -2.0], [0.5, 0.5], ValueError),
+        ([1.0, np.nan], [0.5, 0.5], ValueError),
+        ([1.0, 1.0], [1.0, 0.0], ValueError),
+        ([1e-320, 1e300], [0.5, 0.5], ValueError),
+    ])
+    def test_bad_start_raises_before_any_solve(self, two_state, monkeypatch, psi, pi, error):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a Noda step ran before the start was checked")
+
+        monkeypatch.setattr(spectral, "_noda", no_solve)
+        start = spectral.GroundData(lam=0.0, psi=np.array(psi), pi=ProbMeasure(pi),
+                                    mu=ProbMeasure(pi))
+        with pytest.raises(error):
+            principal_eigen(two_state, [1.0, 0.0], start)
 
 
 class TestDoobTransform:
