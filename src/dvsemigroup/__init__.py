@@ -61,7 +61,6 @@ from .multiparticle import (
     TensorSystem,
     is_symmetric,
     kronecker_sum,
-    marginal,
     pairwise_potential,
     separable_potential,
     symmetrize_measure,

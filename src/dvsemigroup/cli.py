@@ -34,7 +34,6 @@ single-task subcommands, are one line of compact JSON with sorted keys;
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import logging
 import math
@@ -79,7 +78,7 @@ class Scenario:
     raw: dict
     system: TensorSystem
     v: np.ndarray
-    V0: Potential | None        # on the d^N states, permutation symmetric
+    V0: np.ndarray | None       # on the orbits; None when the scenario gives none
     t_grid: list[float]
     seed: int
     tasks: list[tuple[str, dict]]
@@ -96,10 +95,15 @@ class Scenario:
     def chain(self) -> tuple[Generator, Potential]:
         """The chain every task runs on: the product chain lumped onto its
         permutation orbits (Q1 itself at N = 1), with V0 + separable(v) at
-        each orbit, the latter counts . v / N."""
-        o = self.system.orbits
-        V0 = 0.0 if self.V0 is None else self.V0.values[o.reps]
-        return self.system.lumped_QN, Potential(V0 + o.counts @ self.v / self.N)
+        each orbit, the latter counts . v / N (v itself at N = 1, where no
+        orbit is enumerated)."""
+        v = self.v if self.N == 1 else self.system.orbits.counts @ self.v / self.N
+        return self.system.lumped_QN, Potential((0.0 if self.V0 is None else self.V0) + v)
+
+    @property
+    def interaction(self) -> np.ndarray:
+        """V0 on the orbits, zero when the scenario gives none."""
+        return np.zeros(len(self.chain[1])) if self.V0 is None else self.V0
 
     @cached_property
     def ground(self) -> GroundData:
@@ -203,7 +207,8 @@ def load_scenario(path: str) -> Scenario:
     _require(v.shape == (Q1.dim,), f"potential must have {Q1.dim} entries", key=key)
 
     # every task runs on the orbit chain, so V0 must be permutation
-    # symmetric; the system's orbits, read here, serve the tasks too
+    # symmetric; it is kept on the orbits, and the system's orbits, read
+    # here, serve the tasks too
     V0 = None
     if "V0" in raw:
         given = raw["V0"]
@@ -213,14 +218,12 @@ def load_scenario(path: str) -> Scenario:
                 _require(not unknown, "unknown V0 keys", key=",".join(sorted(unknown)))
                 _require("pairwise" in given, "V0 object needs a pairwise matrix",
                          key="V0")
-                o = system.orbits
-                V0 = Potential(_pair_sums(given["pairwise"], o, N)[o.of])
+                V0 = _pair_sums(given["pairwise"], system.orbits, N)
             else:
                 V0 = Potential(np.asarray(given, dtype=float))
                 _require(len(V0) == system.size,
                          f"V0 must have {system.size} entries", key="V0")
-                _require(is_symmetric(V0, system),
-                         "V0 must be symmetric under particle permutations", key="V0")
+                V0 = system.on_orbits(V0)
         except (DVSemigroupError, TypeError, ValueError, OverflowError) as exc:
             if isinstance(exc, ConfigError):
                 raise
@@ -306,7 +309,8 @@ def _task_rate(sc: Scenario, options: dict) -> dict:
         "I": I,
         "IV": I - float(mu.weights @ V.values) + gd.lam,
         "lambda_dual": lam_dual,
-        "mu_star": sc.system.orbits.spread(mu_star.weights).tolist(),
+        "mu_star": (mu_star.weights if sc.N == 1
+                    else sc.system.orbits.spread(mu_star.weights)).tolist(),
     }
 
 
@@ -331,19 +335,12 @@ def _task_averaging(sc: Scenario, options: dict) -> dict:
     return {"log_growth_bound": float(np.log(C)), "ladder": rows}
 
 
-def _hk_system(sc: Scenario) -> tuple[TensorSystem, Potential]:
-    sys = sc.system
-    V0 = sc.V0 if sc.V0 is not None else Potential(np.zeros(sys.size))
-    return sys, V0
-
-
 def _task_hk_verify(sc: Scenario, options: dict) -> dict:
     opts = _opt(options, {"v1": None, "v2": None, "tol": 1e-10}, "hk-verify")
     _require(opts["v2"] is not None, "hk-verify needs option v2", key="v2")
-    sys, V0 = _hk_system(sc)
     v1 = sc.v if opts["v1"] is None else _vector(opts["v1"], "v1")
     # at the scenario's own v, the scenario's ground data start v1's solve
-    report = hk_verify(sys, V0, v1, _vector(opts["v2"], "v2"),
+    report = hk_verify(sc.system, sc.interaction, v1, _vector(opts["v2"], "v2"),
                        tol=_real(opts["tol"], "tol", low=0.0),
                        start=sc.ground if opts["v1"] is None else None)
     return {
@@ -361,12 +358,12 @@ def _task_hk_invert(sc: Scenario, options: dict) -> dict:
                           "max_iter": 500}, "hk-invert")
     tol = _real(opts["tol"], "tol", low=0.0)
     max_iter = _count(opts["max_iter"], "max_iter", 1)
-    sys, V0 = _hk_system(sc)
+    sys, V0 = sc.system, sc.interaction
     if opts["rho_target"] is not None:
         rho_target = _vector(opts["rho_target"], "rho_target")
     elif opts["v_star"] is not None:
         v_star = as_potential(_vector(opts["v_star"], "v_star"), sys.d).values
-        rho_target = _orbit_marginal(sys, sys.on_orbits(V0), v_star)[1].weights
+        rho_target = _orbit_marginal(sys, V0, v_star)[1].weights
     else:
         raise ConfigError("hk-invert needs rho_target or v_star", key="rho_target")
     result = invert_potential(sys, V0, rho_target, tol=tol, max_iter=max_iter)
@@ -380,7 +377,7 @@ def _task_hk_invert(sc: Scenario, options: dict) -> dict:
 
 def _task_ihk(sc: Scenario, options: dict) -> dict:
     opts = _opt(options, {"rho": None}, "ihk")
-    sys, V0 = _hk_system(sc)
+    sys = sc.system
     if opts["rho"] is None:
         # the marginal of the scenario's equilibrium measure, from which
         # the constrained Newton run starts
@@ -388,7 +385,7 @@ def _task_ihk(sc: Scenario, options: dict) -> dict:
         rho = ProbMeasure(sys.orbits.counts.T @ start.weights / sys.N).weights
     else:
         start, rho = None, _vector(opts["rho"], "rho")
-    return {"rho": rho.tolist(), "I_HK": i_hk(sys, V0, rho, start)}
+    return {"rho": rho.tolist(), "I_HK": i_hk(sys, sc.interaction, rho, start)}
 
 
 def _task_mc(sc: Scenario, options: dict) -> dict:
@@ -530,11 +527,7 @@ def _single_task_run(path: str, task: str, flags: dict, out: str | None) -> int:
     return 0 if ok else 1
 
 
-def main(argv=None) -> int:
-    level = os.environ.get("DV_SEMIGROUP_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
-
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dvsemigroup",
         description="Schrodinger semigroup calculations on finite state spaces")
@@ -546,8 +539,6 @@ def main(argv=None) -> int:
                        help="output file (single scenario) or directory")
     p_run.add_argument("--csv", default=None, metavar="DIR",
                        help="also emit measure-valued outputs as CSV")
-    p_run.add_argument("--jobs", type=int, default=1,
-                       help="run independent scenarios concurrently")
 
     for name in ("spectral", "rate", "hk-verify", "hk-invert", "ihk"):
         p = sub.add_parser(name, help=f"run only the {name} task")
@@ -560,21 +551,24 @@ def main(argv=None) -> int:
     p_mc.add_argument("--t", type=float, default=None)
     p_mc.add_argument("--paths", type=int, default=None)
     p_mc.add_argument("--seed", type=int, default=None)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    level = os.environ.get("DV_SEMIGROUP_LOG", "WARNING").upper()
+    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
+                        format="%(levelname)s %(name)s: %(message)s")
+    args = build_parser().parse_args(argv)
 
     if args.command == "run":
         if len(args.scenarios) == 1:
             return run(args.scenarios[0], args.out, args.csv)
         out_dir = args.out or "."
         os.makedirs(out_dir, exist_ok=True)
-
-        def one(path):
+        codes = []
+        for path in args.scenarios:
             stem = os.path.splitext(os.path.basename(path))[0]
-            return run(path, os.path.join(out_dir, f"{stem}.report.json"), args.csv)
-
-        with concurrent.futures.ThreadPoolExecutor(max_workers=max(args.jobs, 1)) as pool:
-            codes = list(pool.map(one, args.scenarios))
+            codes.append(run(path, os.path.join(out_dir, f"{stem}.report.json"), args.csv))
         return max(codes)
 
     flags = {key: getattr(args, key) for key in ("t", "paths", "seed")

@@ -17,8 +17,10 @@ collapses the d^N-state variational principle to the d-simplex:
 These maps run on the product chain lumped onto its C(d+N-1, N)
 permutation orbits (TensorSystem.lumped_QN, built from Q1 with no d^N
 matrix), exact only for a permutation-symmetric V0; any other V0 raises
-ValueError.  I_HK is evaluated there by one equality-constrained damped
-Newton run over orbit masses, started from the feasible product measure
+ValueError.  V0 is given on the d^N states or with one entry per orbit
+(see TensorSystem.on_orbits); the latter is not checked again.  I_HK is
+evaluated there by one equality-constrained damped Newton run over orbit
+masses, started from the feasible product measure
 and reusing the rate-function derivatives.  The multiplier of the
 marginal constraint, read off the KKT solve, is the gradient
 -grad I_HK(rho) and gives the dual bound that certifies each value.

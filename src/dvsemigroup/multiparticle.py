@@ -6,8 +6,7 @@ Identical non-interacting particles move under the Kronecker sum
 
 so exp(t Q_N) is the N-fold Kronecker product of exp(t Q1).  Flat indices
 are row-major with coordinate 1 slowest: flattening (x1, ..., xN) gives
-x1 d^{N-1} + ... + xN, which makes the first-coordinate marginal a
-contiguous block sum.
+x1 d^{N-1} + ... + xN.
 
 Permutation symmetry is held once, as orbits: multisets of coordinates,
 C(d+N-1, N) of them, each given by its occupation counts n (Doi 1976).
@@ -150,7 +149,14 @@ class TensorSystem:
         return validate_generator(L)
 
     def on_orbits(self, V0) -> np.ndarray:
-        """V0 on the orbits; lumping is exact only for a symmetric V0."""
+        """V0 on the orbits: one entry per orbit, taken as it is, or a vector
+        on the d^N states, read at the orbit representatives.  Lumping is
+        exact only for a symmetric V0, so a d^N vector that is not raises
+        ValueError.  The two lengths differ for d, N >= 2; at N = 1 or d = 1
+        every orbit is one state, and they denote the same vector."""
+        V0 = as_potential(V0)
+        if len(V0) == comb(self.d + self.N - 1, self.N):
+            return V0.values
         V0 = as_potential(V0, self.size)
         if not is_symmetric(V0, self):
             raise ValueError("interaction V0 must be symmetric under particle permutations")
@@ -225,12 +231,6 @@ def symmetrize_measure(mu, sys: TensorSystem) -> ProbMeasure:
     mu = as_measure(mu, sys.size)
     o = sys.orbits
     return ProbMeasure(o.spread(np.bincount(o.of, weights=mu.weights)))
-
-
-def marginal(mu, sys: TensorSystem) -> ProbMeasure:
-    """First-coordinate marginal: rho[j] = sum of mu over {x : x1 = j}."""
-    mu = as_measure(mu, sys.size)
-    return ProbMeasure(mu.weights.reshape(sys.d, -1).sum(axis=1))
 
 
 def is_symmetric(values, sys: TensorSystem, tol: float = 1e-10) -> bool:

@@ -48,6 +48,10 @@ from .spectral import ProbMeasure, as_measure, principal_eigen
 # the step cap of rate_I and dv_sup
 _TOL = 1e-10
 _MAX_ITER = 200
+# round-off floor of rate_I's gradient per unit of Q.scale, with a margin:
+# it stalls at up to 0.54 eps Q.scale (two-state chains with rates up to
+# 1e14, dense and birth-death chains up to d = 128)
+_FLOOR = 16 * np.finfo(float).eps
 # outer steps without a new smallest Frank-Wolfe gap that end dv_sup's ascent
 _STALL = 10
 
@@ -141,14 +145,17 @@ def rate_I(Q: Generator, mu) -> RateResult:
 
     Returns -min F(w) together with the gauge-fixed minimizer.  The value
     is always >= 0 because F(0) = 0 is a feasible point.  A measure with
-    zero entries raises UnsupportedSupport.
+    zero entries raises UnsupportedSupport.  The Newton run stops once its
+    gradient is at most 1e-10, or the round-off floor of the rates where
+    that is higher; a gradient past 1e4 times that stop raises NotConverged.
     """
     m = _positive_weights(mu, Q.dim)
-    F, logu, gnorm, iters, _, _ = _newton_min(Q.rates, m, _TOL, _MAX_ITER)
+    tol = max(_TOL, _FLOOR * Q.scale)
+    F, logu, gnorm, iters, _, _ = _newton_min(Q.rates, m, tol, _MAX_ITER)
 
-    converged = gnorm <= _TOL
+    converged = gnorm <= tol
     value = max(-F, 0.0)
-    if not converged and gnorm > 1e-6:
+    if not converged and gnorm > 1e4 * tol:
         raise NotConverged(value, gnorm, iterations=iters)
     return RateResult(value=value, minimizer_logu=logu, converged=converged,
                       iterations=iters, gradient_norm=gnorm)

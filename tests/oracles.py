@@ -207,3 +207,11 @@ def loop_pairwise(w, N):
     x = digit_grid(len(w), N)
     pairs = itertools.combinations(range(N), 2)
     return sum(w[x[:, i], x[:, j]] for i, j in pairs) / comb(N, 2)
+
+
+def loop_marginal(mu, d, N, i=0):
+    """The marginal of a measure on d^N states in coordinate i, by summing
+    mu over every state with x_i = j, one j at a time."""
+    x = digit_grid(d, N)
+    mu = np.asarray(mu, dtype=float)
+    return np.array([mu[x[:, i] == j].sum() for j in range(d)])

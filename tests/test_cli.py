@@ -18,6 +18,7 @@ from dvsemigroup import (
     ground_measure_by_evolution,
     growth_bound,
     make_operator,
+    pairwise_potential,
     principal_eigen,
     rate_I,
     relative_entropy,
@@ -87,7 +88,8 @@ class TestLoadScenario:
     def test_pairwise_V0(self, tmp_path):
         body = dict(BASE, N=2, V0={"pairwise": [[0.0, 1.0], [1.0, 0.0]]})
         sc = load_scenario(write_scenario(tmp_path, body))
-        assert sc.V0.values.tolist() == [0.0, 1.0, 1.0, 0.0]
+        # on the orbits (0, 0), (0, 1), (1, 1)
+        assert sc.V0.tolist() == [0.0, 1.0, 0.0]
 
     def test_nearly_symmetric_pairwise_V0_is_invalid(self, tmp_path, capsys):
         # once read as the non-symmetric V0 [0, 1, 1.000001, 0], on which
@@ -677,7 +679,7 @@ class TestRun:
         results = [section["result"] for section in report["tasks"]]
         got = results[1]
         QN = sc.system.QN
-        V = Potential(sc.V0.values + separable_potential(sc.v, 4).values)
+        V = Potential(pairwise_potential(w + w.T, 4).values + separable_potential(sc.v, 4).values)
         full = principal_eigen(QN, V)
         scale = max(1.0, np.abs(QN.rates + np.diag(V.values)).max())
         assert abs(got["lambda"] - full.lam) <= 1e-12 * scale
@@ -715,6 +717,51 @@ class TestRun:
                        .sum(axis=1).mean()) / 5.0
         assert L.dim == 15
         assert abs(got["lambda_mc"] - exact) <= 4.0 * got["stderr"]
+
+    def test_one_particle_enumerates_no_orbits(self, tmp_path, monkeypatch):
+        # at N = 1 the chain is Q itself: with the byte budget lowered to
+        # 1e5, these tasks on 64 states once failed with StateSpaceTooLarge
+        # (132096 bytes) from enumerating 64 one-state orbits
+        from dvsemigroup import multiparticle
+        monkeypatch.setattr(multiparticle, "_MAX_BYTES", 10 ** 5)
+        rng = np.random.default_rng(5)
+        body = dict(Q=oracles.rand_rate_matrix(64, rng).tolist(),
+                    v=rng.uniform(-1, 1, 64).tolist(), t_grid=[1.0],
+                    tasks=["spectral", "rate", "averaging",
+                           {"name": "mc", "options": {"t": 1.0, "paths": 200}}])
+        sc = load_scenario(write_scenario(tmp_path, body))
+        report, ok = run_scenario(sc)
+        assert ok, report["tasks"]
+        assert "orbits" not in sc.system.__dict__
+
+    def test_ihk_at_a_given_rho_matches_a_scan(self, tmp_path):
+        # the pair demo at rho = (0.3, 0.7): symmetric measures with that
+        # marginal are (0.3 - t, t, t, 0.7 - t), and I_HK is the least
+        # I(mu) - mu(V0) over t, with I from black-box minimization on QN
+        import scipy.optimize
+        raw = json.loads((DEMOS / "pair_interaction_demo.json").read_text())
+        raw["tasks"] = [{"name": "ihk", "options": {"rho": [0.3, 0.7]}}]
+        out = str(tmp_path / "ihk.json")
+        assert run(write_scenario(tmp_path, raw), out) == 0
+        got = json.loads(open(out).read())["tasks"][0]["result"]
+        QN = load_scenario(write_scenario(tmp_path, raw)).system.QN.rates
+        V0 = oracles.loop_pairwise(np.array(raw["V0"]["pairwise"]), 2)
+
+        def objective(t):
+            mu = np.array([0.3 - t, t, t, 0.7 - t])
+            return oracles.rate_brute(QN, mu) - mu @ V0
+
+        scan = scipy.optimize.minimize_scalar(objective, bounds=(1e-9, 0.3 - 1e-9),
+                                              method="bounded", options={"xatol": 1e-9})
+        assert got["rho"] == [0.3, 0.7]
+        assert got["I_HK"] == pytest.approx(scan.fun, abs=1e-6)
+
+    def test_hk_invert_without_a_target_exits_2(self, tmp_path, capsys):
+        body = dict(BASE, N=2, tasks=["hk-invert"])
+        out = str(tmp_path / "report.json")
+        assert run(write_scenario(tmp_path, body), out) == 2
+        assert not os.path.exists(out)
+        assert "rho_target or v_star" in capsys.readouterr().err
 
     @pytest.mark.parametrize("N, V0, tasks", [
         (100, None, ["validate", "spectral", "ihk"]),
@@ -902,20 +949,30 @@ class TestMain:
         result = json.loads(open(out).read())["tasks"][0]["result"]
         assert result["iterations"] == 1 and result["converged"] is False
 
-    def test_multi_scenario_jobs(self, tmp_path):
-        # concurrent scenarios share no mutable state, so each report
-        # equals the one a single-scenario run writes, up to timings
+    def test_multi_scenario_run(self, tmp_path, monkeypatch):
+        # scenarios run one after another, each into its own report, which
+        # equals the one a single-scenario run writes, up to timings; the
+        # exit code is the largest of theirs
         tasks = ["validate", "spectral", "rate", "averaging"]
         body = dict(BASE, t_grid=[1.0, 2.0], tasks=tasks)
         p1 = write_scenario(tmp_path, dict(body, name="s1"), "s1.json")
         p2 = write_scenario(tmp_path, dict(body, name="s2", v=[0.0, 2.0]), "s2.json")
+        p3 = write_scenario(tmp_path, dict(body, name="s3", tasks=["averaging"],
+                                           t_grid=[]), "s3.json")
         out_dir = str(tmp_path / "reports")
-        assert main(["run", p1, p2, "-o", out_dir, "--jobs", "2"]) == 0
+        assert main(["run", p1, p2, "-o", out_dir]) == 0
         assert sorted(os.listdir(out_dir)) == ["s1.report.json", "s2.report.json"]
         for stem, path in (("s1", p1), ("s2", p2)):
             single = str(tmp_path / f"{stem}.single.json")
             assert main(["run", path, "-o", single]) == 0
-            jobs = json.loads(open(os.path.join(out_dir, f"{stem}.report.json")).read())
+            several = json.loads(open(os.path.join(out_dir, f"{stem}.report.json")).read())
             alone = json.loads(open(single).read())
-            del jobs["timings"], alone["timings"]
-            assert json.dumps(jobs, sort_keys=True) == json.dumps(alone, sort_keys=True)
+            del several["timings"], alone["timings"]
+            assert json.dumps(several, sort_keys=True) == json.dumps(alone, sort_keys=True)
+        from dvsemigroup import cli
+        seen, one = [], cli.run
+        monkeypatch.setattr(cli, "run", lambda path, *args: seen.append(path) or one(path, *args))
+        assert main(["run", p3, p1, "-o", out_dir]) == 2
+        assert seen == [p3, p1]
+        with pytest.raises(SystemExit):
+            main(["run", p1, p2, "-o", out_dir, "--jobs", "2"])

@@ -204,6 +204,11 @@ class TestReducedFunctional:
         with pytest.raises(error):
             reduced_functional(sys, V0, [0.5, 0.5], start=start)
 
+    def test_zero_marginal_entry_raises(self, pair_system):
+        sys, V0 = pair_system
+        with pytest.raises(ValueError, match="strictly positive"):
+            reduced_functional(sys, V0, [1.0, 0.0])
+
     def test_product_start_is_feasible_upper_bound(self, pair_system, rng):
         sys, V0 = pair_system
         rho = oracles.rand_measure(2, rng)
@@ -214,11 +219,11 @@ class TestReducedFunctional:
         assert res.value <= upper + 1e-9
 
     def test_constraint_and_symmetry_of_minimizer(self, pair_system, rng):
-        from dvsemigroup import is_symmetric, marginal
+        from dvsemigroup import is_symmetric
         sys, V0 = pair_system
         rho = oracles.rand_measure(2, rng)
         mu = sys.orbits.spread(reduced_functional(sys, V0, rho).orbit_masses)
-        assert total_variation(marginal(mu, sys), rho) <= 1e-8
+        assert oracles.tv(oracles.loop_marginal(mu, sys.d, sys.N), rho) <= 1e-8
         assert is_symmetric(mu, sys, tol=1e-9)
 
     def test_inner_solves_do_not_chase_round_off(self, pair_system, monkeypatch):
@@ -522,6 +527,34 @@ class TestOrbitChain:
         res = reduced_functional(sys, V0, rho)
         assert len(res.orbit_masses) == 35
         assert {dim for name, dim in dims if name == "newton"} == {35}
+
+    def test_V0_on_the_orbits_is_taken_as_it_is(self, rng, monkeypatch):
+        # each map gives the same values for V0 on the 10 orbits as for V0
+        # on the 27 states, and checks no symmetry for the former
+        from dvsemigroup import multiparticle
+        sys, V0 = _pair_system(3, 3, rng)
+        V0v = sys.on_orbits(V0)
+        assert len(V0v) == 10
+        v1, v2 = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
+        rho = equilibrium_marginal(sys, V0, v1)[2]
+
+        def maps(V):
+            report = hk_verify(sys, V, v1, v2)
+            inverse = invert_potential(sys, V, rho)
+            return (report.lambdas, report.marginal_distance, report.inequality_margins,
+                    inverse.v_recovered.values.tolist(), inverse.iterations,
+                    i_hk(sys, V, rho), equilibrium_marginal(sys, V, v2)[0],
+                    reduced_variational(sys, V, v2)[0])
+
+        dense = maps(V0)
+
+        def unchecked(*args, **kwargs):
+            raise AssertionError("a V0 on the orbits was checked for symmetry")
+
+        monkeypatch.setattr(multiparticle, "is_symmetric", unchecked)
+        assert maps(V0v) == dense
+        with pytest.raises(DimensionMismatch):
+            hk_verify(sys, V0v[:-1], v1, v2)
 
     def test_rejects_non_symmetric_V0(self, pair_system):
         sys, _ = pair_system

@@ -1,12 +1,15 @@
 """Rate function, tilted rate, dual problems, and relative entropy."""
 
+import inspect
 import itertools
+import sys
 
 import numpy as np
 import pytest
 
 import oracles
 from dvsemigroup import (
+    ConvergenceFailure,
     DimensionMismatch,
     NotConverged,
     UnsupportedSupport,
@@ -25,6 +28,31 @@ from dvsemigroup import (
 def _objective(Q, mu, w):
     E = np.exp(w[None, :] - w[:, None])
     return float((mu[:, None] * Q.rates * E).sum())
+
+
+def _line_runs(func, marker, call):
+    """Whether the first line of func's source that holds marker runs
+    while call() does; the result of call() too."""
+    lines, first = inspect.getsourcelines(func)
+    line = first + next(i for i, text in enumerate(lines) if marker in text)
+    hits = []
+
+    def trace(frame, event, arg):
+        if frame.f_code is not func.__code__:
+            return None
+
+        def local(frame, event, arg):
+            if event == "line" and frame.f_lineno == line:
+                hits.append(line)
+            return local
+        return local
+
+    sys.settrace(trace)
+    try:
+        result = call()
+    finally:
+        sys.settrace(None)
+    return bool(hits), result
 
 
 class TestRateI:
@@ -80,6 +108,38 @@ class TestRateI:
     def test_boundary_reject(self, two_state):
         with pytest.raises(UnsupportedSupport):
             rate_I(two_state, [1.0, 0.0])
+
+    @pytest.mark.parametrize("s", [1.0, 1e6, 1e10, 1e12])
+    def test_two_state_closed_form_at_any_rate_scale(self, s):
+        # the gradient's round-off floor grows with the rates: stopped at an
+        # absolute 1e-10, s = 1e6 ended unconverged (gradient 1.2e-10) and
+        # s = 1e10 and 1e12 raised NotConverged (1.9e-6 and 1.2e-4)
+        Q = validate_generator([[-s, s], [2.0 * s, -2.0 * s]])
+        res = rate_I(Q, [0.3, 0.7])
+        exact = oracles.two_state_rate(s, 2.0 * s, 0.3)
+        assert res.converged
+        assert abs(res.value - exact) <= 1e-12 * exact
+
+    def test_armijo_backtracking(self):
+        # seed 332 of a search over sparse chains of 2 to 8 states and
+        # measures with weights e^z, z normal with standard deviation 2: a
+        # full Newton step there does not halve the gradient, so the step
+        # is taken on Armijo decrease
+        from dvsemigroup import rate_function
+        rng = np.random.default_rng(332)
+        d = int(rng.integers(2, 9))
+        M = oracles.rand_rate_matrix(d, rng) * (rng.uniform(size=(d, d)) < 0.4)
+        np.fill_diagonal(M, 0.0)
+        M[np.arange(d), (np.arange(d) + 1) % d] += 0.5
+        np.fill_diagonal(M, -M.sum(axis=1))
+        Q = validate_generator(M)
+        mu = np.exp(rng.normal(0.0, 2.0, d))
+        mu /= mu.sum()
+        ran, res = _line_runs(rate_function._newton_min, "accepted = False",
+                              lambda: rate_I(Q, mu))
+        assert d == 4 and ran
+        assert res.converged
+        assert abs(res.value - oracles.legendre_I(Q, mu)) <= 1e-9 * max(1.0, res.value)
 
 
 class TestRateIV:
@@ -298,6 +358,24 @@ class TestLegendre:
         Q = validate_generator([[-a, a], [b, -b]])
         got = oracles.legendre_I(Q, [0.3, 0.7])
         assert got == pytest.approx(oracles.two_state_rate(a, b, 0.3), abs=1e-7)
+
+    def test_failed_perron_solve_rejects_the_trial(self, rng, monkeypatch):
+        # a trial point whose eigenproblem fails is rejected, and the ascent
+        # goes on from a shorter step to the same rate
+        from dvsemigroup import rate_function, spectral
+        Q = validate_generator(oracles.rand_rate_matrix(4, rng))
+        mu = oracles.rand_measure(4, rng)
+        calls = []
+
+        def first_trial_fails(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise ConvergenceFailure(0, float("inf"))
+            return spectral.principal_eigen(*args, **kwargs)
+
+        monkeypatch.setattr(rate_function, "principal_eigen", first_trial_fails)
+        assert abs(oracles.legendre_I(Q, mu) - rate_I(Q, mu).value) <= 1e-7
+        assert len(calls) > 2
 
     def test_cross_oracle_agreement_d4(self, rng):
         for _ in range(8):

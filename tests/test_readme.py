@@ -1,4 +1,5 @@
-"""The README's API table and first example against the installed package."""
+"""The README's API table, first example and CLI examples against the
+installed package."""
 
 import builtins
 import dataclasses
@@ -6,12 +7,13 @@ import importlib
 import inspect
 import math
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 import dvsemigroup
-from dvsemigroup import feynman_kac, multiparticle
+from dvsemigroup import cli, feynman_kac, multiparticle
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -84,6 +86,22 @@ def test_tour_covers_every_module():
 def test_first_example_runs():
     code = re.search(r"```python\n(.*?)```", README, re.S).group(1)
     exec(compile(code, "README.md", "exec"), {})
+
+
+def _cli_lines():
+    section = README[README.index("## CLI"):]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    return [line for line in block.splitlines() if line.startswith("dvsemigroup ")]
+
+
+def test_cli_examples_parse():
+    # each example line goes to the CLI's own argument parser, which exits
+    # on an unknown flag or subcommand; nothing runs
+    lines = _cli_lines()
+    assert len(lines) >= 4
+    parser = cli.build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])
 
 
 def test_tolerance_names_resolve():
