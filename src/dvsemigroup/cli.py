@@ -319,8 +319,7 @@ def _task_averaging(sc: Scenario, options: dict) -> dict:
     n_grid = _count(opts["n_grid"], "n_grid", 2)
     _require(len(sc.t_grid) > 0, "averaging needs a t_grid", key="t_grid")
     (Q, V), gd = sc.chain, sc.ground
-    op = make_operator(Q, V)
-    C = growth_bound(op, gd.lam, np.linspace(0.0, max(sc.t_grid), 201))
+    C = growth_bound(make_operator(Q, V), gd.lam, np.linspace(0.0, max(sc.t_grid), 201))
     rows = []
     for T in sc.t_grid:
         avg = ground_measure_by_averaging(Q, V, gd.lam, gd.mu, T, n_grid)

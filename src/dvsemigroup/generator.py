@@ -89,6 +89,14 @@ def as_potential(v, dim: int | None = None) -> Potential:
     return pot
 
 
+def _shifted(Q: Generator, V, lam: float = 0.0, t: float = 1.0) -> np.ndarray:
+    """t (Q + diag V - lam I) as one new array, summed and scaled in that order."""
+    M = np.array(Q.rates)
+    M.flat[::Q.dim + 1] = M.diagonal() + as_potential(V, Q.dim).values - lam
+    M *= t
+    return M
+
+
 def _as_vector(g, dim: int) -> np.ndarray:
     g = np.asarray(g, dtype=float)
     if g.shape != (dim,):

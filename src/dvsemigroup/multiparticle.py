@@ -44,12 +44,14 @@ from .spectral import GroundData, ProbMeasure, as_measure
 
 _MAX_BYTES = 2 ** 31
 
-# peak memory in copies of the largest 8-byte array, as measured: the orbits
-# and product potentials hold 1 + 2/N copies of the d^N x N coordinate grid
-# (1.13 at (2, 16), 1.26 at (4, 8)) and, where the C(d+N-1, N) x d counts
-# are larger, up to 3.2 copies of those (pairwise_potential at (60, 3)); on
-# a chain of n states, expm holds 10.0 n x n arrays, i_hk's simplex Newton
-# 9.2, dv_sup 9.3, the QN and lumped builds 4.0 and principal_eigen 2.0
+# peak memory in copies of the largest 8-byte array, as traced (LAPACK's own
+# work arrays are not): the orbits and product potentials hold 1 + 2/N copies
+# of the d^N x N coordinate grid (1.13 at (2, 16), 1.26 at (4, 8)) and, where
+# the C(d+N-1, N) x d counts are larger, up to 3.2 copies of those
+# (pairwise_potential at (60, 3)); on a chain of n ~ 256 states, the CLI
+# averaging task holds 8.0 n x n arrays, evolve, growth_bound and both ground
+# measures 8.0, expm 7.0, i_hk 5.3, dv_sup 5.2, rate_I 4.2, the QN and lumped
+# builds 4.0, invert_potential 3.3 and principal_eigen 2.1
 _GRID_PEAK = 2
 _COUNTS_PEAK = 4
 _CHAIN_PEAK = 10

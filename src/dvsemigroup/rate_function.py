@@ -82,14 +82,14 @@ def _newton_min(Q: np.ndarray, mu: np.ndarray, tol: float, max_iter: int,
     The rank-one term rho * ones/d added to the Hessian removes the gauge
     null direction without moving the constrained solution; a small ridge
     keeps the solve well posed when the tilted support graph degenerates.
-    Falls back to gradient steps whenever the Newton direction fails to
-    produce Armijo decrease.  Returns (F, w, gradient sup-norm, steps,
-    mu_i T_ij, T) at the last accepted w, T the off-diagonal part of its
-    tilted generator.
+    Where that solve fails or gives no descent direction, the gradient is
+    the step.  The first of 1, 1/2, ..., 2^-59 times the step with Armijo
+    decrease (or a full step that halves the gradient) is taken; if none,
+    the run stops.  Returns (F, w, gradient sup-norm, steps, mu_i T_ij, T)
+    at the last accepted w, T the off-diagonal part of its tilted generator.
     """
     d = Q.shape[0]
     qdiag = float(mu @ np.diag(Q))
-    ones = np.ones((d, d))
 
     def f_parts(w):
         T = Q * np.exp(w[None, :] - w[:, None])    # T_ij = Q_ij e^{w_j - w_i}, i != j
@@ -108,35 +108,29 @@ def _newton_min(Q: np.ndarray, mu: np.ndarray, tol: float, max_iter: int,
             break
         H = np.diag(tw.sum(axis=0) + tw.sum(axis=1)) - (tw + tw.T)
         rho = max(float(np.trace(H)) / d, 1e-13)
+        H += rho / d
+        H.flat[::d + 1] += 1e-13 * rho
         try:
-            step = np.linalg.solve(H + rho * ones / d + 1e-13 * rho * np.eye(d), -g)
+            step = np.linalg.solve(H, -g)
         except np.linalg.LinAlgError:
             step = -g
+        del H
         descent = float(g @ step)
         if descent > 0:
             step, descent = -g, -float(g @ g)
-        # Newton contracts the gradient quadratically near the minimum,
-        # where F-differences drown in round-off; accept the full step on
-        # gradient contraction first, fall back to Armijo backtracking
-        trial = f_parts(w + step)
-        if float(np.abs(trial[1]).max()) < 0.5 * gnorm:
-            w = w + step
-            w -= w.mean()
-            F, g, tw, T = trial
-            continue
-        s = 1.0
-        accepted = False
-        for _ in range(60):
+        # Newton contracts the gradient quadratically near the minimum, where
+        # F-differences drown in round-off: the full step passes on that too
+        for s in 0.5 ** np.arange(60):
+            trial = None  # a rejected trial's arrays go before the next is built
             trial = f_parts(w + s * step)
-            if trial[0] < F + 1e-4 * s * descent:
-                w = w + s * step
-                w -= w.mean()
-                F, g, tw, T = trial
-                accepted = True
+            if (s == 1.0 and float(np.abs(trial[1]).max()) < 0.5 * gnorm
+                    or trial[0] < F + 1e-4 * s * descent):
                 break
-            s *= 0.5
-        if not accepted:
+        else:
             break
+        w = w + s * step
+        w -= w.mean()
+        F, g, tw, T = trial
     return F, w, float(np.abs(g).max()), iterations, tw, T
 
 
@@ -195,7 +189,7 @@ def hessian_of_rate(Lw: np.ndarray, H: np.ndarray) -> np.ndarray:
     """
     m = H.shape[0]
     a = float(np.trace(H)) / m
-    return Lw @ np.linalg.solve(H + (a / m) * np.ones((m, m)), Lw.T)
+    return Lw @ np.linalg.solve(H + a / m, Lw.T)
 
 
 def dv_sup(Q: Generator, V, start=None, logu=None):
@@ -261,9 +255,12 @@ def _simplex_newton(Q: np.ndarray, p: np.ndarray, c: np.ndarray, A: np.ndarray,
     solve serves the next step.  Returns (p, I, h, y, w): the final point
     p (with gap_tol, the point of smallest gap), its rate I(p), h = L u*/u*
     there and the log-tilt w of u* (see _rate_parts) from that point's
-    solve, and the last multiplier y.
+    solve, and the last multiplier y.  NotConverged (best value phi(p)) is
+    raised once round-off in the KKT solves has carried p off A p = A p0 by
+    more than 1e-12, ProbMeasure's tolerance on total mass (fast chains).
     """
     m, k = len(p), A.shape[0]
+    Ap0 = A @ p
     y = np.zeros(k)
     K = np.zeros((m + k, m + k))
     K[:m, m:] = A.T
@@ -288,7 +285,7 @@ def _simplex_newton(Q: np.ndarray, p: np.ndarray, c: np.ndarray, A: np.ndarray,
             # Hess I written in place: a separate m x m array would stay
             # alive through the trial solves below
             K[:m, :m] = hessian_of_rate(Lw, H)
-            K[:m, :m] += 1e-12 * max(float(np.trace(K[:m, :m])) / m, 1.0) * np.eye(m)
+            K.flat[:m * (m + k):m + k + 1] += 1e-12 * max(float(np.trace(K[:m, :m])) / m, 1.0)
             sol = np.linalg.solve(K, rhs)
             step, y = sol[:m], sol[m:]
         except np.linalg.LinAlgError:
@@ -305,24 +302,25 @@ def _simplex_newton(Q: np.ndarray, p: np.ndarray, c: np.ndarray, A: np.ndarray,
         shrink = step < 0
         if shrink.any():
             s = min(1.0, 0.95 * float(np.min(-p[shrink] / step[shrink])))
-        moved = False
         for _ in range(50):
             p_try = p + s * step
             if p_try.min() > 0:
+                Lw = H = trial = None  # K holds Hess I: no m x m pair is kept
                 trial = _rate_parts(Q, p_try, tol, w)
-                if trial[0] - p_try @ c <= phi0 + 1e-4 * s * descent:
-                    moved = True
-                elif gap_tol is not None and s == 1.0:
-                    g_try = -trial[2] - c
-                    moved = float(g_try @ p_try - g_try.min()) < 0.5 * gap
-                if moved:
-                    p, (I, w, h, Lw, H) = p_try, trial
+                g_try = -trial[2] - c
+                if (trial[0] - p_try @ c <= phi0 + 1e-4 * s * descent
+                        or gap_tol is not None and s == 1.0
+                        and float(g_try @ p_try - g_try.min()) < 0.5 * gap):
                     break
             s *= 0.5
-        if not moved:
+        else:
             break
+        p, (I, w, h, Lw, H) = p_try, trial
     if best is not None:
         p, I, h, w = best
+    drift = float(np.abs(A @ p - Ap0).max())
+    if drift > 1e-12:
+        raise NotConverged(float(I - p @ c), drift)
     return p, I, h, y, w
 
 
@@ -352,7 +350,7 @@ def _legendre_newton(Q: Generator, V0: np.ndarray, F: np.ndarray, target: np.nda
         B = np.diag(gd.lam - V0 - F @ v) - Q.rates + np.outer(gd.psi, gd.pi.weights)
         half = (gd.pi.weights[:, None] * F).T @ np.linalg.solve(B, gd.psi[:, None] * F)
         K = half + half.T - 2.0 * np.outer(target - g, target - g)    # F^T mu = target - g
-        step = np.linalg.solve(K + np.full(K.shape, max(np.trace(K), 1e-300) / K.size), g)
+        step = np.linalg.solve(K + max(np.trace(K), 1e-300) / K.size, g)
         ascent = float(g @ step)
         if not ascent > 0:
             step, ascent = g, float(g @ g)

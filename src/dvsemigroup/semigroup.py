@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NonFinite
-from .generator import Generator, Potential, as_potential, _as_vector, _reachable
+from .generator import Generator, Potential, as_potential, _as_vector, _reachable, _shifted
 
 # Coefficients of the degree-13 diagonal rational approximant to exp.
 _PADE13 = (
@@ -71,15 +71,16 @@ def expm(A: np.ndarray) -> np.ndarray:
         B = A / (2.0 ** s)
 
     b = _PADE13
-    I = np.eye(A.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
         B2 = B @ B
         B4 = B2 @ B2
         B6 = B2 @ B4
-        U = B @ (B6 @ (b[13] * B6 + b[11] * B4 + b[9] * B2)
-                 + b[7] * B6 + b[5] * B4 + b[3] * B2 + b[1] * I)
-        V = (B6 @ (b[12] * B6 + b[10] * B4 + b[8] * B2)
-             + b[6] * B6 + b[4] * B4 + b[2] * B2 + b[0] * I)
+        U = B6 @ (b[13] * B6 + b[11] * B4 + b[9] * B2) + b[7] * B6 + b[5] * B4 + b[3] * B2
+        U.flat[::len(A) + 1] += b[1]  # b_1 I and b_0 I, on the diagonal
+        U = B @ U
+        V = B6 @ (b[12] * B6 + b[10] * B4 + b[8] * B2) + b[6] * B6 + b[4] * B4 + b[2] * B2
+        V.flat[::len(A) + 1] += b[0]
+        del B, B2, B4, B6
         R = np.linalg.solve(V - U, V + U)
         for _ in range(s):
             R = R @ R
@@ -100,7 +101,7 @@ class SchrodingerOperator:
         if len(self.V) != self.Q.dim:
             raise DimensionMismatch(
                 f"potential has {len(self.V)} entries, generator has {self.Q.dim} states")
-        M = self.Q.rates + np.diag(self.V.values)
+        M = _shifted(self.Q, self.V)
         M.setflags(write=False)
         object.__setattr__(self, "matrix", M)
 

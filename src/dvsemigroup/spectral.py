@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceFailure, DimensionMismatch, NonFinite
-from .generator import Generator, as_potential, validate_generator
+from .generator import Generator, _shifted, validate_generator
 from .semigroup import expm
 
 _NODA_STEPS = 100
@@ -192,12 +192,11 @@ def principal_eigen(Q: Generator, V, start: GroundData | None = None) -> GroundD
     positive entries) before any solve and never trusted: the brackets
     and the residual check decide as above.
     """
-    V = as_potential(V, Q.dim)
+    M = _shifted(Q, V)
     x0 = y0 = None
     if start is not None:
         x0 = _start_vector(start.psi, Q.dim, "psi")
         y0 = _start_vector(start.pi.weights, Q.dim, "pi")
-    M = Q.rates + np.diag(V.values)
     scale = max(1.0, float(np.abs(M).max()))
     v, steps_v = _noda(M, scale, x0)
     cap = float(((M @ v) / v).max())
@@ -225,10 +224,8 @@ def doob_transform(Q: Generator, V, gd: GroundData) -> Generator:
     vanishes up to the eigen-residual and is re-zeroed exactly during
     validation.  The equilibrium measure mu is invariant for it.
     """
-    V = as_potential(V, Q.dim)
-    M = Q.rates + np.diag(V.values)
-    psi = gd.psi
-    D = (M - gd.lam * np.eye(Q.dim)) * (psi[None, :] / psi[:, None])
+    D = _shifted(Q, V, gd.lam)
+    D *= gd.psi[None, :] / gd.psi[:, None]
     return validate_generator(D, tol_row=1e-9)
 
 
@@ -255,12 +252,9 @@ def ground_measure_by_averaging(Q: Generator, V, lam: float, mu0, T: float,
         raise ValueError("T must be positive")
     if n_grid < 2:
         raise ValueError("need at least two grid points")
-    V = as_potential(V, Q.dim)
     mu0 = as_measure(mu0, Q.dim)
-    M = Q.rates + np.diag(V.values)
-
     n = n_grid - 1
-    S = expm(T / n * (M - lam * np.eye(Q.dim)))
+    S = expm(_shifted(Q, V, lam, T / n))
     r = mu0.weights
     v, w, P = r.copy(), r @ S, S          # m = 1, the leading bit of n
     bits = bin(n)[3:]
@@ -289,8 +283,6 @@ def ground_measure_by_evolution(Q: Generator, V, lam: float, mu0,
     """
     if T < 0:
         raise ValueError("T must be nonnegative")
-    V = as_potential(V, Q.dim)
     mu0 = as_measure(mu0, Q.dim)
-    M = Q.rates + np.diag(V.values)
-    row = mu0.weights @ expm(T * (M - lam * np.eye(Q.dim)))
+    row = mu0.weights @ expm(_shifted(Q, V, lam, T))
     return ProbMeasure(row / row.sum())

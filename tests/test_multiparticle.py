@@ -1,20 +1,31 @@
 """Kronecker sums, separable potentials, orbits, symmetrization, marginals."""
 
 import itertools
+import json
 import tracemalloc
 from math import comb
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import oracles
-from dvsemigroup import multiparticle
+from dvsemigroup import cli, multiparticle
 from dvsemigroup import (
     StateSpaceTooLarge,
     as_measure,
+    dv_sup,
+    equilibrium_marginal,
+    evolve,
     expm,
+    ground_measure_by_averaging,
+    ground_measure_by_evolution,
+    growth_bound,
+    i_hk,
+    invert_potential,
     is_symmetric,
     kronecker_sum,
+    make_operator,
     pairwise_potential,
     principal_eigen,
     rate_I,
@@ -22,6 +33,51 @@ from dvsemigroup import (
     symmetrize_measure,
     validate_generator,
 )
+
+
+@pytest.fixture(scope="module")
+def chains(tmp_path_factory):
+    """A dense 256-state chain with its operator and ground data; the
+    252-orbit chain of (d, N) = (6, 5) with a pairwise V0 and the marginal
+    rho of an equilibrium measure; and a CLI scenario of that system with
+    an averaging task, its chain and ground data built."""
+    rng = np.random.default_rng(256)
+    Q = validate_generator(oracles.rand_rate_matrix(256, rng))
+    V = rng.uniform(-1, 1, 256)
+    Q1 = oracles.rand_rate_matrix(6, rng)
+    w = rng.uniform(0, 1, (6, 6))
+    w = 0.5 * (w + w.T)
+    orbit = kronecker_sum(validate_generator(Q1), 5)
+    V0 = pairwise_potential(w, 5)
+    rho = equilibrium_marginal(orbit, V0, rng.uniform(-1, 1, 6))[2]
+    path = tmp_path_factory.mktemp("averaging") / "scenario.json"
+    path.write_text(json.dumps({
+        "name": "averaging", "Q": Q1.tolist(), "v": rng.uniform(-1, 1, 6).tolist(),
+        "N": 5, "V0": {"pairwise": w.tolist()}, "t_grid": [1.0, 4.0], "seed": 1,
+        "tasks": ["averaging"]}))
+    sc = cli.load_scenario(str(path))
+    sc.ground
+    return SimpleNamespace(Q=Q, V=V, op=make_operator(Q, V), gd=principal_eigen(Q, V),
+                           mu=oracles.rand_measure(256, rng), orbit=orbit, V0=V0, rho=rho,
+                           sc=sc)
+
+
+# each solver call with the number of states of the chain it runs on
+_SOLVERS = {
+    "expm": (256, lambda c: expm(c.op.matrix)),
+    "evolve": (256, lambda c: evolve(c.op, 3.0, np.ones(256))),
+    "growth_bound": (256, lambda c: growth_bound(c.op, c.gd.lam, np.linspace(0, 5, 11))),
+    "ground_measure_by_averaging": (
+        256, lambda c: ground_measure_by_averaging(c.Q, c.V, c.gd.lam, c.gd.mu, 4.0, 65)),
+    "ground_measure_by_evolution": (
+        256, lambda c: ground_measure_by_evolution(c.Q, c.V, c.gd.lam, c.gd.mu, 4.0)),
+    "principal_eigen": (256, lambda c: principal_eigen(c.Q, c.V)),
+    "rate_I": (256, lambda c: rate_I(c.Q, c.mu)),
+    "dv_sup": (256, lambda c: dv_sup(c.Q, c.V)),
+    "i_hk": (252, lambda c: i_hk(c.orbit, c.V0, c.rho)),
+    "invert_potential": (252, lambda c: invert_potential(c.orbit, c.V0, c.rho)),
+    "cli-averaging": (252, lambda c: cli._TASK_RUNNERS["averaging"](c.sc, {})),
+}
 
 
 class TestKroneckerSum:
@@ -126,6 +182,22 @@ class TestKroneckerSum:
             assert peak <= budgeted
             if grid > counts:
                 assert peak <= multiparticle._GRID_PEAK * grid
+
+
+    @pytest.mark.parametrize("name", list(_SOLVERS))
+    def test_solver_peak_within_chain_budget(self, chains, name):
+        # the byte budget admits a chain of n states when _CHAIN_PEAK n x n
+        # float64 arrays fit.  Dense n x n identities, all-ones matrices and
+        # diag(V) once took expm to 10.0 copies, evolve and growth_bound to
+        # 11.0, both ground measures to 12.0 and the averaging task to 13.0
+        n, call = _SOLVERS[name]
+        tracemalloc.start()
+        try:
+            call(chains)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= multiparticle._CHAIN_PEAK * 8 * n * n
 
 
 class TestSeparablePotential:
