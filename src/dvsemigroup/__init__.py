@@ -33,7 +33,6 @@ from .generator import (
     validate_generator,
 )
 from .semigroup import (
-    SchrodingerOperator,
     check_condition_B,
     evolve,
     expm,

@@ -24,9 +24,9 @@ diagonal is recomputed, as little-endian float64 in C order:
     zlib.crc32(np.ascontiguousarray(validate_generator(Q).rates, dtype="<f8"))
 
 Exit codes: 0 success, 1 a task failed, 2 the scenario itself is
-invalid.  Reports are deterministic for fixed scenario and seed, apart
-from the timings section; non-finite numbers are emitted as the strings
-"infinity", "-infinity", or "nan".  Reports, and the bare results of the
+invalid or its report cannot be written.  Reports are deterministic for
+fixed scenario and seed, apart from the timings section; non-finite
+numbers are emitted as the strings "infinity", "-infinity", or "nan".  Reports, and the bare results of the
 single-task subcommands, are one line of compact JSON with sorted keys;
 `python -m json.tool report.json` pretty-prints one.
 """
@@ -558,21 +558,28 @@ def main(argv=None) -> int:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
-
-    if args.command == "run":
-        if len(args.scenarios) == 1:
+    try:
+        if args.command != "run":
+            flags = {key: getattr(args, key) for key in ("t", "paths", "seed")
+                     if getattr(args, key, None) is not None}
+            return _single_task_run(args.scenario, args.command, flags, args.out)
+        if len(args.scenarios) == 1 and not (args.out and os.path.isdir(args.out)):
             return run(args.scenarios[0], args.out, args.csv)
         out_dir = args.out or "."
-        os.makedirs(out_dir, exist_ok=True)
-        codes = []
+        reports = {}
         for path in args.scenarios:
             stem = os.path.splitext(os.path.basename(path))[0]
-            codes.append(run(path, os.path.join(out_dir, f"{stem}.report.json"), args.csv))
-        return max(codes)
-
-    flags = {key: getattr(args, key) for key in ("t", "paths", "seed")
-             if getattr(args, key, None) is not None}
-    return _single_task_run(args.scenario, args.command, flags, args.out)
+            out = os.path.join(out_dir, f"{stem}.report.json")
+            if out in reports:
+                print(f"error: {reports[out]} and {path} would both write {out}",
+                      file=sys.stderr)
+                return 2
+            reports[out] = path
+        os.makedirs(out_dir, exist_ok=True)
+        return max(run(path, out, args.csv) for out, path in reports.items())
+    except OSError as exc:      # an output path that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

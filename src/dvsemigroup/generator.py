@@ -89,11 +89,10 @@ def as_potential(v, dim: int | None = None) -> Potential:
     return pot
 
 
-def _shifted(Q: Generator, V, lam: float = 0.0, t: float = 1.0) -> np.ndarray:
-    """t (Q + diag V - lam I) as one new array, summed and scaled in that order."""
+def _shifted(Q: Generator, V, lam: float = 0.0) -> np.ndarray:
+    """Q + diag V - lam I as one new array, summed in that order."""
     M = np.array(Q.rates)
     M.flat[::Q.dim + 1] = M.diagonal() + as_potential(V, Q.dim).values - lam
-    M *= t
     return M
 
 
@@ -217,7 +216,7 @@ def check_condition_A(Q: Generator, T: float) -> float:
         raise ValueError("T must be positive")
     from .semigroup import expm  # local import, avoids cycle at module load
 
-    P = expm(T * Q.rates)
+    P = expm(Q.rates, T)
     P = np.where((P < 0) & (P > -_EXPM_ROUNDOFF), 0.0, P)
     col_min = P.min(axis=0)
     col_max = P.max(axis=0)

@@ -23,10 +23,10 @@ Memory is bounded by one budget, _MAX_BYTES, checked from sizes before
 anything is allocated where (d, N) turns into large arrays: the orbits
 behind the product potentials (a d^N x N coordinate grid and the
 occupation counts), and the dense chain (QN, or lumped_QN) that the
-solvers then run on.  Past it, StateSpaceTooLarge.  At N = 1 nothing is
-derived: the chain is Q1 itself, which is not checked.  The Monte Carlo
-sampler (feynman_kac.estimate_lambda) checks its per-path arrays against
-the same budget.
+solvers then run on.  Past it, StateSpaceTooLarge.  At N = 1 the chain
+is Q1 itself and the orbits are its d states, with d x d counts; neither
+is checked.  The Monte Carlo sampler (feynman_kac.estimate_lambda)
+checks its per-path arrays against the same budget.
 """
 
 from __future__ import annotations
@@ -44,14 +44,16 @@ from .spectral import GroundData, ProbMeasure, as_measure
 
 _MAX_BYTES = 2 ** 31
 
-# peak memory in copies of the largest 8-byte array, as traced (LAPACK's own
-# work arrays are not): the orbits and product potentials hold 1 + 2/N copies
-# of the d^N x N coordinate grid (1.13 at (2, 16), 1.26 at (4, 8)) and, where
-# the C(d+N-1, N) x d counts are larger, up to 3.2 copies of those
-# (pairwise_potential at (60, 3)); on a chain of n ~ 256 states, the CLI
-# averaging task holds 8.0 n x n arrays, evolve, growth_bound and both ground
-# measures 8.0, expm 7.0, i_hk 5.3, dv_sup 5.2, rate_I 4.2, the QN and lumped
-# builds 4.0, invert_potential 3.3 and principal_eigen 2.1
+# peak memory in copies of the largest 8-byte array, as traced: the orbits
+# and product potentials hold 1 + 2/N copies of the d^N x N coordinate grid
+# (1.13 at (2, 16), 1.26 at (4, 8)) and, where the C(d+N-1, N) x d counts
+# are larger, up to 3.2 copies of those (pairwise_potential at (60, 3)); on
+# a chain of n ~ 256 states, the CLI averaging task and both ground measures
+# hold 8.0 n x n arrays, expm, evolve, growth_bound and check_condition_A
+# 7.0, i_hk 5.3, dv_sup 5.2, rate_I 4.2, the QN and lumped builds 4.0,
+# invert_potential 3.2 and principal_eigen 2.1.  Each np.linalg.solve adds
+# one untraced copy, LAPACK's (1.22 n x n of RSS at n = 2000), which
+# _CHAIN_PEAK reserves on top of these
 _GRID_PEAK = 2
 _COUNTS_PEAK = 4
 _CHAIN_PEAK = 10
@@ -87,11 +89,13 @@ def _orbits(d: int, N: int) -> Orbits:
     """Orbits enumerated as multisets: the sorted N-tuples over range(d), in
     lexicographic order.  A sorted tuple is the smallest flat state of its
     orbit, so it is the representative, and a state's orbit is that of its
-    sorted coordinates.  d = 1 has one orbit, for any N below 2**63."""
+    sorted coordinates.  d = 1 has one orbit, for any N below 2**63; at
+    N = 1, unchecked like Q1, the d states are the orbits."""
     if d == 1:
         return Orbits(of=np.zeros(1, dtype=np.intp), reps=np.zeros(1, dtype=np.intp),
                       counts=np.array([[N]]), sizes=np.ones(1, dtype=np.intp))
-    _require_bytes(8 * (_GRID_PEAK * N * d ** N + _COUNTS_PEAK * d * comb(d + N - 1, N)))
+    if N > 1:
+        _require_bytes(8 * (_GRID_PEAK * N * d ** N + _COUNTS_PEAK * d * comb(d + N - 1, N)))
     x = np.array(list(combinations_with_replacement(range(d), N)))
     stride = d ** np.arange(N - 1, -1, -1)
     reps = x @ stride

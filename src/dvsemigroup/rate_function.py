@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceFailure, NonFinite, NotConverged, UnsupportedSupport
-from .generator import Generator, as_potential
+from .generator import Generator, _shifted, as_potential
 from .spectral import ProbMeasure, as_measure, principal_eigen
 
 
@@ -347,7 +347,8 @@ def _legendre_newton(Q: Generator, V0: np.ndarray, F: np.ndarray, target: np.nda
     v, gd, G, g, err = point(np.zeros_like(target))
     steps = 0
     while err > tol and steps < max_steps:
-        B = np.diag(gd.lam - V0 - F @ v) - Q.rates + np.outer(gd.psi, gd.pi.weights)
+        B = np.outer(gd.psi, gd.pi.weights)
+        B -= _shifted(Q, V0 + F @ v, gd.lam)    # lambda I - M + psi pi^T
         half = (gd.pi.weights[:, None] * F).T @ np.linalg.solve(B, gd.psi[:, None] * F)
         K = half + half.T - 2.0 * np.outer(target - g, target - g)    # F^T mu = target - g
         step = np.linalg.solve(K + max(np.trace(K), 1e-300) / K.size, g)

@@ -24,12 +24,12 @@ defective.  Dense eigendecompositions appear only in test oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
 
 import numpy as np
 
 from .errors import DimensionMismatch, NonFinite
-from .generator import Generator, Potential, as_potential, _as_vector, _reachable, _shifted
+from .generator import Generator, _as_vector, _reachable, _shifted
 
 # Coefficients of the degree-13 diagonal rational approximant to exp.
 _PADE13 = (
@@ -48,27 +48,34 @@ CLAMP_BAND = 1e-14
 _THETA13 = 5.371920351148152
 
 
-def expm(A: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling and squaring.
+def expm(A: np.ndarray, t: float = 1.0) -> np.ndarray:
+    """Matrix exponential exp(tA) by scaling and squaring.
 
-    A is divided by 2^s until its infinity norm is at most theta13 = 5.37,
+    tA is divided by 2^s until its infinity norm is at most theta13 = 5.37,
     the [13/13] approximant is evaluated, and the result is squared s
     times.  theta13 is the largest norm at which the approximant is exact
     to double precision (Higham 2005, SIAM J. Matrix Anal. Appl. 26:1179).
-    Raises NonFinite if the result overflows instead of saturating.
+    t enters only the one scaled copy, A (t / 2^s), which rounds exactly as
+    (tA) / 2^s since the two factors differ by a power of two; s comes from
+    log2 |t| + log2 ||A||, so it is found for any finite t and A.  Raises
+    NonFinite for a non-finite t or A, and if the result overflows instead
+    of saturating.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise NonFinite("matrix exponential of a non-finite matrix")
+    if not (math.isfinite(t) and np.all(np.isfinite(A))):
+        raise NonFinite("matrix exponential of a non-finite matrix or time")
 
-    norm = float(np.abs(A).sum(axis=1).max())
+    # ||A|| = 2^e norm, the row sums taken at 2^-e |A|, where none overflows
+    e = math.frexp(float(np.abs(A).max()))[1]
+    norm = float(np.abs(np.ldexp(A, -e)).sum(axis=1).max())
     s = 0
+    if t != 0.0 and norm > 0.0:
+        s = max(0, math.ceil(e + math.log2(abs(t)) + math.log2(norm / _THETA13)))
     B = A
-    if norm > _THETA13:
-        s = int(np.ceil(np.log2(norm / _THETA13)))
-        B = A / (2.0 ** s)
+    if s or t != 1.0:
+        B = A * math.ldexp(t, -s)
 
     b = _PADE13
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
@@ -89,47 +96,26 @@ def expm(A: np.ndarray) -> np.ndarray:
     return R
 
 
-@dataclass(frozen=True)
-class SchrodingerOperator:
-    """Generator L + V of the Schrodinger semigroup, as Q + diag(V)."""
-
-    Q: Generator
-    V: Potential
-    matrix: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        if len(self.V) != self.Q.dim:
-            raise DimensionMismatch(
-                f"potential has {len(self.V)} entries, generator has {self.Q.dim} states")
-        M = _shifted(self.Q, self.V)
-        M.setflags(write=False)
-        object.__setattr__(self, "matrix", M)
-
-    @property
-    def dim(self) -> int:
-        return self.Q.dim
-
-    @property
-    def scale(self) -> float:
-        return max(1.0, float(np.abs(self.matrix).max()))
+def make_operator(Q: Generator, V) -> np.ndarray:
+    """Generator L + V of the Schrodinger semigroup, Q + diag(V), as a new
+    read-only array; DimensionMismatch unless V has Q.dim entries."""
+    M = _shifted(Q, V)
+    M.setflags(write=False)
+    return M
 
 
-def make_operator(Q: Generator, V) -> SchrodingerOperator:
-    return SchrodingerOperator(Q=Q, V=as_potential(V, Q.dim))
-
-
-def evolve(M: SchrodingerOperator, t: float, f) -> np.ndarray:
-    """Apply P_t^V to f, i.e. exp(t (Q + diag V)) f.
+def evolve(M: np.ndarray, t: float, f) -> np.ndarray:
+    """Apply P_t^V to f, i.e. exp(tM) f with M = Q + diag V from make_operator.
 
     For nonnegative f the result is clamped to zero wherever round-off
     produces values in (-CLAMP_BAND * scale, 0).
     """
     if t < 0:
         raise ValueError("time must be nonnegative")
-    f = _as_vector(f, M.dim)
+    f = _as_vector(f, len(M))
     if t == 0:
         return f.copy()
-    return _clamped(expm(t * M.matrix) @ f, t, bool(np.all(f >= 0)))
+    return _clamped(expm(M, t) @ f, t, bool(np.all(f >= 0)))
 
 
 def _clamped(out: np.ndarray, t: float, nonnegative: bool) -> np.ndarray:
@@ -142,7 +128,7 @@ def _clamped(out: np.ndarray, t: float, nonnegative: bool) -> np.ndarray:
     return out
 
 
-def growth_bound(M: SchrodingerOperator, lam: float, t_grid) -> float:
+def growth_bound(M: np.ndarray, lam: float, t_grid) -> float:
     """max over the grid of e^{-lam t} ||P_t^V 1||_inf.
 
     With lam the principal eigenvalue this is a lower bound for
@@ -161,11 +147,11 @@ def growth_bound(M: SchrodingerOperator, lam: float, t_grid) -> float:
     t_prev, h, E = None, None, None
     for t in t_grid.tolist():
         if t_prev is None or t <= t_prev:
-            u = evolve(M, t, np.ones(M.dim))
+            u = evolve(M, t, np.ones(len(M)))
         else:
             if h is None or abs((t - t_prev) - h) > 1e-12 * h:
                 h = t - t_prev
-                E = expm(h * M.matrix)
+                E = expm(M, h)
             u = _clamped(E @ u, t, True)
         t_prev = t
         best = max(best, np.exp(-lam * t) * float(u.max()))

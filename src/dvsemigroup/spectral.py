@@ -254,7 +254,7 @@ def ground_measure_by_averaging(Q: Generator, V, lam: float, mu0, T: float,
         raise ValueError("need at least two grid points")
     mu0 = as_measure(mu0, Q.dim)
     n = n_grid - 1
-    S = expm(_shifted(Q, V, lam, T / n))
+    S = expm(_shifted(Q, V, lam), T / n)
     r = mu0.weights
     v, w, P = r.copy(), r @ S, S          # m = 1, the leading bit of n
     bits = bin(n)[3:]
@@ -284,5 +284,5 @@ def ground_measure_by_evolution(Q: Generator, V, lam: float, mu0,
     if T < 0:
         raise ValueError("T must be nonnegative")
     mu0 = as_measure(mu0, Q.dim)
-    row = mu0.weights @ expm(_shifted(Q, V, lam, T))
+    row = mu0.weights @ expm(_shifted(Q, V, lam), T)
     return ProbMeasure(row / row.sum())

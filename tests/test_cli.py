@@ -280,6 +280,16 @@ class TestRun:
         assert error["type"] == "StateSpaceTooLarge"
         assert "budget is 2147483648 bytes" in error["message"]
 
+    def test_validate_at_a_huge_horizon_reports_nonfinite(self, tmp_path):
+        # at T = 1e308 the norm of TQ overflowed, and expm raised a bare
+        # OverflowError: a traceback and no report
+        body = {"Q": [[-1, 1], [1, -1]], "v": [0, 0],
+                "tasks": [{"name": "validate", "options": {"T": 1e308}}]}
+        out = str(tmp_path / "report.json")
+        assert run(write_scenario(tmp_path, body), out) == 1
+        error = json.loads(open(out).read())["tasks"][0]["error"]
+        assert error["type"] == "NonFinite"
+
     def test_mc_path_count_past_budget_fails_the_task(self, tmp_path):
         # 10^12 paths would hold 8 TB of weight exponents; the sampler once
         # died in numpy's allocator, with a traceback and no report
@@ -734,6 +744,27 @@ class TestRun:
         assert ok, report["tasks"]
         assert "orbits" not in sc.system.__dict__
 
+    def test_one_particle_hk_tasks_hold_unchecked_counts(self, tmp_path, monkeypatch):
+        # the hk tasks and a pairwise V0 read the 64 one-state orbits and
+        # their 64 x 64 counts, unchecked like Q; with the byte budget
+        # lowered to 1e5 they once failed with StateSpaceTooLarge (132096
+        # bytes), the pairwise V0 as an invalid scenario
+        from dvsemigroup import multiparticle
+        monkeypatch.setattr(multiparticle, "_MAX_BYTES", 10 ** 5)
+        rng = np.random.default_rng(5)
+        w = rng.uniform(0, 1, (64, 64))
+        body = dict(Q=oracles.rand_rate_matrix(64, rng).tolist(),
+                    v=rng.uniform(-1, 1, 64).tolist())
+        for tasks, extra in (
+                ([{"name": "hk-verify", "options": {"v2": rng.uniform(-1, 1, 64).tolist()}}], {}),
+                (["ihk"], {}),
+                ([{"name": "hk-invert", "options": {"v_star": rng.uniform(-1, 1, 64).tolist()}}],
+                 {}),
+                (["spectral"], {"V0": {"pairwise": (w + w.T).tolist()}})):
+            sc = load_scenario(write_scenario(tmp_path, dict(body, tasks=tasks, **extra)))
+            report, ok = run_scenario(sc)
+            assert ok, report["tasks"]
+
     def test_ihk_at_a_given_rho_matches_a_scan(self, tmp_path):
         # the pair demo at rho = (0.3, 0.7): symmetric measures with that
         # marginal are (0.3 - t, t, t, 0.7 - t), and I_HK is the least
@@ -976,3 +1007,44 @@ class TestMain:
         assert seen == [p3, p1]
         with pytest.raises(SystemExit):
             main(["run", p1, p2, "-o", out_dir, "--jobs", "2"])
+
+    def test_scenarios_with_one_stem_are_refused(self, tmp_path, monkeypatch, capsys):
+        # a/x.json and b/x.json once both wrote out/x.report.json, and a's
+        # report was lost under exit code 0
+        from dvsemigroup import cli
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        pa = write_scenario(tmp_path / "a", dict(BASE, tasks=["validate"]), "x.json")
+        pb = write_scenario(tmp_path / "b", dict(BASE, tasks=["validate"]), "x.json")
+        seen = []
+        monkeypatch.setattr(cli, "run", lambda path, *args: seen.append(path))
+        out_dir = tmp_path / "out"
+        assert main(["run", pa, pb, "-o", str(out_dir)]) == 2
+        assert seen == [] and not out_dir.exists()
+        err = capsys.readouterr().err
+        assert pa in err and pb in err
+
+    def test_run_into_an_existing_directory(self, tmp_path):
+        # one scenario and an existing -o directory once raised
+        # IsADirectoryError; the report goes where several scenarios' would
+        path = write_scenario(tmp_path, dict(BASE, tasks=["validate"]), "x.json")
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        assert main(["run", path, "-o", str(out_dir)]) == 0
+        assert os.listdir(out_dir) == ["x.report.json"]
+        assert json.loads((out_dir / "x.report.json").read_text())["name"] == "demo"
+
+    @pytest.mark.parametrize("argv", [["run", "{p}", "{p2}", "-o", "{file}"],
+                                      ["spectral", "{p}", "-o", "{dir}"]],
+                             ids=["several-into-a-file", "single-task-into-a-directory"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, argv):
+        # these once ended in FileExistsError and IsADirectoryError tracebacks
+        paths = {"p": write_scenario(tmp_path, dict(BASE, tasks=["spectral"]), "p.json"),
+                 "p2": write_scenario(tmp_path, dict(BASE, tasks=["spectral"]), "p2.json"),
+                 "file": str(tmp_path / "file"), "dir": str(tmp_path / "dir")}
+        (tmp_path / "file").write_text("kept\n")
+        (tmp_path / "dir").mkdir()
+        assert main([a.format(**paths) for a in argv]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert (tmp_path / "file").read_text() == "kept\n"
+        assert os.listdir(tmp_path / "dir") == []

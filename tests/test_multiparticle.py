@@ -62,9 +62,14 @@ def chains(tmp_path_factory):
                            sc=sc)
 
 
+# LAPACK's untraced copy of the matrix in one np.linalg.solve, in n x n
+# float64 copies: the growth of ru_maxrss over one solve at n = 2000, in a
+# fresh process (1.14 at n = 3000, where OpenBLAS's fixed buffers weigh less)
+_SOLVE_COPY = 1.22
+
 # each solver call with the number of states of the chain it runs on
 _SOLVERS = {
-    "expm": (256, lambda c: expm(c.op.matrix)),
+    "expm": (256, lambda c: expm(c.op)),
     "evolve": (256, lambda c: evolve(c.op, 3.0, np.ones(256))),
     "growth_bound": (256, lambda c: growth_bound(c.op, c.gd.lam, np.linspace(0, 5, 11))),
     "ground_measure_by_averaging": (
@@ -189,7 +194,9 @@ class TestKroneckerSum:
         # the byte budget admits a chain of n states when _CHAIN_PEAK n x n
         # float64 arrays fit.  Dense n x n identities, all-ones matrices and
         # diag(V) once took expm to 10.0 copies, evolve and growth_bound to
-        # 11.0, both ground measures to 12.0 and the averaging task to 13.0
+        # 11.0, both ground measures to 12.0 and the averaging task to 13.0.
+        # np.linalg.solve copies its matrix where tracemalloc does not see
+        # it, so that copy is reserved on top of the traced peak
         n, call = _SOLVERS[name]
         tracemalloc.start()
         try:
@@ -197,7 +204,7 @@ class TestKroneckerSum:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= multiparticle._CHAIN_PEAK * 8 * n * n
+        assert peak + _SOLVE_COPY * 8 * n * n <= multiparticle._CHAIN_PEAK * 8 * n * n
 
 
 class TestSeparablePotential:

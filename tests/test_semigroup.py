@@ -20,7 +20,7 @@ from dvsemigroup import (
 # helpers here rather than oracles (oracles.py avoids the library's
 # numerical paths).
 
-def duhamel_residual(M, t, f, n_steps):
+def duhamel_residual(Q, V, t, f, n_steps):
     """Sup-norm defect of u(t) = P_t f + int_0^t P_{t-s} V u(s) ds.
 
     The integral uses composite Simpson quadrature on n_steps panels
@@ -28,16 +28,17 @@ def duhamel_residual(M, t, f, n_steps):
     n_steps^{-4} until it hits the floating-point floor.
     """
     n = n_steps + (n_steps % 2)
-    V = M.V.values
-    P0 = expm(t * M.Q.rates) @ f
+    V = np.asarray(V, dtype=float)
+    M = make_operator(Q, V)
+    P0 = expm(Q.rates, t) @ f
     u_t = evolve(M, t, f)
 
     h = t / n
-    integral = np.zeros(M.dim)
+    integral = np.zeros(Q.dim)
     for k in range(n + 1):
         s = k * h
-        u_s = expm(s * M.matrix) @ f
-        g = expm((t - s) * M.Q.rates) @ (V * u_s)
+        u_s = expm(M, s) @ f
+        g = expm(Q.rates, t - s) @ (V * u_s)
         weight = 1.0 if k in (0, n) else (4.0 if k % 2 == 1 else 2.0)
         integral += weight * g
     integral *= h / 3.0
@@ -45,11 +46,11 @@ def duhamel_residual(M, t, f, n_steps):
     return float(np.abs(u_t - P0 - integral).max())
 
 
-def sandwich_check(M, t, f, tol=1e-12):
+def sandwich_check(Q, V, t, f, tol=1e-12):
     """Entrywise e^{t min V} P_t f <= P_t^V f <= e^{t max V} P_t f for f >= 0."""
-    V = M.V.values
-    base = expm(t * M.Q.rates) @ f if t > 0 else f
-    mid = evolve(M, t, f)
+    V = np.asarray(V, dtype=float)
+    base = expm(Q.rates, t) @ f if t > 0 else f
+    mid = evolve(make_operator(Q, V), t, f)
     lower = np.exp(t * float(V.min())) * base
     upper = np.exp(t * float(V.max())) * base
     band = tol * max(1.0, float(np.abs(upper).max()))
@@ -82,6 +83,33 @@ class TestExpm:
         with pytest.raises(NonFinite):
             expm(np.array([[2000.0, 0.0], [0.0, 2000.0]]))
 
+    def test_time_factor_rounds_as_the_scaled_matrix(self, rng):
+        # expm(A, t) scales A once, by t / 2^s, which rounds as (tA) / 2^s
+        for _ in range(100):
+            d = int(rng.integers(1, 10))
+            A = rng.normal(0, 1.5, (d, d))
+            t = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 2))
+            assert np.array_equal(expm(A, t), expm(t * A))
+        assert np.array_equal(expm(A, 0.0), expm(0.0 * A))
+
+    def test_huge_norm_or_time_is_typed(self, two_state):
+        # a row sum of |tA| past the float range once raised OverflowError
+        # from log2(inf), after a RuntimeWarning; the result is NonFinite
+        # where round-off overflows in the squarings, else finite
+        Q = validate_generator([[-1.0, 1.0], [1.0, -1.0]])
+        calls = (lambda: expm(np.array([[-1e308, 1e308], [1e308, -1e308]])),
+                 lambda: expm(1e300 * Q.rates, 1e300),
+                 lambda: evolve(make_operator(Q, [0.0, 0.0]), 1e308, np.ones(2)))
+        for call in calls:
+            try:
+                out = call()
+            except NonFinite:
+                continue
+            assert np.all(np.isfinite(out))
+        for t in (np.inf, -np.inf, np.nan):
+            with pytest.raises(NonFinite):
+                expm(two_state.rates, t)
+
 
 class TestEvolve:
     def test_time_zero_is_identity(self, two_state):
@@ -97,7 +125,7 @@ class TestEvolve:
     def test_two_state_eigendecomposition_oracle(self, two_state):
         op = make_operator(two_state, [1.0, 0.0])
         f = np.array([1.0, 0.0])
-        expected = oracles.eig_expm(1.0 * op.matrix) @ f
+        expected = oracles.eig_expm(1.0 * op) @ f
         got = evolve(op, 1.0, f)
         assert np.abs(got - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())
 
@@ -118,7 +146,8 @@ class TestEvolve:
             f = rng.normal(0, 1, d)
             once = evolve(op, s + t, f)
             twice = evolve(op, s, evolve(op, t, f))
-            assert np.abs(once - twice).max() <= 1e-10 * op.scale * max(1.0, np.abs(once).max())
+            scale = max(1.0, np.abs(op).max())
+            assert np.abs(once - twice).max() <= 1e-10 * scale * max(1.0, np.abs(once).max())
 
     def test_positivity_improving(self, rng):
         for _ in range(30):
@@ -145,22 +174,19 @@ class TestEvolve:
 
 class TestDuhamel:
     def test_zero_potential_vanishes(self, two_state):
-        op = make_operator(two_state, [0.0, 0.0])
-        assert duhamel_residual(op, 1.0, np.array([1.0, -0.5]), 8) <= 1e-12
+        assert duhamel_residual(two_state, [0.0, 0.0], 1.0, np.array([1.0, -0.5]), 8) <= 1e-12
 
     def test_two_state_converged_quadrature(self, two_state):
         # doubling study for this instance: 2.78e-7 (32), 1.74e-8 (64),
         # 1.09e-9 (128); clean fourth-order decay
-        op = make_operator(two_state, [1.0, 0.0])
         f = np.array([1.0, 0.0])
-        assert duhamel_residual(op, 1.0, f, 64) <= 2e-8
-        assert duhamel_residual(op, 1.0, f, 128) <= 1e-8
+        assert duhamel_residual(two_state, [1.0, 0.0], 1.0, f, 64) <= 2e-8
+        assert duhamel_residual(two_state, [1.0, 0.0], 1.0, f, 128) <= 1e-8
 
     def test_fourth_order_decay(self, two_state):
-        op = make_operator(two_state, [1.0, 0.0])
         f = np.array([1.0, 0.0])
-        r64 = duhamel_residual(op, 1.0, f, 64)
-        r128 = duhamel_residual(op, 1.0, f, 128)
+        r64 = duhamel_residual(two_state, [1.0, 0.0], 1.0, f, 64)
+        r128 = duhamel_residual(two_state, [1.0, 0.0], 1.0, f, 128)
         if r128 > 1e-13:  # above the floating-point floor
             assert r128 / r64 == pytest.approx(1.0 / 16.0, rel=4.0)
 
@@ -173,25 +199,23 @@ class TestSandwich:
         for t in (0.1, 1.0):
             lhs = np.exp(c * t) * (expm(t * two_state.rates) @ f)
             assert np.abs(evolve(op, t, f) - lhs).max() <= 1e-12 * np.abs(lhs).max()
-            assert sandwich_check(op, t, f)
+            assert sandwich_check(two_state, [c, c], t, f)
 
     def test_two_state_times(self, two_state):
-        op = make_operator(two_state, [1.0, 0.0])
         for t in (0.1, 1.0, 10.0):
-            assert sandwich_check(op, t, np.array([1.0, 0.0]))
+            assert sandwich_check(two_state, [1.0, 0.0], t, np.array([1.0, 0.0]))
 
     def test_zero_function(self, two_state):
-        op = make_operator(two_state, [1.0, 0.0])
-        assert sandwich_check(op, 1.0, np.zeros(2))
+        assert sandwich_check(two_state, [1.0, 0.0], 1.0, np.zeros(2))
 
     def test_random_trials(self, rng):
         for _ in range(1000):
             d = int(rng.integers(2, 9))
             Q = validate_generator(oracles.rand_rate_matrix(d, rng))
-            op = make_operator(Q, rng.uniform(-1.5, 1.5, d))
+            V = rng.uniform(-1.5, 1.5, d)
             t = float(rng.uniform(0, 3))
             f = rng.uniform(0, 2, d)
-            assert sandwich_check(op, t, f)
+            assert sandwich_check(Q, V, t, f)
 
 
 class TestGrowthBound:
@@ -208,7 +232,7 @@ class TestGrowthBound:
         # eps' = eps * e^{2 T (min V - max V)} gives C <= 1 / eps'
         V = np.array([1.0, 0.0])
         op = make_operator(two_state, V)
-        lam = oracles.eig_principal(op.matrix)[0]
+        lam = oracles.eig_principal(op)[0]
         T = 1.0
         eps = check_condition_A(two_state, T)
         eps_prime = eps * np.exp(2 * T * (V.min() - V.max()))
