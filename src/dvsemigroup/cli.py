@@ -47,7 +47,7 @@ from functools import cached_property
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, DVSemigroupError
+from .errors import ConfigError, DVSemigroupError, StateSpaceTooLarge
 from .generator import Generator, Potential, as_potential, validate_generator
 from .generator import check_condition_A, check_condition_D
 from .hohenberg_kohn import _orbit_marginal, hk_verify, i_hk, invert_potential
@@ -194,11 +194,11 @@ def load_scenario(path: str) -> Scenario:
                 "crc32": zlib.crc32(np.ascontiguousarray(Q1.rates, dtype="<f8"))}
 
     N = _count(raw.get("N", 1), "N", 1)
-    # for d >= 2, d^N < 2**63 exactly when d^min(N, 64) is, and the latter
-    # never forms a huge integer
-    _require(Q1.dim ** min(N, 64) < 2 ** 63,
-             f"{Q1.dim}^N product states must stay below 2**63", key="N")
     system = kronecker_sum(Q1, N)
+    try:  # every task but validate runs on the orbit chain: its bytes bound N
+        system._check_chain()
+    except StateSpaceTooLarge as exc:
+        raise ConfigError(f"{N} particles on {Q1.dim} states: {exc}", key="N") from exc
 
     _require(not ("V" in raw and "v" in raw),
              "give either V or v, not both", key="V")

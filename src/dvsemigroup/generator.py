@@ -32,11 +32,12 @@ from .errors import (
     DimensionMismatch,
     GraphDisconnected,
     NegativeOffDiagonal,
+    NonFinite,
     RowSumNonzero,
 )
 
 DEFAULT_ROW_TOL = 1e-12
-_EXPM_ROUNDOFF = 1e-13  # negative round-off that check_condition_A clamps to zero
+_EXPM_ROUNDOFF = 1e-13  # exp(TQ) round-off: clamped below 0, and eps's certified gap to 1
 
 
 @dataclass(frozen=True)
@@ -207,20 +208,31 @@ def check_condition_A(Q: Generator, T: float) -> float:
     For T > 0, P[x,j] > 0 exactly when j is reachable from x in the
     directed support graph, so every entry of P_T is strictly positive,
     and eps in (0, 1], when that graph is strongly connected (condition
-    B).  validate_generator checks only undirected connectivity: on a
-    reducible generator such as [[0, 0], [1, -1]] some P[x,j] vanishes
-    and eps is 0.  Entries that dip below zero by less than 1e-13
-    (round-off) are clamped before forming the ratio.
+    B); else eps is 0 at every T, as on [[0, 0], [1, -1]], which
+    validate_generator admits (it checks only undirected connectivity).
+    eps never falls as T grows, the columns of P_{T+s} = P_s P_T being
+    convex combinations of P_T's: so P, formed at T / 2^k in [1, 2), is
+    squared only until eps is within 1e-13 of 1.  Entries that dip below
+    zero by less than 1e-13 (round-off) are clamped before forming the
+    ratio; NonFinite if a column underflows.
     """
     if T <= 0:
         raise ValueError("T must be positive")
-    from .semigroup import expm  # local import, avoids cycle at module load
+    from .semigroup import check_condition_B, expm  # local import, avoids cycle at module load
 
-    P = expm(Q.rates, T)
-    P = np.where((P < 0) & (P > -_EXPM_ROUNDOFF), 0.0, P)
-    col_min = P.min(axis=0)
-    col_max = P.max(axis=0)
-    return float(np.min(col_min / col_max))
+    if not check_condition_B(Q):
+        return 0.0
+    k = max(0, int(np.frexp(T)[1]) - 1)
+    P = expm(Q.rates, np.ldexp(T, -k))
+    while True:
+        P[(P < 0) & (P > -_EXPM_ROUNDOFF)] = 0.0
+        if not P.max(axis=0).all():
+            raise NonFinite("a column of exp(TQ) underflows to zero")
+        eps = float(np.min(P.min(axis=0) / P.max(axis=0)))
+        if k == 0 or eps >= 1.0 - _EXPM_ROUNDOFF:
+            return eps
+        P = P @ (P / P.sum(axis=1, keepdims=True))    # row-sum round-off stays, never doubles
+        k -= 1
 
 
 def check_condition_D(Q) -> bool:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from math import lgamma
 
 import numpy as np
 
@@ -216,10 +217,12 @@ def reduced_functional(sys: TensorSystem, V0, rho, start=None) -> ReducedResult:
     rho_v = rho.weights
 
     if start is None:
-        p = np.maximum(o.sizes * np.prod(rho_v ** o.counts, axis=1), 1e-300)
+        # orbit masses N! prod(rho^n / n!) of the product measure, in logs
+        logp = o.counts @ np.log(rho_v) - np.vectorize(lgamma)(o.counts + 1.0).sum(axis=1)
+        p = np.maximum(np.exp(logp - logp.max()), 1e-300)
         p /= p.sum()
     else:
-        p = _positive_weights(start, len(o.reps))
+        p = _positive_weights(start, len(o.counts))
         if float(np.abs(C @ p - rho_v).max()) > _CONSTRAINT_TOL:
             raise ValueError("start measure does not have marginal rho")
     p, I, _, y, w = _simplex_newton(QL.rates, p, V0v, C, _INNER_TOL, _MAX_NEWTON)

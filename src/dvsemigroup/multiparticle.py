@@ -12,28 +12,28 @@ Permutation symmetry is held once, as orbits: multisets of coordinates,
 C(d+N-1, N) of them, each given by its occupation counts n (Doi 1976).
 Symmetrizing averages over an orbit, and since Q_N commutes with coordinate
 permutations its chain is exactly lumpable onto the orbits (Kemeny & Snell
-1960): orbit n moves to n - e_i + e_j at rate n_i Q1[i, j].  The dense
-d^N x d^N matrix is built only when it is read.
+1960): orbit n moves to n - e_i + e_j at rate n_i Q1[i, j].  The maps to
+the d^N states, and the dense d^N x d^N matrix, are built only when read.
 
 A one-state chain (d = 1) has one product state for every N, and N may
 then reach 2**63: each construction answers it directly, with no work
 that grows with N.
 
 Memory is bounded by one budget, _MAX_BYTES, checked from sizes before
-anything is allocated where (d, N) turns into large arrays: the orbits
-behind the product potentials (a d^N x N coordinate grid and the
-occupation counts), and the dense chain (QN, or lumped_QN) that the
-solvers then run on.  Past it, StateSpaceTooLarge.  At N = 1 the chain
-is Q1 itself and the orbits are its d states, with d x d counts; neither
-is checked.  The Monte Carlo sampler (feynman_kac.estimate_lambda)
-checks its per-path arrays against the same budget.
+anything is allocated where (d, N) turns into large arrays: the
+occupation counts, the d^N x N coordinate grid from which Orbits.of is
+read, and the dense chain (QN, or lumped_QN) that the solvers then run
+on.  Past it, StateSpaceTooLarge.  At N = 1 the chain is Q1 itself and
+the orbits are its d states, with d x d counts; neither is checked.  The
+Monte Carlo sampler (feynman_kac.estimate_lambda) checks its per-path
+arrays against the same budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement
 from math import comb
 
 import numpy as np
@@ -44,10 +44,11 @@ from .spectral import GroundData, ProbMeasure, as_measure
 
 _MAX_BYTES = 2 ** 31
 
-# peak memory in copies of the largest 8-byte array, as traced: the orbits
-# and product potentials hold 1 + 2/N copies of the d^N x N coordinate grid
-# (1.13 at (2, 16), 1.26 at (4, 8)) and, where the C(d+N-1, N) x d counts
-# are larger, up to 3.2 copies of those (pairwise_potential at (60, 3)); on
+# peak memory in copies of the largest 8-byte array, as traced: Orbits.of
+# and the product potentials hold 1 + 2/N copies of the d^N x N coordinate
+# grid (1.13 at (2, 16), 1.25 at (4, 8)) and, where the C(d+N-1, N) x d
+# counts are larger, up to 3.0 copies of those (pairwise_potential at
+# (60, 3), and the counts of N >= d particles as they are enumerated); on
 # a chain of n ~ 256 states, the CLI averaging task and both ground measures
 # hold 8.0 n x n arrays, expm, evolve, growth_bound and check_condition_A
 # 7.0, i_hk 5.3, dv_sup 5.2, rate_I 4.2, the QN and lumped builds 4.0,
@@ -67,18 +68,35 @@ def _require_bytes(needed: int) -> None:
 
 @dataclass(frozen=True)
 class Orbits:
-    """Orbits of the coordinate permutations on d^N states.
+    """Orbits of the coordinate permutations on d^N states, held as their
+    occupation counts, counts[a, j] particles at state j; built when read:
 
     of      orbit id of each flat state,
     reps    one flat state per orbit,
-    counts  occupation numbers, counts[a, j] particles at state j,
     sizes   number of flat states in each orbit.
     """
 
-    of: np.ndarray
-    reps: np.ndarray
     counts: np.ndarray
-    sizes: np.ndarray
+
+    @cached_property
+    def _maps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        d = self.counts.shape[1]
+        N = int(self.counts[0].sum()) if d > 1 else 1      # one state, for any N
+        _require_bytes(8 * _GRID_PEAK * N * d ** N)
+        # a rep, n_0 zeros, n_1 ones, ...: base-d repunits of the particles past each state
+        reps = ((d ** self.counts[:, :0:-1].cumsum(axis=1) - 1) // (d - 1)).sum(axis=1)
+        stride = d ** np.arange(N - 1, -1, -1)
+        # coordinates of every state, sorted in place: two axes for any N,
+        # where numpy allows at most 64
+        keys = np.arange(d ** N)[:, None] // stride
+        keys %= d
+        keys.sort(axis=1)
+        of = np.searchsorted(reps, keys @ stride)
+        return reps, of, np.bincount(of)
+
+    reps = property(lambda self: self._maps[0])
+    of = property(lambda self: self._maps[1])
+    sizes = property(lambda self: self._maps[2])
 
     def spread(self, masses: np.ndarray) -> np.ndarray:
         """Vector on d^N, constant on each orbit, with the given orbit sums."""
@@ -87,26 +105,22 @@ class Orbits:
 
 def _orbits(d: int, N: int) -> Orbits:
     """Orbits enumerated as multisets: the sorted N-tuples over range(d), in
-    lexicographic order.  A sorted tuple is the smallest flat state of its
-    orbit, so it is the representative, and a state's orbit is that of its
-    sorted coordinates.  d = 1 has one orbit, for any N below 2**63; at
-    N = 1, unchecked like Q1, the d states are the orbits."""
+    lexicographic order, or for N >= d their d - 1 bars among N + d - 1
+    slots in reverse order, so the work is proportional to the counts.
+    d = 1 has one orbit, for any N below 2**63; at N = 1, unchecked like
+    Q1, the d states are the orbits."""
     if d == 1:
-        return Orbits(of=np.zeros(1, dtype=np.intp), reps=np.zeros(1, dtype=np.intp),
-                      counts=np.array([[N]]), sizes=np.ones(1, dtype=np.intp))
+        return Orbits(np.array([[N]]))
+    size = comb(d + N - 1, N)
     if N > 1:
-        _require_bytes(8 * (_GRID_PEAK * N * d ** N + _COUNTS_PEAK * d * comb(d + N - 1, N)))
-    x = np.array(list(combinations_with_replacement(range(d), N)))
-    stride = d ** np.arange(N - 1, -1, -1)
-    reps = x @ stride
-    # coordinates of every state, sorted in place: two axes for any N, where
-    # numpy allows at most 64
-    keys = np.arange(d ** N)[:, None] // stride
-    keys %= d
-    keys.sort(axis=1)
-    of = np.searchsorted(reps, keys @ stride)
-    return Orbits(of=of, reps=reps, counts=(x[:, :, None] == np.arange(d)).sum(axis=1),
-                  sizes=np.bincount(of))
+        _require_bytes(8 * _COUNTS_PEAK * d * size)
+    if N < d:
+        x = np.fromiter(chain.from_iterable(combinations_with_replacement(range(d), N)),
+                        np.intp, size * N).reshape(size, N) + d * np.arange(size)[:, None]
+        return Orbits(np.bincount(x.ravel(), minlength=size * d).reshape(size, d))
+    bars = np.fromiter(chain.from_iterable(combinations(range(N + d - 1), d - 1)),
+                       np.intp, size * (d - 1)).reshape(size, d - 1)
+    return Orbits(np.diff(bars[::-1], axis=1, prepend=-1, append=N + d - 1) - 1)
 
 
 @dataclass(frozen=True)
@@ -140,19 +154,29 @@ class TensorSystem:
 
     @cached_property
     def lumped_QN(self) -> Generator:
-        """QN lumped onto orbits, from Q1: moving coordinate k of rep a from x_k
-        to j adds Q1[x_k, j] at the orbit of rep + (j - x_k) d^{N-1-k}.
-        Q1 itself when every orbit is one state (N = 1 or d = 1)."""
-        if self.d == 1 or self.N == 1:
+        """QN lumped onto orbits, from the counts: orbit n moves to n - e_i + e_j
+        at rate n_i Q1[i, j], its n_i equal rates added one by one.  Putting
+        the moving particle at j instead of i moves X_j - X_i rows, X_j the
+        ways, summed over a < j, to put the R_a others past state a there."""
+        d, N = self.d, self.N
+        if d == 1 or N == 1:
             return self.Q1
-        _require_bytes(_CHAIN_PEAK * 8 * comb(self.d + self.N - 1, self.N) ** 2)
-        o = self.orbits
-        stride = self.d ** np.arange(self.N - 1, -1, -1)
-        x = o.reps[:, None] // stride % self.d
-        to = o.reps[:, None, None] + (np.arange(self.d) - x[:, :, None]) * stride[:, None]
-        L = np.zeros((len(o.reps), len(o.reps)))
-        np.add.at(L, (np.arange(len(o.reps))[:, None, None], o.of[to]), self.Q1.rates[x])
+        self._check_chain()
+        n, a = self.orbits.counts, np.arange(d - 1)
+        ways = np.array([[comb(r + d - 2 - b, r) for b in a] for r in range(N)])
+        orbit, i = np.nonzero(n)
+        past = N - n[orbit, :-1].cumsum(axis=1) - (a < i[:, None])
+        X = np.cumsum(np.c_[np.zeros_like(i), ways[past, a]], axis=1)
+        to = orbit[:, None] + X - X[np.arange(len(i)), i, None]
+        sums = np.cumsum(np.broadcast_to(self.Q1.rates, (N, d, d)), axis=0)
+        L = np.zeros((len(n), len(n)))
+        np.add.at(L, (orbit[:, None], to), sums[n[orbit, i] - 1, i])
         return validate_generator(L)
+
+    def _check_chain(self) -> None:
+        """StateSpaceTooLarge past the budget for lumped_QN; Q1 (N = 1) is not checked."""
+        if self.N > 1:
+            _require_bytes(_CHAIN_PEAK * 8 * comb(self.d + self.N - 1, self.N) ** 2)
 
     def on_orbits(self, V0) -> np.ndarray:
         """V0 on the orbits: one entry per orbit, taken as it is, or a vector
@@ -210,7 +234,7 @@ def _pair_sums(w, o: Orbits, N: int) -> np.ndarray:
     if not np.allclose(w, w.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(w).max())):
         raise ValueError("pair interaction matrix must be symmetric")
     if N == 1:
-        return np.zeros(len(o.reps))
+        return np.zeros(len(o.counts))
     n = o.counts.astype(float)      # n (n - 1) overflows int64 at d = 1, N near 2**63
     pairs = ((n @ np.triu(w, 1)) * n).sum(axis=1) + (n * (n - 1) / 2) @ np.diag(w)
     return pairs / comb(N, 2)

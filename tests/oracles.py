@@ -9,6 +9,7 @@ a route that shares no code with rate_I's Newton solve.
 """
 
 import itertools
+import math
 from math import comb
 
 import numpy as np
@@ -100,6 +101,31 @@ def support_components(mat):
 def two_state_lambda(a, b, v1, v2):
     """Closed-form principal eigenvalue of [[-a+v1, a], [b, -b+v2]]."""
     return ((v1 - a + v2 - b) + np.sqrt((v1 - a - v2 + b) ** 2 + 4 * a * b)) / 2
+
+
+def two_state_potential(a, b, rho1):
+    """A potential whose equilibrium measure on [[-a, a], [b, -b]] is
+    (rho1, 1 - rho1), with lambda 0: V = -Qu / u at u = (1, e^s), where
+    e^{2s} = b rho2 / (a rho1) balances the rate function's two terms."""
+    es = np.sqrt(b * (1.0 - rho1) / (a * rho1))
+    return np.array([a * (1.0 - es), b * (1.0 - 1.0 / es)])
+
+
+def product_lambda(Q1, v, N):
+    """lambda_N(v) = N lambda_1(v / N): the separable potential sum_i
+    v(x_i) / N of N independent particles, each at v / N, by numpy's
+    general eigensolver on the one-particle chain."""
+    return N * eig_principal(np.asarray(Q1, dtype=float) + np.diag(np.asarray(v) / N))[0]
+
+
+def multinomial_log_masses(counts, mu1):
+    """log of the orbit masses of the product measure mu1 x ... x mu1: the
+    multinomial law N! / prod(n_a!) prod(mu1_a^n_a), one term at a time
+    with math.lgamma, for each row n of counts."""
+    counts = np.asarray(counts)
+    log_sizes = [math.lgamma(sum(row) + 1) - sum(math.lgamma(k + 1) for k in row)
+                 for row in counts.tolist()]
+    return np.array(log_sizes) + counts @ np.log(mu1)
 
 
 def two_state_rate(a, b, mu1):

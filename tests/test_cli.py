@@ -1,6 +1,7 @@
 """Scenario loading, task dispatch, report determinism, exit codes."""
 
 import json
+import math
 import os
 import time
 import tracemalloc
@@ -207,14 +208,19 @@ class TestLoadScenario:
         # load_scenario once formed the 10^12-bit integer 2^N to size V0
         ({"N": 10 ** 12, "V0": [0.0] * 4, "tasks": ["validate"]}, 2),
         ({"N": True, "tasks": ["validate"]}, 2),
-        ({"N": 63, "tasks": ["validate"]}, 2),
+        # 2^63 product states were refused while the CLI held d^N in int64;
+        # the limit is now the byte budget of the orbit chain, 5181 orbits,
+        # and 2^5180 is well inside the 4300 digits a report can print
+        ({"N": 63, "tasks": ["validate"]}, 0),
         ({"N": 62, "tasks": ["validate"]}, 0),
+        ({"N": 5180, "tasks": ["validate"]}, 0),
+        ({"N": 5181, "tasks": ["validate"]}, 2),
         # 2^15 states, once past a 20000-state cap, fit the byte budget;
         # the coordinate grid of 2^40 states does not
         ({"N": 15, "tasks": ["validate", "spectral"]}, 0),
         ({"N": 40, "tasks": ["spectral"]}, 1),
-    ], ids=["validate-20000", "spectral-20000", "V0-1e12", "bool", "63", "62", "15",
-            "40"])
+    ], ids=["validate-20000", "spectral-20000", "V0-1e12", "bool", "63", "62", "5180",
+            "5181", "15", "40"])
     def test_particle_count_bounded(self, tmp_path, capsys, extra, code):
         path = write_scenario(tmp_path, dict(BASE, **extra))
         out = str(tmp_path / "out.json")
@@ -261,9 +267,11 @@ class TestRun:
         assert len(result["psi"]) == 2 ** 15
 
     @pytest.mark.parametrize("V0", [None, "array"], ids=["symmetric", "array-V0"])
-    def test_budget_refuses_before_allocating(self, tmp_path, V0):
+    def test_budget_refuses_before_allocating(self, tmp_path, capsys, V0):
         # (d, N) = (141, 2): the system solves on 10011 orbits, ~8 GB for the
-        # solvers' n x n arrays, with or without a symmetric array V0
+        # solvers' n x n arrays, with or without a symmetric array V0.  Every
+        # task but validate runs on that chain, so the scenario is invalid
+        # (it was a StateSpaceTooLarge task error while d^N bounded N)
         body = dict(_cos_birth_death(141, 1.0), N=2, tasks=["spectral"])
         if V0 == "array":
             a = np.linspace(0.0, 1.0, 141)
@@ -275,20 +283,22 @@ class TestRun:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert code == 1 and peak < 64 * 2 ** 20
-        error = json.loads(open(out).read())["tasks"][0]["error"]
-        assert error["type"] == "StateSpaceTooLarge"
-        assert "budget is 2147483648 bytes" in error["message"]
+        assert code == 2 and peak < 64 * 2 ** 20
+        assert not os.path.exists(out)
+        assert "budget is 2147483648 bytes" in capsys.readouterr().err
 
-    def test_validate_at_a_huge_horizon_reports_nonfinite(self, tmp_path):
-        # at T = 1e308 the norm of TQ overflowed, and expm raised a bare
-        # OverflowError: a traceback and no report
-        body = {"Q": [[-1, 1], [1, -1]], "v": [0, 0],
-                "tasks": [{"name": "validate", "options": {"T": 1e308}}]}
+    @pytest.mark.parametrize("Q, eps", [([[-1, 1], [1, -1]], 1.0), ([[0, 0], [1, -1]], 0.0)],
+                             ids=["mixing", "absorbing"])
+    def test_validate_at_a_huge_horizon_reports_a_value(self, tmp_path, Q, eps):
+        # at T = 1e308 the norm of TQ once overflowed (a bare OverflowError),
+        # then expm's ~1030 squarings did (NonFinite).  eps_A never falls as
+        # T grows, so the first horizon within 1e-13 of 1 certifies it, and a
+        # chain that is not strongly connected has eps_A = 0 at every T
+        body = {"Q": Q, "v": [0, 0], "tasks": [{"name": "validate", "options": {"T": 1e308}}]}
         out = str(tmp_path / "report.json")
-        assert run(write_scenario(tmp_path, body), out) == 1
-        error = json.loads(open(out).read())["tasks"][0]["error"]
-        assert error["type"] == "NonFinite"
+        assert run(write_scenario(tmp_path, body), out) == 0
+        result = json.loads(open(out).read())["tasks"][0]["result"]
+        assert abs(result["epsilon_A"] - eps) <= 1e-13
 
     def test_mc_path_count_past_budget_fails_the_task(self, tmp_path):
         # 10^12 paths would hold 8 TB of weight exponents; the sampler once
@@ -786,6 +796,25 @@ class TestRun:
                                               method="bounded", options={"xatol": 1e-9})
         assert got["rho"] == [0.3, 0.7]
         assert got["I_HK"] == pytest.approx(scan.fun, abs=1e-6)
+
+    def test_hk_tasks_past_the_grid(self, tmp_path):
+        # (2, 200) with a pairwise V0: the hk tasks run on the 201 orbits and
+        # certify, while spectral and rate, which report d^N vectors, are
+        # refused by the grid's byte budget, counted in exact integers
+        # before int64 strides of 2^200 states could overflow
+        body = dict(BASE, N=200, V0={"pairwise": [[0.0, 1.0], [1.0, 0.5]]}, tasks=[
+            "validate", "spectral", "rate", {"name": "hk-verify", "options": {"v2": [0.0, 1.0]}},
+            {"name": "hk-invert", "options": {"v_star": [1.0, 0.0]}}, "ihk"])
+        out = str(tmp_path / "report.json")
+        assert run(write_scenario(tmp_path, body), out) == 1
+        sections = {t["task"]: t for t in json.loads(open(out).read())["tasks"]}
+        assert sections["validate"]["result"]["product_states"] == 2 ** 200
+        for task in ("spectral", "rate"):
+            assert sections[task]["error"]["type"] == "StateSpaceTooLarge"
+        assert sections["hk-verify"]["result"]["conclusion"] == "distinct_marginals"
+        assert sections["hk-invert"]["result"]["converged"]
+        assert abs(np.ptp(sections["hk-invert"]["result"]["v_recovered"]) - 1.0) <= 1e-6
+        assert math.isfinite(sections["ihk"]["result"]["I_HK"])
 
     def test_hk_invert_without_a_target_exits_2(self, tmp_path, capsys):
         body = dict(BASE, N=2, tasks=["hk-invert"])

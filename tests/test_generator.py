@@ -1,5 +1,7 @@
 """Generator validation, carre du champ, and the structural conditions."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,40 @@ class TestConditionA:
         for T in (0.5, 1.0, 10.0):
             assert check_condition_A(Q, T) == 0.0
         assert not check_condition_B(Q)
+
+    @pytest.mark.parametrize("n", [2, 16, 256])
+    def test_huge_horizon_is_certified(self, n):
+        # dense chains with rates U(0, 1): at T = 1e308 the 16- and 256-state
+        # ones read nan, with a RuntimeWarning, after ~1030 squarings, and the
+        # 2-state one raised NonFinite, although eps_A(1e8) is within 1e-14
+        # of 1
+        rng = np.random.default_rng(0)
+        Q = validate_generator(oracles.rand_rate_matrix(n, rng, 0.0, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eps = check_condition_A(Q, 1e308)
+        assert 1.0 - 1e-13 <= eps <= 1.0
+
+    def test_slow_mixing_chain_at_a_huge_horizon(self):
+        # the 256-state unit birth-death chain mixes over ~6600 time units,
+        # so eps_A climbs from 0 (underflowed corners) through 1.6e-7 at
+        # T = 1e3.  It read nan at T = 1e308; squaring P itself, rather than
+        # against its row-normalized copy, doubles the round-off in the row
+        # sums each time and overflows there
+        n = 256
+        Q = np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
+        Q = validate_generator(Q - np.diag(Q.sum(axis=1)))
+        eps = [check_condition_A(Q, T) for T in (1.0, 1e3, 1e5, 1e308)]
+        assert eps == sorted(eps) and eps[0] == 0.0
+        assert 1.5e-7 < eps[1] < 1.6e-7 and 1.0 - 1e-13 <= eps[3] <= 1.0
+
+    def test_reducible_chain_is_zero_at_any_horizon(self):
+        # exp(TQ) underflowed to a zero column at T = 1e308, and the ratio
+        # read nan with a RuntimeWarning
+        Q = validate_generator([[0.0, 0.0], [1.0, -1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert check_condition_A(Q, 1e308) == 0.0
 
     def test_positive_for_t_ladder(self, rng):
         for _ in range(10):

@@ -23,6 +23,7 @@ from dvsemigroup import (
     total_variation,
     validate_generator,
 )
+from dvsemigroup import hohenberg_kohn, multiparticle
 
 
 @pytest.fixture
@@ -587,3 +588,38 @@ class TestGammaOverlap:
             Q = validate_generator(oracles.rand_rate_matrix(d, rng))
             val = gamma_overlap_check(Q, rng.uniform(-1, 1, d), rng.uniform(-1, 1, d))
             assert val >= -1e-12
+
+
+class TestPastTheGrid:
+    """(2, 200): 201 orbits, and 2^200 states that no map reaches."""
+
+    def test_hk_maps_read_the_counts_alone(self):
+        # with V0 given per orbit, hk_verify, invert_potential and i_hk run
+        # on the counts, and certify, with no map to the d^N states built
+        sys = kronecker_sum(validate_generator([[-1.0, 1.0], [2.0, -2.0]]), 200)
+        V0 = multiparticle._pair_sums([[0.0, 1.0], [1.0, 0.5]], sys.orbits, 200)
+        v = np.array([1.0, 0.0])
+        gd, rho = hohenberg_kohn._orbit_marginal(sys, V0, v)
+        assert hk_verify(sys, V0, v, [0.0, 1.0]).conclusion is HKConclusion.DISTINCT_MARGINALS
+        inv = invert_potential(sys, V0, rho)
+        assert inv.converged and np.abs(inv.v_recovered.values - (v - v.mean())).max() <= 1e-6
+        assert abs(float(rho.weights @ v) - i_hk(sys, V0, rho) - gd.lam) <= 1e-4
+        assert "_maps" not in vars(sys.orbits)
+
+    @pytest.mark.parametrize("rho1", [
+        0.5, 0.9,
+        # the Hessian's group-inverse solve is singular here, and a bare
+        # LinAlgError escapes
+        pytest.param(0.05, marks=pytest.mark.xfail(
+            strict=True, raises=np.linalg.LinAlgError, reason="singular Hessian solve"))])
+    def test_inverts_to_N_times_the_one_particle_potential(self, rho1):
+        # no interaction: the product measure of mu_1(v / N) has marginal
+        # mu_1(v / N), so the potential with marginal rho is N V_rho, V_rho
+        # the one-particle potential whose equilibrium measure is rho
+        a, b = 1.0, 2.0
+        sys = kronecker_sum(validate_generator([[-a, a], [b, -b]]), 200)
+        inv = invert_potential(sys, np.zeros(201), [rho1, 1.0 - rho1])
+        want = 200 * oracles.two_state_potential(a, b, rho1)
+        assert inv.converged
+        err = np.abs(inv.v_recovered.values - (want - want.mean())).max()
+        assert err <= 1e-8 * np.abs(want).max()

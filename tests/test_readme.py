@@ -125,18 +125,20 @@ def test_tolerance_names_resolve():
 def test_byte_budget_matches_the_library():
     # the size limits the introduction states, against the budget and the
     # peak factors they come from
-    intro = README[:README.index("## Install and test")]
+    intro = " ".join(README[:README.index("## Install and test")].split())
     budget = int(re.search(r"`multiparticle\._MAX_BYTES` = (\d+) bytes", intro).group(1))
-    orbits = re.search(r"(\d+) x N x d\^N \+ (\d+) x d x C\(d\+N-1, N\) <= (\d+) ", intro)
-    two_state = int(re.search(r"d = 2, N <= (\d+)\)", intro).group(1))
-    chain = int(re.search(r"n <= (\d+) states", intro).group(1))
+    counts = re.search(r"(\d+) x d x C\(d\+N-1, N\) <= (\d+);", intro)
+    grid = re.search(r"(\d+) x N x d\^N <= (\d+) \(at d = 2, N <= (\d+)\)", intro)
+    chain = re.search(r"n <= (\d+) states \(N <= (\d+) at d = 2, N <= (\d+) at d = 3\)", intro)
     assert budget == multiparticle._MAX_BYTES
-    grid, counts, total = [int(x) for x in orbits.groups()]
-    assert (grid, counts, total) == (multiparticle._GRID_PEAK, multiparticle._COUNTS_PEAK,
-                                     budget // 8)
-    assert two_state == max(N for N in range(2, 64)
-                            if grid * N * 2 ** N + counts * 2 * (N + 1) <= total)
-    assert chain == math.isqrt(budget // (8 * multiparticle._CHAIN_PEAK))
+    assert [int(x) for x in counts.groups()] == [multiparticle._COUNTS_PEAK, budget // 8]
+    peak, total, two_state = [int(x) for x in grid.groups()]
+    assert (peak, total) == (multiparticle._GRID_PEAK, budget // 8)
+    assert two_state == max(N for N in range(2, 64) if peak * N * 2 ** N <= total)
+    # the chain on C(d+N-1, N) orbits, N + 1 at d = 2 and C(N+2, 2) at d = 3
+    n, two, three = [int(x) for x in chain.groups()]
+    assert n == math.isqrt(budget // (8 * multiparticle._CHAIN_PEAK))
+    assert (two, three) == (n - 1, max(N for N in range(2, n) if math.comb(N + 2, 2) <= n))
     per_path, limit = re.search(r"(\d+) x paths <= \d+, so\s+paths <= (\d+)", intro).groups()
     assert int(per_path) == 8 * feynman_kac._PATHS_PEAK
     assert int(limit) == budget // int(per_path)
