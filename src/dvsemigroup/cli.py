@@ -51,13 +51,12 @@ from .errors import ConfigError, DVSemigroupError, StateSpaceTooLarge
 from .generator import Generator, Potential, as_potential, validate_generator
 from .generator import check_condition_A, check_condition_D
 from .hohenberg_kohn import _orbit_marginal, hk_verify, i_hk, invert_potential
-from .multiparticle import TensorSystem, _pair_sums, is_symmetric, kronecker_sum
+from .multiparticle import TensorSystem, _pair_sums, kronecker_sum
 from .rate_function import dv_sup, rate_I, relative_entropy
 from .semigroup import check_condition_B, growth_bound, make_operator
 from .spectral import (
     GroundData,
     ProbMeasure,
-    as_measure,
     ground_measure_by_averaging,
     ground_measure_by_evolution,
     principal_eigen,
@@ -78,48 +77,21 @@ class Scenario:
     raw: dict
     system: TensorSystem
     v: np.ndarray
-    V0: np.ndarray | None       # on the orbits; None when the scenario gives none
+    V0: np.ndarray              # on the orbits; zeros when the scenario gives none
     t_grid: list[float]
     seed: int
     tasks: list[tuple[str, dict]]
 
-    @property
-    def Q1(self) -> Generator:
-        return self.system.Q1
-
-    @property
-    def N(self) -> int:
-        return self.system.N
-
     @cached_property
     def chain(self) -> tuple[Generator, Potential]:
         """The chain every task runs on: the product chain lumped onto its
-        permutation orbits (Q1 itself at N = 1), with V0 + separable(v) at
-        each orbit, the latter counts . v / N (v itself at N = 1, where no
-        orbit is enumerated)."""
-        v = self.v if self.N == 1 else self.system.orbits.counts @ self.v / self.N
-        return self.system.lumped_QN, Potential((0.0 if self.V0 is None else self.V0) + v)
-
-    @property
-    def interaction(self) -> np.ndarray:
-        """V0 on the orbits, zero when the scenario gives none."""
-        return np.zeros(len(self.chain[1])) if self.V0 is None else self.V0
+        permutation orbits (Q1 itself at N = 1), with V0 + separable(v)."""
+        return self.system.lumped_QN, Potential(self.system.chain_potential(self.V0, self.v))
 
     @cached_property
     def ground(self) -> GroundData:
         """The Perron eigentriple of the chain, solved once."""
         return principal_eigen(*self.chain)
-
-    def gather(self, mu: np.ndarray) -> ProbMeasure:
-        """A permutation-symmetric measure on the d^N states summed onto the
-        orbits; as given at N = 1, where every orbit is one state and the
-        sum would only normalize it again."""
-        mu = as_measure(mu, self.system.size)
-        if self.N == 1:
-            return mu
-        if not is_symmetric(mu, self.system):
-            raise ValueError("mu must be symmetric under particle permutations")
-        return ProbMeasure(np.bincount(self.system.orbits.of, weights=mu.weights))
 
 
 def _require(cond: bool, message: str, key: str | None = None):
@@ -207,9 +179,8 @@ def load_scenario(path: str) -> Scenario:
     _require(v.shape == (Q1.dim,), f"potential must have {Q1.dim} entries", key=key)
 
     # every task runs on the orbit chain, so V0 must be permutation
-    # symmetric; it is kept on the orbits, and the system's orbits, read
-    # here, serve the tasks too
-    V0 = None
+    # symmetric; the system's orbits, read here, serve the tasks too
+    V0 = np.zeros(system.n_orbits)
     if "V0" in raw:
         given = raw["V0"]
         try:
@@ -275,12 +246,12 @@ def _task_validate(sc: Scenario, options: dict) -> dict:
     opts = _opt(options, {"T": 1.0}, "validate")
     T = _real(opts["T"], "T", low=0.0)
     return {
-        "d": sc.Q1.dim,
-        "N": sc.N,
-        "product_states": sc.Q1.dim ** sc.N,
-        "epsilon_A": check_condition_A(sc.Q1, T),
-        "condition_B": check_condition_B(sc.Q1),
-        "condition_D": check_condition_D(sc.Q1),
+        "d": sc.system.d,
+        "N": sc.system.N,
+        "product_states": sc.system.size,
+        "epsilon_A": check_condition_A(sc.system.Q1, T),
+        "condition_B": check_condition_B(sc.system.Q1),
+        "condition_D": check_condition_D(sc.system.Q1),
     }
 
 
@@ -294,7 +265,7 @@ def _task_spectral(sc: Scenario, options: dict) -> dict:
 def _task_rate(sc: Scenario, options: dict) -> dict:
     opts = _opt(options, {"mu": None}, "rate")
     (Q, V), gd = sc.chain, sc.ground
-    mu = gd.mu if opts["mu"] is None else sc.gather(_vector(opts["mu"], "mu"))
+    mu = gd.mu if opts["mu"] is None else sc.system.gather(_vector(opts["mu"], "mu"))
     # I comes from a rate solve started at w = 0; at the default mu, the
     # equilibrium measure, its log-tilt starts dv_sup's rate solve there
     rate = rate_I(Q, mu)
@@ -309,8 +280,7 @@ def _task_rate(sc: Scenario, options: dict) -> dict:
         "I": I,
         "IV": I - float(mu.weights @ V.values) + gd.lam,
         "lambda_dual": lam_dual,
-        "mu_star": (mu_star.weights if sc.N == 1
-                    else sc.system.orbits.spread(mu_star.weights)).tolist(),
+        "mu_star": sc.system.spread(mu_star.weights).tolist(),
     }
 
 
@@ -339,7 +309,7 @@ def _task_hk_verify(sc: Scenario, options: dict) -> dict:
     _require(opts["v2"] is not None, "hk-verify needs option v2", key="v2")
     v1 = sc.v if opts["v1"] is None else _vector(opts["v1"], "v1")
     # at the scenario's own v, the scenario's ground data start v1's solve
-    report = hk_verify(sc.system, sc.interaction, v1, _vector(opts["v2"], "v2"),
+    report = hk_verify(sc.system, sc.V0, v1, _vector(opts["v2"], "v2"),
                        tol=_real(opts["tol"], "tol", low=0.0),
                        start=sc.ground if opts["v1"] is None else None)
     return {
@@ -357,7 +327,7 @@ def _task_hk_invert(sc: Scenario, options: dict) -> dict:
                           "max_iter": 500}, "hk-invert")
     tol = _real(opts["tol"], "tol", low=0.0)
     max_iter = _count(opts["max_iter"], "max_iter", 1)
-    sys, V0 = sc.system, sc.interaction
+    sys, V0 = sc.system, sc.V0
     if opts["rho_target"] is not None:
         rho_target = _vector(opts["rho_target"], "rho_target")
     elif opts["v_star"] is not None:
@@ -381,10 +351,10 @@ def _task_ihk(sc: Scenario, options: dict) -> dict:
         # the marginal of the scenario's equilibrium measure, from which
         # the constrained Newton run starts
         start = sc.ground.mu
-        rho = ProbMeasure(sys.orbits.counts.T @ start.weights / sys.N).weights
+        rho = ProbMeasure(sys.marginal_map @ start.weights).weights
     else:
         start, rho = None, _vector(opts["rho"], "rho")
-    return {"rho": rho.tolist(), "I_HK": i_hk(sys, sc.interaction, rho, start)}
+    return {"rho": rho.tolist(), "I_HK": i_hk(sys, sc.V0, rho, start)}
 
 
 def _task_mc(sc: Scenario, options: dict) -> dict:

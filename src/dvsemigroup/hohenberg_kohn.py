@@ -102,12 +102,11 @@ class ReducedResult:
 
 def _orbit_marginal(sys: TensorSystem, V0v: np.ndarray, v: np.ndarray,
                    start: GroundData | None = None) -> tuple[GroundData, ProbMeasure]:
-    """Ground data of the orbit chain at V0v + counts . v / N, V0v the
-    interaction on the orbits, and its one-particle marginal; start as
+    """Ground data of the orbit chain at sys.chain_potential(V0v, v), V0v
+    the interaction on the orbits, and its one-particle marginal; start as
     for principal_eigen.  No d^N vector is formed."""
-    counts = sys.orbits.counts
-    gd = principal_eigen(sys.lumped_QN, V0v + counts @ v / sys.N, start)
-    return gd, ProbMeasure(counts.T @ gd.mu.weights / sys.N)
+    gd = principal_eigen(sys.lumped_QN, sys.chain_potential(V0v, v), start)
+    return gd, ProbMeasure(sys.marginal_map @ gd.mu.weights)
 
 
 def equilibrium_marginal(sys: TensorSystem, V0, v):
@@ -167,16 +166,16 @@ def invert_potential(sys: TensorSystem, V0, rho_target, tol: float = 1e-8,
 
     The potential maximizes the concave dual rho_target(v) - lambda_{V0+v}
     (Lieb 1983; Wu & Yang 2003); _legendre_newton solves it on the orbit
-    chain with F = counts / N, stopping once the marginal error (total
-    variation) is at most tol or after max_iter Newton steps.  Returns the
-    last iterate and a converged flag: feasibility of arbitrary targets is
-    open, so failure is data.
+    chain with F = C^T, C = TensorSystem.marginal_map, stopping once the
+    marginal error (total variation) is at most tol or after max_iter
+    Newton steps.  Returns the last iterate and a converged flag:
+    feasibility of arbitrary targets is open, so failure is data.
     """
     rho_target = as_measure(rho_target, sys.d)
     if (rho_target.weights <= 0).any():
         raise ValueError("target marginal must be strictly positive")
-    v, _, err, steps = _legendre_newton(sys.lumped_QN, sys.on_orbits(V0),
-                                        sys.orbits.counts / sys.N, rho_target.weights,
+    F = np.ascontiguousarray(sys.marginal_map.T)    # row-major: the sum order steers hard ascents
+    v, _, err, steps = _legendre_newton(sys.lumped_QN, sys.on_orbits(V0), F, rho_target.weights,
                                         tol, max_iter)
     return InversionResult(Potential(v), steps, err, converged=err <= tol)
 
@@ -190,7 +189,7 @@ def reduced_functional(sys: TensorSystem, V0, rho, start=None) -> ReducedResult:
 
     One rate_function._simplex_newton run minimizes I(p) - p V0 over orbit
     masses p subject to C p = rho, with I the lumped chain's rate and
-    C = counts^T / N the marginal map (its columns sum to one, so it fixes
+    C = TensorSystem.marginal_map (its columns sum to one, so it fixes
     sum(p) too).  It starts from start, a measure on the orbits with
     marginal rho (within 1e-9) and no zero entry, or from the product
     measure rho x ... x rho when None; a good start, such as the
@@ -206,23 +205,23 @@ def reduced_functional(sys: TensorSystem, V0, rho, start=None) -> ReducedResult:
     minimizer u* = e^w and p/u*, the ground state and measure of
     V0 - C^T y at the optimum.
     """
-    o = sys.orbits
     V0v = sys.on_orbits(V0)
     rho = as_measure(rho, sys.d)
     if (rho.weights <= 0).any():
         raise ValueError("marginal must be strictly positive")
 
     QL = sys.lumped_QN
-    C = o.counts.T / sys.N
+    C = sys.marginal_map
     rho_v = rho.weights
 
     if start is None:
         # orbit masses N! prod(rho^n / n!) of the product measure, in logs
-        logp = o.counts @ np.log(rho_v) - np.vectorize(lgamma)(o.counts + 1.0).sum(axis=1)
+        n = sys.orbits.counts
+        logp = n @ np.log(rho_v) - np.vectorize(lgamma)(n + 1.0).sum(axis=1)
         p = np.maximum(np.exp(logp - logp.max()), 1e-300)
         p /= p.sum()
     else:
-        p = _positive_weights(start, len(o.counts))
+        p = _positive_weights(start, len(V0v))
         if float(np.abs(C @ p - rho_v).max()) > _CONSTRAINT_TOL:
             raise ValueError("start measure does not have marginal rho")
     p, I, _, y, w = _simplex_newton(QL.rates, p, V0v, C, _INNER_TOL, _MAX_NEWTON)
@@ -267,7 +266,7 @@ def i_hk(sys: TensorSystem, V0, rho, start=None) -> float:
 def reduced_variational(sys: TensorSystem, V0, v):
     """sup over marginals of rho(v) - I_HK(rho), the paper's reduction.
 
-    With C = counts^T / N the marginal map, the sup over rho of rho(v) -
+    With C = TensorSystem.marginal_map, the sup over rho of rho(v) -
     I_HK(rho) is the sup over orbit masses p of p (V0 + C^T v) - I(p), the
     problem dv_sup solves on the orbit chain.  Its maximizer p* gives
     rho* = C p*; one reduced_functional run then evaluates I_HK(rho*)
@@ -279,10 +278,10 @@ def reduced_variational(sys: TensorSystem, V0, v):
     Returns (lambda_hat, rho_star).
     """
     v = as_potential(v, sys.d).values
-    C = sys.orbits.counts.T / sys.N
-    _, p = dv_sup(sys.lumped_QN, sys.on_orbits(V0) + C.T @ v)
-    rho = C @ p.weights
-    res = reduced_functional(sys, V0, rho)
+    V0v = sys.on_orbits(V0)
+    _, p = dv_sup(sys.lumped_QN, sys.chain_potential(V0v, v))
+    rho = sys.marginal_map @ p.weights
+    res = reduced_functional(sys, V0v, rho)
     value = float(rho @ v - res.value)
     grad = v + res.multiplier
     gap = float(grad.max() - grad @ rho)

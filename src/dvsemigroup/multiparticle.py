@@ -98,10 +98,6 @@ class Orbits:
     of = property(lambda self: self._maps[1])
     sizes = property(lambda self: self._maps[2])
 
-    def spread(self, masses: np.ndarray) -> np.ndarray:
-        """Vector on d^N, constant on each orbit, with the given orbit sums."""
-        return (masses / self.sizes)[self.of]
-
 
 def _orbits(d: int, N: int) -> Orbits:
     """Orbits enumerated as multisets: the sorted N-tuples over range(d), in
@@ -148,9 +144,19 @@ class TensorSystem:
             QN += np.kron(np.kron(np.eye(d ** i), self.Q1.rates), np.eye(d ** (N - 1 - i)))
         return validate_generator(QN)
 
+    @property
+    def n_orbits(self) -> int:
+        return comb(self.d + self.N - 1, self.N)
+
     @cached_property
     def orbits(self) -> Orbits:
         return _orbits(self.d, self.N)
+
+    @cached_property
+    def marginal_map(self) -> np.ndarray:
+        """C = counts^T / N, taking orbit masses p to their one-particle marginal
+        C p; row-major, so that C p sums each row as counts^T p does."""
+        return np.ascontiguousarray(self.orbits.counts.T) / self.N
 
     @cached_property
     def lumped_QN(self) -> Generator:
@@ -176,7 +182,7 @@ class TensorSystem:
     def _check_chain(self) -> None:
         """StateSpaceTooLarge past the budget for lumped_QN; Q1 (N = 1) is not checked."""
         if self.N > 1:
-            _require_bytes(_CHAIN_PEAK * 8 * comb(self.d + self.N - 1, self.N) ** 2)
+            _require_bytes(_CHAIN_PEAK * 8 * self.n_orbits ** 2)
 
     def on_orbits(self, V0) -> np.ndarray:
         """V0 on the orbits: one entry per orbit, taken as it is, or a vector
@@ -185,21 +191,43 @@ class TensorSystem:
         ValueError.  The two lengths differ for d, N >= 2; at N = 1 or d = 1
         every orbit is one state, and they denote the same vector."""
         V0 = as_potential(V0)
-        if len(V0) == comb(self.d + self.N - 1, self.N):
+        if len(V0) == self.n_orbits:
             return V0.values
         V0 = as_potential(V0, self.size)
         if not is_symmetric(V0, self):
             raise ValueError("interaction V0 must be symmetric under particle permutations")
         return V0.values[self.orbits.reps]
 
+    def chain_potential(self, V0: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """V0 + C^T v on the orbits; V0 + v at N = 1, where no orbit is enumerated."""
+        return V0 + (v if self.N == 1 else self.marginal_map.T @ v)
+
+    def spread(self, masses: np.ndarray) -> np.ndarray:
+        """d^N vector, even on each orbit, with orbit sums masses; masses at N = 1 or d = 1."""
+        if self.d == 1 or self.N == 1:
+            return masses
+        o = self.orbits
+        return (masses / o.sizes)[o.of]
+
+    def gather(self, mu) -> ProbMeasure:
+        """Orbit sums of a permutation-symmetric measure mu on the d^N states,
+        else ValueError; mu itself when every orbit is one state."""
+        mu = as_measure(mu, self.size)
+        if self.d == 1 or self.N == 1:
+            return mu
+        masses = np.bincount(self.orbits.of, weights=mu.weights)
+        if np.abs(self.spread(masses) - mu.weights).max() > 1e-10:   # is_symmetric's band, mu <= 1
+            raise ValueError("mu must be symmetric under particle permutations")
+        return ProbMeasure(masses)
+
     def lift(self, gd: GroundData) -> GroundData:
         """Ground data of lumped_QN (symmetric V) as those of QN on d^N states;
         gd itself when every orbit is one state (N = 1 or d = 1)."""
         if self.d == 1 or self.N == 1:
             return gd
-        o = self.orbits
-        return GroundData(lam=gd.lam, psi=gd.psi[o.of], pi=ProbMeasure(o.spread(gd.pi.weights)),
-                          mu=ProbMeasure(o.spread(gd.mu.weights)))
+        return GroundData(lam=gd.lam, psi=gd.psi[self.orbits.of],
+                          pi=ProbMeasure(self.spread(gd.pi.weights)),
+                          mu=ProbMeasure(self.spread(gd.mu.weights)))
 
 
 def kronecker_sum(Q1: Generator, N: int) -> TensorSystem:
@@ -259,8 +287,7 @@ def pairwise_potential(w, N: int) -> Potential:
 def symmetrize_measure(mu, sys: TensorSystem) -> ProbMeasure:
     """Average of mu over all coordinate permutations; idempotent."""
     mu = as_measure(mu, sys.size)
-    o = sys.orbits
-    return ProbMeasure(o.spread(np.bincount(o.of, weights=mu.weights)))
+    return ProbMeasure(sys.spread(np.bincount(sys.orbits.of, weights=mu.weights)))
 
 
 def is_symmetric(values, sys: TensorSystem, tol: float = 1e-10) -> bool:
@@ -271,5 +298,4 @@ def is_symmetric(values, sys: TensorSystem, tol: float = 1e-10) -> bool:
     if vec.shape != (sys.size,):
         raise DimensionMismatch(f"expected vector of length {sys.size}")
     band = tol * max(1.0, float(np.abs(vec).max()))
-    o = sys.orbits
-    return float(np.abs(o.spread(np.bincount(o.of, weights=vec)) - vec).max()) <= band
+    return float(np.abs(sys.spread(np.bincount(sys.orbits.of, weights=vec)) - vec).max()) <= band

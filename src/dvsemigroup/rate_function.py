@@ -334,9 +334,9 @@ def _legendre_newton(Q: Generator, V0: np.ndarray, F: np.ndarray, target: np.nda
     F sum to one, so G is flat along constants: v is kept mean-zero and a
     rank-one term fixes that gauge in the solve.  A full step that halves
     the gradient passes unless G drops beyond round-off, else Armijo
-    backtracking runs; a failed eigenproblem rejects a trial.  Each trial's
-    Perron solve starts from the current point's ground data.  Returns
-    (v, G, TV(target, F^T mu), steps), stopping once that TV <= tol.
+    backtracking runs; a failed eigenproblem rejects a trial, a singular
+    Hessian ends the run; trial Perron solves start from the point's ground data.
+    Returns (v, G, TV(target, F^T mu), steps), stopping once that TV <= tol.
     """
     def point(v, start=None):
         v = v - v.mean()
@@ -349,9 +349,12 @@ def _legendre_newton(Q: Generator, V0: np.ndarray, F: np.ndarray, target: np.nda
     while err > tol and steps < max_steps:
         B = np.outer(gd.psi, gd.pi.weights)
         B -= _shifted(Q, V0 + F @ v, gd.lam)    # lambda I - M + psi pi^T
-        half = (gd.pi.weights[:, None] * F).T @ np.linalg.solve(B, gd.psi[:, None] * F)
-        K = half + half.T - 2.0 * np.outer(target - g, target - g)    # F^T mu = target - g
-        step = np.linalg.solve(K + max(np.trace(K), 1e-300) / K.size, g)
+        try:
+            half = (gd.pi.weights[:, None] * F).T @ np.linalg.solve(B, gd.psi[:, None] * F)
+            K = half + half.T - 2.0 * np.outer(target - g, target - g)    # F^T mu = target - g
+            step = np.linalg.solve(K + max(np.trace(K), 1e-300) / K.size, g)
+        except np.linalg.LinAlgError:
+            break
         ascent = float(g @ step)
         if not ascent > 0:
             step, ascent = g, float(g @ g)

@@ -190,7 +190,7 @@ def principal_eigen(Q: Generator, V, start: GroundData | None = None) -> GroundD
     converges from any positive start, and at the exact eigenvectors both
     brackets hold at once, so no solve runs.  start is checked (length,
     positive entries) before any solve and never trusted: the brackets
-    and the residual check decide as above.
+    and the residual check decide as above; on a failure it is solved cold.
     """
     M = _shifted(Q, V)
     x0 = y0 = None
@@ -205,6 +205,8 @@ def principal_eigen(Q: Generator, V, start: GroundData | None = None) -> GroundD
     residual = max(float(np.abs(M @ v - lam * v).max()),
                    float(np.abs(M.T @ w - lam * w).max()))
     if residual > 1e-9 * scale or v.min() <= 0 or w.min() <= 0:
+        if start is not None:
+            return principal_eigen(Q, V)
         raise ConvergenceFailure(steps_v + steps_w, residual)
 
     pi = w / w.sum()

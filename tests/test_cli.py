@@ -67,7 +67,7 @@ def _no_constant(token):
 class TestLoadScenario:
     def test_minimal(self, tmp_path):
         sc = load_scenario(write_scenario(tmp_path, {"Q": BASE["Q"]}))
-        assert sc.Q1.dim == 2 and sc.N == 1 and sc.tasks == []
+        assert sc.system.Q1.dim == 2 and sc.system.N == 1 and sc.tasks == []
 
     def test_unknown_top_level_key(self, tmp_path):
         with pytest.raises(ConfigError) as exc:

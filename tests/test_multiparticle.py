@@ -306,6 +306,37 @@ class TestMarginal:
             assert np.abs(oracles.loop_marginal(mu.weights, 3, 3, i) - rho).max() <= 1e-14
 
 
+class TestOrbitMaps:
+    """TensorSystem's maps between one-particle, orbit and d^N vectors,
+    against loops over the d^N states."""
+
+    @pytest.mark.parametrize("d, N", [(3, 4), (2, 5)])
+    def test_maps_match_state_loops(self, d, N, rng):
+        sys = kronecker_sum(validate_generator(oracles.rand_rate_matrix(d, rng)), N)
+        of, reps, _, sizes = oracles.unique_orbits(d, N)
+        p = oracles.rand_measure(sys.n_orbits, rng)
+        mu = sys.spread(p)
+        assert np.array_equal(mu, [p[of[x]] / sizes[of[x]] for x in range(sys.size)])
+        assert np.abs(sys.marginal_map @ p - oracles.loop_marginal(mu, d, N)).max() <= 1e-15
+        v, V0 = rng.uniform(-1, 1, d), rng.uniform(-1, 1, sys.n_orbits)
+        want = V0 + oracles.loop_separable(v, N)[reps]
+        assert np.abs(sys.chain_potential(V0, v) - want).max() <= 1e-14
+        sums = np.zeros(sys.n_orbits)
+        for x in range(sys.size):
+            sums[of[x]] += mu[x]
+        assert np.abs(sys.gather(mu).weights - sums).max() <= 1e-15
+        with pytest.raises(ValueError, match="symmetric"):
+            sys.gather(oracles.rand_measure(sys.size, rng))
+
+    def test_one_particle_maps_enumerate_no_orbits(self, rng):
+        sys = kronecker_sum(validate_generator(oracles.rand_rate_matrix(4, rng)), 1)
+        v, V0, p = rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 4), oracles.rand_measure(4, rng)
+        assert np.array_equal(sys.chain_potential(V0, v), V0 + v)
+        assert np.array_equal(sys.spread(p), p)
+        assert np.array_equal(sys.gather(p).weights, p)
+        assert "orbits" not in sys.__dict__
+
+
 class TestIsSymmetric:
     def test_separable_is_symmetric(self, two_state, rng):
         sys = kronecker_sum(two_state, 3)
