@@ -129,33 +129,38 @@ def _clamped(out: np.ndarray, t: float, nonnegative: bool) -> np.ndarray:
 
 
 def growth_bound(M: np.ndarray, lam: float, t_grid) -> float:
-    """max over the grid of e^{-lam t} ||P_t^V 1||_inf.
+    """max over the grid of ||e^{-lam t} P_t^V 1||_inf.
 
     With lam the principal eigenvalue this is a lower bound for
     C = sup_{t>=0} e^{-lam t} ||P_t^V||, and under assumption (A) it
-    stabilizes as the grid extends instead of diverging.  Where t grows,
-    P_t^V 1 advances from the previous grid point by one step matrix
-    exp(h M), reused while consecutive gaps h agree to 1e-12 relative;
-    elsewhere it is evolved from t = 0.
+    stabilizes as the grid extends instead of diverging.  The grid is
+    walked in increasing order from t = 0, a repeated value taking no
+    step, on the normalized semigroup, u <- exp(h(M - lam I)) u, which
+    stays O(1) where P_t^V 1 and e^{-lam t} over- or underflow; the step
+    matrix is reused while consecutive gaps h agree to 1e-12 relative.
+    Raises NonFinite for a non-finite grid entry.
     """
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if t_grid.size == 0:
         raise ValueError("t_grid must be nonempty")
     if (t_grid < 0).any():
         raise ValueError("t_grid entries must be nonnegative")
+    if not np.isfinite(t_grid).all():
+        raise NonFinite("t_grid entries must be finite")
     best = -np.inf
-    t_prev, h, E = None, None, None
-    for t in t_grid.tolist():
-        if t_prev is None or t <= t_prev:
-            u = evolve(M, t, np.ones(len(M)))
-        else:
+    t_prev, h, E, u = 0.0, None, None, np.ones(len(M))
+    for t in sorted(t_grid.tolist()):   # not np.unique: its first call is slow
+        if t > t_prev:
             if h is None or abs((t - t_prev) - h) > 1e-12 * h:
                 h = t - t_prev
-                E = expm(M, h)
+                E = np.array(M)     # h (M - lam I) in one copy, scaled in place
+                E.flat[::len(M) + 1] -= lam
+                E *= h
+                E = expm(E)
             u = _clamped(E @ u, t, True)
         t_prev = t
-        best = max(best, np.exp(-lam * t) * float(u.max()))
-    return float(best)
+        best = max(best, float(u.max()))
+    return best
 
 
 def check_condition_B(Q: Generator) -> bool:

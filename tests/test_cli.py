@@ -398,6 +398,20 @@ class TestRun:
         assert report["tasks"][0]["status"] == "error"
         assert report["tasks"][0]["error"]["type"] == "UnsupportedSupport"
 
+    @pytest.mark.parametrize("v", [[1.0, 0.0], [-1.0, -2.0]])
+    def test_averaging_at_a_long_horizon_is_finite(self, tmp_path, v):
+        # the growth bound once failed this task with NonFinite for
+        # v = (1, 0) and reported "infinity" for v = (-1, -2)
+        body = dict(BASE, v=v, t_grid=[2000.0], tasks=["averaging"])
+        out = str(tmp_path / "report.json")
+        assert run(write_scenario(tmp_path, body), out) == 0
+        task = json.loads(open(out).read())["tasks"][0]
+        assert task["status"] == "ok"
+        op = make_operator(validate_generator(BASE["Q"]), v)
+        A = op - oracles.eig_principal(op)[0] * np.eye(2)
+        C = max(oracles.eig_expm(t * A).sum(axis=1).max() for t in np.linspace(0, 2000, 201))
+        assert abs(task["result"]["log_growth_bound"] - np.log(C)) <= 1e-10
+
     def test_huge_averaging_grid_returns(self, tmp_path):
         # the trapezoid sum took n_grid - 1 row updates, so this grid ran
         # for hours; the binary ladder takes about 60 matrix products

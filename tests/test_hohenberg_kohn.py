@@ -7,6 +7,7 @@ import oracles
 from dvsemigroup import (
     DimensionMismatch,
     HKConclusion,
+    NotConverged,
     UnsupportedSupport,
     equilibrium_marginal,
     gamma_overlap_check,
@@ -187,6 +188,22 @@ class TestReducedFunctional:
         res = reduced_functional(sys, np.zeros(4), pi)
         prod = np.kron(pi.weights, pi.weights)
         assert np.abs(sys.spread(res.orbit_masses) - prod).max() <= 1e-6
+
+    @pytest.mark.parametrize("N, rho1", [
+        *((N, r) for N in (2, 6, 20) for r in (0.2, 0.5, 0.8)),
+        (40, 0.5),
+        # the product start is the optimum here, but its orbit masses reach
+        # about 1e-28, which the inner rate solve cannot resolve
+        *(pytest.param(40, r, marks=pytest.mark.xfail(
+            strict=True, raises=NotConverged,
+            reason="ROADMAP items 9 and 2: inner rate solve at tiny orbit masses"))
+          for r in (0.2, 0.8))])
+    def test_no_interaction_is_N_times_the_one_particle_rate(self, two_state, N, rho1):
+        # without interaction I_HK(rho) = N I_1(rho), by convex duality from
+        # lambda_N(v) = N lambda_1(v / N)
+        val = i_hk(kronecker_sum(two_state, N), np.zeros(N + 1), [rho1, 1.0 - rho1])
+        want = N * oracles.two_state_rate(1.0, 2.0, rho1)
+        assert val == pytest.approx(want, rel=1e-13)
 
     @pytest.mark.parametrize("start, error", [
         ([0.2, 0.3, 0.5, 0.0], DimensionMismatch),   # 3 orbits

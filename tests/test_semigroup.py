@@ -236,8 +236,9 @@ class TestGrowthBound:
         T = 1.0
         eps = check_condition_A(two_state, T)
         eps_prime = eps * np.exp(2 * T * (V.min() - V.max()))
-        # the second grid changes gaps and steps back in t, so growth_bound
-        # rebuilds its step matrix and restarts from t = 0
+        # the second grid changes gaps and is out of order; growth_bound
+        # walks it sorted and rebuilds its step matrix
+        # where the gap changes
         for t_grid in (np.linspace(0, 50, 201),
                        [3.0, 0.0, 0.5, 1.0, 1.5, 7.0, 2.0, 2.25, 2.5, 50.0, 12.5, 25.0]):
             C = growth_bound(op, lam, t_grid)
@@ -245,3 +246,27 @@ class TestGrowthBound:
             assert C >= 1.0  # value at t = 0
             per_t = max(np.exp(-lam * t) * evolve(op, t, np.ones(2)).max() for t in t_grid)
             assert C == pytest.approx(per_t, rel=1e-12)
+
+    @pytest.mark.parametrize("v", [[1.0, 0.0], [-1.0, -2.0]])
+    def test_long_horizons_stay_finite(self, two_state, v):
+        # P_t^V 1 times e^{-lam t} once overflowed past lam t ~ 710: for
+        # v = (1, 0) NonFinite at t = 970, for v = (-1, -2) an infinite
+        # bound.  exp(t(M - lam I)) 1 stays O(1) and tends to psi
+        op = make_operator(two_state, v)
+        lam, psi = oracles.eig_principal(op)[:2]
+        A = op - lam * np.eye(2)
+        for t_grid in (np.linspace(0, 2000, 201), [0.0, 2000.0]):
+            want = max(oracles.eig_expm(t * A).sum(axis=1).max() for t in t_grid)
+            assert growth_bound(op, lam, t_grid) == pytest.approx(want, rel=1e-10)
+        # at t = 1e6 a lam one ulp off already moves e^{lam t} by ~1e-10
+        C = growth_bound(op, lam, np.linspace(0, 1e6, 201))
+        assert abs(C - psi.max()) <= 1e-8
+
+    def test_grid_checks(self, two_state):
+        # the grid is walked sorted, where NaN comes last and t > t_prev is
+        # false for it, so non-finite entries are refused before the walk
+        op = make_operator(two_state, [1.0, 0.0])
+        for t_grid, error in (([], ValueError), ([0.0, -1.0], ValueError),
+                              ([0.0, np.nan], NonFinite), ([0.0, np.inf], NonFinite)):
+            with pytest.raises(error):
+                growth_bound(op, 0.0, t_grid)
