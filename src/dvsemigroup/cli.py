@@ -14,9 +14,10 @@ A scenario is a JSON object describing one system and a list of tasks:
     }
 
 Unknown keys anywhere, and the tokens NaN, Infinity and -Infinity, are
-rejected.  `run` executes the tasks in order and writes a single JSON
-report with a config echo, a section per task, the library version, and
-wall-clock timings.  The echo repeats every scenario field as read except
+rejected.  `run` reads every task's options before any task runs, then
+executes the tasks in order and writes a single JSON report with a
+config echo, a section per task, the library version, and wall-clock
+timings.  The echo repeats every scenario field as read except
 Q, which it gives as {"shape": [d, d], "crc32": c}.  c is the CRC-32 (a
 check value, not a cryptographic hash) of the validated generator, whose
 diagonal is recomputed, as little-endian float64 in C order:
@@ -41,8 +42,8 @@ import os
 import sys
 import time
 import zlib
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import asdict, dataclass
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -66,9 +67,8 @@ from .feynman_kac import estimate_lambda
 
 log = logging.getLogger("dvsemigroup")
 
-SCENARIO_KEYS = {"name", "Q", "V", "v", "N", "V0", "t_grid", "seed", "tasks"}
-TASK_NAMES = ("validate", "spectral", "rate", "hk-verify", "hk-invert",
-              "ihk", "mc", "averaging")
+SCENARIO_KEYS = {"name", "Q", "v", "N", "V0", "t_grid", "seed", "tasks"}
+_MC_FLAGS = {"t": float, "paths": int, "seed": int}     # the mc subcommand's flags
 
 
 @dataclass
@@ -80,7 +80,7 @@ class Scenario:
     V0: np.ndarray              # on the orbits; zeros when the scenario gives none
     t_grid: list[float]
     seed: int
-    tasks: list[tuple[str, dict]]
+    tasks: list[tuple[str, dict]]   # options as given; run_scenario reads them
 
     @cached_property
     def chain(self) -> tuple[Generator, Potential]:
@@ -172,11 +172,8 @@ def load_scenario(path: str) -> Scenario:
     except StateSpaceTooLarge as exc:
         raise ConfigError(f"{N} particles on {Q1.dim} states: {exc}", key="N") from exc
 
-    _require(not ("V" in raw and "v" in raw),
-             "give either V or v, not both", key="V")
-    key = "v" if "v" in raw else "V"
-    v = _vector(raw[key], key) if key in raw else np.zeros(Q1.dim)
-    _require(v.shape == (Q1.dim,), f"potential must have {Q1.dim} entries", key=key)
+    v = _vector(raw["v"], "v") if "v" in raw else np.zeros(Q1.dim)
+    _require(v.shape == (Q1.dim,), f"potential must have {Q1.dim} entries", key="v")
 
     # every task runs on the orbit chain, so V0 must be permutation
     # symmetric; the system's orbits, read here, serve the tasks too
@@ -222,7 +219,7 @@ def load_scenario(path: str) -> Scenario:
                      key=name)
         else:
             raise ConfigError("tasks must be names or objects", key="tasks")
-        _require(name in TASK_NAMES, f"unknown task '{name}'", key="tasks")
+        _require(name in TASKS, f"unknown task '{name}'", key="tasks")
         tasks.append((name, options))
 
     return Scenario(name=scenario_name, raw=raw, system=system, v=v, V0=V0,
@@ -233,39 +230,26 @@ def load_scenario(path: str) -> Scenario:
 # task runners
 
 
-def _opt(options: dict, allowed: dict, task: str) -> dict:
-    unknown = set(options) - set(allowed)
-    _require(not unknown, f"unknown options for task '{task}'",
-             key=",".join(sorted(unknown)))
-    merged = dict(allowed)
-    merged.update(options)
-    return merged
-
-
-def _task_validate(sc: Scenario, options: dict) -> dict:
-    opts = _opt(options, {"T": 1.0}, "validate")
-    T = _real(opts["T"], "T", low=0.0)
+def _task_validate(sc: Scenario, opts: dict) -> dict:
     return {
         "d": sc.system.d,
         "N": sc.system.N,
         "product_states": sc.system.size,
-        "epsilon_A": check_condition_A(sc.system.Q1, T),
+        "epsilon_A": check_condition_A(sc.system.Q1, opts["T"]),
         "condition_B": check_condition_B(sc.system.Q1),
         "condition_D": check_condition_D(sc.system.Q1),
     }
 
 
-def _task_spectral(sc: Scenario, options: dict) -> dict:
-    _opt(options, {}, "spectral")
+def _task_spectral(sc: Scenario, opts: dict) -> dict:
     gd = sc.system.lift(sc.ground)
     return {"lambda": gd.lam, "psi": gd.psi.tolist(),
             "pi": gd.pi.weights.tolist(), "mu": gd.mu.weights.tolist()}
 
 
-def _task_rate(sc: Scenario, options: dict) -> dict:
-    opts = _opt(options, {"mu": None}, "rate")
+def _task_rate(sc: Scenario, opts: dict) -> dict:
     (Q, V), gd = sc.chain, sc.ground
-    mu = gd.mu if opts["mu"] is None else sc.system.gather(_vector(opts["mu"], "mu"))
+    mu = gd.mu if opts["mu"] is None else sc.system.gather(opts["mu"])
     # I comes from a rate solve started at w = 0; at the default mu, the
     # equilibrium measure, its log-tilt starts dv_sup's rate solve there
     rate = rate_I(Q, mu)
@@ -284,15 +268,12 @@ def _task_rate(sc: Scenario, options: dict) -> dict:
     }
 
 
-def _task_averaging(sc: Scenario, options: dict) -> dict:
-    opts = _opt(options, {"n_grid": 1025}, "averaging")
-    n_grid = _count(opts["n_grid"], "n_grid", 2)
-    _require(len(sc.t_grid) > 0, "averaging needs a t_grid", key="t_grid")
+def _task_averaging(sc: Scenario, opts: dict) -> dict:
     (Q, V), gd = sc.chain, sc.ground
     C = growth_bound(make_operator(Q, V), gd.lam, np.linspace(0.0, max(sc.t_grid), 201))
     rows = []
     for T in sc.t_grid:
-        avg = ground_measure_by_averaging(Q, V, gd.lam, gd.mu, T, n_grid)
+        avg = ground_measure_by_averaging(Q, V, gd.lam, gd.mu, T, opts["n_grid"])
         end = ground_measure_by_evolution(Q, V, gd.lam, gd.mu, T)
         rows.append({
             "T": T,
@@ -304,48 +285,24 @@ def _task_averaging(sc: Scenario, options: dict) -> dict:
     return {"log_growth_bound": float(np.log(C)), "ladder": rows}
 
 
-def _task_hk_verify(sc: Scenario, options: dict) -> dict:
-    opts = _opt(options, {"v1": None, "v2": None, "tol": 1e-10}, "hk-verify")
-    _require(opts["v2"] is not None, "hk-verify needs option v2", key="v2")
-    v1 = sc.v if opts["v1"] is None else _vector(opts["v1"], "v1")
+def _task_hk_verify(sc: Scenario, opts: dict) -> dict:
+    v1 = sc.v if opts["v1"] is None else opts["v1"]
     # at the scenario's own v, the scenario's ground data start v1's solve
-    report = hk_verify(sc.system, sc.V0, v1, _vector(opts["v2"], "v2"),
-                       tol=_real(opts["tol"], "tol", low=0.0),
+    report = hk_verify(sc.system, sc.V0, v1, opts["v2"], tol=opts["tol"],
                        start=sc.ground if opts["v1"] is None else None)
-    return {
-        "marginal_distance": report.marginal_distance,
-        "potential_residual": report.potential_residual,
-        "lambdas": list(report.lambdas),
-        "conclusion": report.conclusion.value,
-        "kappa": report.kappa,
-        "inequality_margins": list(report.inequality_margins),
-    }
+    return {**asdict(report), "conclusion": report.conclusion.value}
 
 
-def _task_hk_invert(sc: Scenario, options: dict) -> dict:
-    opts = _opt(options, {"rho_target": None, "v_star": None, "tol": 1e-8,
-                          "max_iter": 500}, "hk-invert")
-    tol = _real(opts["tol"], "tol", low=0.0)
-    max_iter = _count(opts["max_iter"], "max_iter", 1)
-    sys, V0 = sc.system, sc.V0
-    if opts["rho_target"] is not None:
-        rho_target = _vector(opts["rho_target"], "rho_target")
-    elif opts["v_star"] is not None:
-        v_star = as_potential(_vector(opts["v_star"], "v_star"), sys.d).values
+def _task_hk_invert(sc: Scenario, opts: dict) -> dict:
+    sys, V0, rho_target = sc.system, sc.V0, opts["rho_target"]
+    if rho_target is None:
+        v_star = as_potential(opts["v_star"], sys.d).values
         rho_target = _orbit_marginal(sys, V0, v_star)[1].weights
-    else:
-        raise ConfigError("hk-invert needs rho_target or v_star", key="rho_target")
-    result = invert_potential(sys, V0, rho_target, tol=tol, max_iter=max_iter)
-    return {
-        "v_recovered": result.v_recovered.values.tolist(),
-        "iterations": result.iterations,
-        "marginal_error": result.marginal_error,
-        "converged": result.converged,
-    }
+    result = invert_potential(sys, V0, rho_target, tol=opts["tol"], max_iter=opts["max_iter"])
+    return {**asdict(result), "v_recovered": result.v_recovered.values.tolist()}
 
 
-def _task_ihk(sc: Scenario, options: dict) -> dict:
-    opts = _opt(options, {"rho": None}, "ihk")
+def _task_ihk(sc: Scenario, opts: dict) -> dict:
     sys = sc.system
     if opts["rho"] is None:
         # the marginal of the scenario's equilibrium measure, from which
@@ -353,29 +310,57 @@ def _task_ihk(sc: Scenario, options: dict) -> dict:
         start = sc.ground.mu
         rho = ProbMeasure(sys.marginal_map @ start.weights).weights
     else:
-        start, rho = None, _vector(opts["rho"], "rho")
+        start, rho = None, opts["rho"]
     return {"rho": rho.tolist(), "I_HK": i_hk(sys, sc.V0, rho, start)}
 
 
-def _task_mc(sc: Scenario, options: dict) -> dict:
-    opts = _opt(options, {"t": 50.0, "paths": 1000, "seed": sc.seed}, "mc")
-    # the horizon's range is the sampler's to check (ValueError)
-    t, paths = _real(opts["t"], "t"), _count(opts["paths"], "paths", 2)
-    estimate, stderr = estimate_lambda(*sc.chain, t, paths, _count(opts["seed"], "seed", 0))
+def _task_mc(sc: Scenario, opts: dict) -> dict:
+    t, paths = opts["t"], opts["paths"]
+    seed = sc.seed if opts["seed"] is None else opts["seed"]
+    estimate, stderr = estimate_lambda(*sc.chain, t, paths, seed)
     return {"lambda_mc": estimate, "stderr": stderr,
             "lambda_spectral": sc.ground.lam, "t": t, "paths": paths}
 
 
-_TASK_RUNNERS = {
-    "validate": _task_validate,
-    "spectral": _task_spectral,
-    "rate": _task_rate,
-    "averaging": _task_averaging,
-    "hk-verify": _task_hk_verify,
-    "hk-invert": _task_hk_invert,
-    "ihk": _task_ihk,
-    "mc": _task_mc,
+# each task's runner and options: every option's default and the reader
+# that checks a given value; a None default means "not given", so a given
+# null is read as absent there.  The mc horizon's range is the sampler's
+# to check (ValueError).
+_positive = partial(_real, low=0.0)
+TASKS = {
+    "validate": (_task_validate, {"T": (1.0, _positive)}),
+    "spectral": (_task_spectral, {}),
+    "rate": (_task_rate, {"mu": (None, _vector)}),
+    "averaging": (_task_averaging, {"n_grid": (1025, partial(_count, least=2))}),
+    "hk-verify": (_task_hk_verify, {"v1": (None, _vector), "v2": (None, _vector),
+                                    "tol": (1e-10, _positive)}),
+    "hk-invert": (_task_hk_invert, {"rho_target": (None, _vector), "v_star": (None, _vector),
+                                    "tol": (1e-8, _positive),
+                                    "max_iter": (500, partial(_count, least=1))}),
+    "ihk": (_task_ihk, {"rho": (None, _vector)}),
+    "mc": (_task_mc, {"t": (50.0, _real), "paths": (1000, partial(_count, least=2)),
+                      "seed": (None, partial(_count, least=0))}),
 }
+
+
+def _read_options(sc: Scenario, name: str, options: dict) -> dict:
+    """A task's options as its runner takes them: each read by its reader,
+    defaults filled in, and the rules that tie options together checked."""
+    table = TASKS[name][1]
+    unknown = set(options) - set(table)
+    _require(not unknown, f"unknown options for task '{name}'",
+             key=",".join(sorted(unknown)))
+    opts = {}
+    for key, (default, reader) in table.items():
+        value = options.get(key, default)
+        opts[key] = None if value is None and default is None else reader(value, key)
+    _require(name != "averaging" or sc.t_grid, "averaging needs a t_grid", key="t_grid")
+    _require(name != "hk-verify" or opts["v2"] is not None,
+             "hk-verify needs option v2", key="v2")
+    _require(name != "hk-invert" or opts["rho_target"] is not None
+             or opts["v_star"] is not None, "hk-invert needs rho_target or v_star",
+             key="rho_target")
+    return opts
 
 
 # ---------------------------------------------------------------------------
@@ -404,19 +389,19 @@ def sanitize(obj):
 
 
 def run_scenario(sc: Scenario) -> tuple[dict, bool]:
-    """Execute the scenario's tasks; returns (report, all_ok)."""
+    """Execute the scenario's tasks; returns (report, all_ok).  Every
+    task's options are read first: ConfigError before any task runs."""
+    tasks = [(name, _read_options(sc, name, options)) for name, options in sc.tasks]
     report = {"name": sc.name, "version": __version__,
               "config": sc.raw, "tasks": [], "timings": {}}
     ok = True
     total0 = time.perf_counter()
-    for name, options in sc.tasks:
+    for name, opts in tasks:
         t0 = time.perf_counter()
         section = {"task": name}
         try:
             section["status"] = "ok"
-            section["result"] = _TASK_RUNNERS[name](sc, options)
-        except ConfigError:
-            raise
+            section["result"] = TASKS[name][0](sc, opts)
         except (DVSemigroupError, ValueError) as exc:
             log.warning("task %s failed: %s", name, exc)
             section["status"] = "error"
@@ -509,17 +494,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--csv", default=None, metavar="DIR",
                        help="also emit measure-valued outputs as CSV")
 
-    for name in ("spectral", "rate", "hk-verify", "hk-invert", "ihk"):
+    for name in ("spectral", "rate", "hk-verify", "hk-invert", "ihk", "mc"):
         p = sub.add_parser(name, help=f"run only the {name} task")
         p.add_argument("scenario")
         p.add_argument("-o", "--out", default=None)
-
-    p_mc = sub.add_parser("mc", help="Monte Carlo eigenvalue estimate")
-    p_mc.add_argument("scenario")
-    p_mc.add_argument("-o", "--out", default=None)
-    p_mc.add_argument("--t", type=float, default=None)
-    p_mc.add_argument("--paths", type=int, default=None)
-    p_mc.add_argument("--seed", type=int, default=None)
+        for flag, kind in _MC_FLAGS.items() if name == "mc" else ():
+            p.add_argument(f"--{flag}", type=kind, default=None)
     return parser
 
 
@@ -530,7 +510,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command != "run":
-            flags = {key: getattr(args, key) for key in ("t", "paths", "seed")
+            flags = {key: getattr(args, key) for key in _MC_FLAGS
                      if getattr(args, key, None) is not None}
             return _single_task_run(args.scenario, args.command, flags, args.out)
         if len(args.scenarios) == 1 and not (args.out and os.path.isdir(args.out)):

@@ -115,7 +115,9 @@ def evolve(M: np.ndarray, t: float, f) -> np.ndarray:
     f = _as_vector(f, len(M))
     if t == 0:
         return f.copy()
-    return _clamped(expm(M, t) @ f, t, bool(np.all(f >= 0)))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+        out = expm(M, t) @ f
+    return _clamped(out, t, bool(np.all(f >= 0)))
 
 
 def _clamped(out: np.ndarray, t: float, nonnegative: bool) -> np.ndarray:

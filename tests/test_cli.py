@@ -872,16 +872,30 @@ class TestRun:
             assert text == json.dumps(json.loads(text, parse_constant=_no_constant),
                                       sort_keys=True) + "\n"
 
-    def test_unread_huge_integer_option_is_echoed(self, tmp_path):
-        # with rho_target given, hk-invert never reads v_star, so its
-        # 400-digit integer reaches the report's config echo as it is
-        big = 10 ** 400
+    def test_unused_huge_integer_option_is_refused(self, tmp_path, capsys):
+        # every given option is read before any task runs: with rho_target
+        # given, hk-invert computes nothing from v_star, and its 400-digit
+        # integer still makes the scenario invalid
         body = dict(BASE, N=2, tasks=[{"name": "hk-invert", "options": {
-            "rho_target": [0.5, 0.5], "v_star": [big, 0]}}])
+            "rho_target": [0.5, 0.5], "v_star": [10 ** 400, 0]}}])
         out = str(tmp_path / "report.json")
-        assert run(write_scenario(tmp_path, body), out) == 0
-        report = json.loads(open(out).read())
-        assert report["config"]["tasks"][0]["options"]["v_star"] == [big, 0]
+        assert run(write_scenario(tmp_path, body), out) == 2
+        assert not os.path.exists(out)
+        assert "v_star" in capsys.readouterr().err
+
+    def test_options_are_read_before_any_task_runs(self, tmp_path, monkeypatch, capsys):
+        # a bad option in the last task once surfaced only after the
+        # earlier tasks had run
+        from dvsemigroup import cli
+        calls = []
+        monkeypatch.setattr(cli, "check_condition_A", lambda *a: calls.append(a))
+        body = dict(BASE, tasks=["validate", {"name": "mc", "options": {"paths": 1}}])
+        path, out = write_scenario(tmp_path, body), str(tmp_path / "report.json")
+        assert main(["run", path, "-o", out]) == 2
+        assert not os.path.exists(out) and not calls
+        assert "paths" in capsys.readouterr().err
+        # the subcommand's flags are read like the scenario's options
+        assert main(["mc", write_scenario(tmp_path, BASE, "b.json"), "--paths", "1"]) == 2
 
     def test_csv_emission(self, tmp_path):
         body = dict(BASE, tasks=["spectral"])
@@ -928,6 +942,14 @@ class TestMain:
     def test_run_subcommand(self, tmp_path, capsys):
         path = write_scenario(tmp_path, dict(BASE, tasks=["validate"]))
         assert main(["run", path, "-o", str(tmp_path / "r.json")]) == 0
+
+    def test_no_out_path_writes_to_stdout(self, tmp_path, capsys):
+        path, out = write_scenario(tmp_path, BASE), str(tmp_path / "out.json")
+        assert main(["spectral", path]) == 0
+        text = capsys.readouterr().out
+        assert text.count("\n") == 1
+        assert main(["spectral", path, "-o", out]) == 0
+        assert open(out).read() == text
 
     def test_single_task_subcommands_emit_bare_results(self, tmp_path, capsys):
         # each subcommand writes its task's bare result, and only the three

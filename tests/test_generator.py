@@ -10,6 +10,7 @@ from dvsemigroup import (
     DimensionMismatch,
     GraphDisconnected,
     NegativeOffDiagonal,
+    NonFinite,
     RowSumNonzero,
     carre_du_champ,
     check_condition_A,
@@ -176,6 +177,14 @@ class TestConditionA:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert check_condition_A(Q, 1e308) == 0.0
+
+    def test_underflowing_column_is_nonfinite(self):
+        # state 0 leaves at rate 1e-300, so column 1 of exp(Q) is about
+        # 5e-304, lost in the round-off of expm's unit entries: it comes out
+        # a round-off negative, clamped to zero
+        Q = validate_generator([[-1e-300, 1e-300], [2e3, -2e3]])
+        with pytest.raises(NonFinite, match="underflows"):
+            check_condition_A(Q, 1.0)
 
     def test_positive_for_t_ladder(self, rng):
         for _ in range(10):

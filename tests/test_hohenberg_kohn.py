@@ -635,6 +635,25 @@ class TestPastTheGrid:
             v1, v2 = rng.uniform(-1.0, 1.0, 2), rng.uniform(-1.0, 1.0, 2)
             assert hk_verify(sys, V0, v1, v2).conclusion is HKConclusion.DISTINCT_MARGINALS
 
+    @pytest.mark.parametrize("s", [
+        2, 4,
+        # the CLI ihk task's default: the equilibrium marginal, started
+        # from the equilibrium measure; orbit masses reach 1e-33 to 1e-89
+        *(pytest.param(s, marks=pytest.mark.xfail(
+            strict=True, raises=NotConverged, reason="constrained Newton stalls"))
+          for s in (0, 1, 3, 5))])
+    def test_i_hk_at_the_equilibrium_marginal(self, s):
+        # I_HK at the marginal of the equilibrium measure of V0 + v is
+        # rho(v) - lambda exactly
+        rng = np.random.default_rng(s)
+        sys = kronecker_sum(validate_generator(oracles.rand_rate_matrix(2, rng, 0.5, 1.5)), 200)
+        w = rng.uniform(0.0, 1.0, (2, 2))
+        V0 = multiparticle._pair_sums((w + w.T) / 2, sys.orbits, 200)
+        v = rng.uniform(-1.0, 1.0, 2)
+        gd, rho = hohenberg_kohn._orbit_marginal(sys, V0, v)
+        want = float(rho.weights @ v) - gd.lam
+        assert i_hk(sys, V0, rho.weights, gd.mu) == pytest.approx(want, rel=1e-10)
+
     @pytest.mark.parametrize("rho1", [
         0.5, 0.9,
         # the Hessian's group-inverse solve turns singular here, and the

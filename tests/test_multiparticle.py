@@ -81,7 +81,8 @@ _SOLVERS = {
     "dv_sup": (256, lambda c: dv_sup(c.Q, c.V)),
     "i_hk": (252, lambda c: i_hk(c.orbit, c.V0, c.rho)),
     "invert_potential": (252, lambda c: invert_potential(c.orbit, c.V0, c.rho)),
-    "cli-averaging": (252, lambda c: cli._TASK_RUNNERS["averaging"](c.sc, {})),
+    "cli-averaging": (252, lambda c: cli.TASKS["averaging"][0](
+        c.sc, cli._read_options(c.sc, "averaging", {}))),
 }
 
 

@@ -129,6 +129,12 @@ class TestEvolve:
         got = evolve(op, 1.0, f)
         assert np.abs(got - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())
 
+    def test_overflowing_product_is_nonfinite(self, two_state):
+        # exp(M) is finite, its product with f is not; numpy's overflow
+        # warning once came out ahead of the typed error
+        with pytest.raises(NonFinite):
+            evolve(make_operator(two_state, [700.0, 700.0]), 1.0, [1e10, 1e10])
+
     def test_nonnegative_input_clamped(self, rng):
         for _ in range(50):
             d = int(rng.integers(2, 8))
