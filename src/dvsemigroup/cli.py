@@ -14,7 +14,10 @@ A scenario is a JSON object describing one system and a list of tasks:
     }
 
 Unknown keys anywhere, and the tokens NaN, Infinity and -Infinity, are
-rejected.  `run` reads every task's options before any task runs, then
+rejected; the file must be UTF-8, and one of at least 1 MiB is parsed by
+orjson when it is installed, with the same result as json (see _parse).
+The array fields Q, v, V0 and the vector task options hold numbers, not
+strings.  `run` reads every task's options before any task runs, then
 executes the tasks in order and writes a single JSON report with a
 config echo, a section per task, the library version, and wall-clock
 timings.  The echo repeats every scenario field as read except
@@ -129,25 +132,100 @@ def _count(value, key: str, least: int) -> int:
     return value
 
 
+def _array(value, key: str) -> np.ndarray:
+    """Numbers in nested lists as a float array; bools read as 1 and 0,
+    strings are refused."""
+    try:
+        arr = np.asarray(value)
+    except ValueError as exc:       # ragged, or nested past numpy's dimensions
+        raise ConfigError(f"{key} must be an array of numbers: {exc}", key=key) from exc
+    # json reads an integer past 64 bits as an int, which numpy holds in an
+    # object array, as it holds None and objects
+    _require(arr.dtype.kind in "biuf" or arr.dtype == object
+             and all(isinstance(x, (int, float)) for x in arr.flat),
+             f"{key} must be an array of numbers", key=key)
+    try:
+        return arr.astype(float, copy=False)
+    except OverflowError as exc:    # an int past the largest float
+        raise ConfigError(f"{key} must be an array of numbers: {exc}", key=key) from exc
+
+
 def _vector(value, key: str) -> np.ndarray:
     """A list of finite numbers as a float vector."""
-    try:
-        vec = np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{key} must be a list of numbers: {exc}", key=key) from exc
+    vec = _array(value, key)
     _require(vec.ndim == 1 and bool(np.all(np.isfinite(vec))),
              f"{key} must be a list of finite numbers", key=key)
     return vec
 
 
+# orjson parses dense-512's 5.70 MiB in 15.6 ms where json takes 107 ms,
+# but importing it costs 6-8 ms (it loads uuid, zoneinfo and sysconfig):
+# on a 0.35 MiB file the parse saves less than the import costs
+_ORJSON_MIN_BYTES = 1 << 20
+# orjson 3.8 recurses on the C stack once per nesting level, and a
+# million nested "[" crash the process; a file with fewer opening
+# brackets than this nests no deeper (a d-state Q holds d + 1)
+_ORJSON_MAX_OPENS = 4096
+
+
+def _orjson_may_read(data: bytes) -> bool:
+    """Whether data is large enough to repay orjson's import and holds
+    too few brackets to nest past its stack."""
+    if len(data) < _ORJSON_MIN_BYTES:
+        return False
+    chars = np.frombuffer(data, np.uint8)
+    opens = np.count_nonzero(chars == ord("[")) + np.count_nonzero(chars == ord("{"))
+    return opens < _ORJSON_MAX_OPENS
+
+
+def _int_as_float(value) -> bool:
+    """Whether value holds an integral float of magnitude 2**63 or more:
+    orjson reads an integer token outside [-2**63, 2**64) as a float,
+    where json reads an int.  Recurses as json does, so nesting json
+    cannot read raises RecursionError here too."""
+    if isinstance(value, float):
+        return abs(value) >= 2 ** 63 and value.is_integer()
+    if isinstance(value, dict):
+        value = value.values()
+    elif not isinstance(value, list):
+        return False
+    return any(map(_int_as_float, value))
+
+
+def _parse(data: bytes):
+    """The JSON value of a scenario file's bytes, as json.loads reads it.
+
+    A file of at least _ORJSON_MIN_BYTES is read by orjson when it is
+    installed.  json decides whatever orjson refuses (1e999, NaN, a lone
+    surrogate, a BOM, invalid UTF-8), and any file whose value outside Q
+    holds a float orjson may have read from an integer token.  Inside Q
+    such a token only becomes a float64 rate, and orjson's float equals
+    numpy's conversion of json's int.
+    """
+    if _orjson_may_read(data):
+        try:
+            import orjson
+            raw = orjson.loads(data)
+            rest = [v for k, v in raw.items() if k != "Q"] if isinstance(raw, dict) else raw
+            if not _int_as_float(rest):
+                return raw
+        except (ImportError, ValueError, RecursionError):
+            pass        # json decides
+    try:
+        return json.loads(data.decode("utf-8"), parse_constant=_non_finite_token)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"scenario is not UTF-8: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"scenario is not valid JSON: {exc}") from exc
+
+
 def load_scenario(path: str) -> Scenario:
     try:
-        with open(path) as fh:
-            raw = json.load(fh, parse_constant=_non_finite_token)
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read scenario file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"scenario is not valid JSON: {exc}") from exc
+    raw = _parse(data)
 
     _require(isinstance(raw, dict), "scenario must be a JSON object")
     unknown = set(raw) - SCENARIO_KEYS
@@ -156,9 +234,10 @@ def load_scenario(path: str) -> Scenario:
     scenario_name = raw.get("name", os.path.basename(path))
     _require(isinstance(scenario_name, str), "name must be a string", key="name")
 
+    Q = _array(raw["Q"], "Q")
     try:
-        Q1 = validate_generator(raw["Q"])
-    except (DVSemigroupError, TypeError, ValueError, OverflowError) as exc:
+        Q1 = validate_generator(Q)
+    except (DVSemigroupError, ValueError) as exc:
         raise ConfigError(f"invalid rate matrix: {exc}", key="Q") from exc
     # Q is the one input that grows as d^2: the report echoes it as its
     # shape and the CRC-32 of the validated rates, little-endian float64
@@ -186,13 +265,13 @@ def load_scenario(path: str) -> Scenario:
                 _require(not unknown, "unknown V0 keys", key=",".join(sorted(unknown)))
                 _require("pairwise" in given, "V0 object needs a pairwise matrix",
                          key="V0")
-                V0 = _pair_sums(given["pairwise"], system.orbits, N)
+                V0 = _pair_sums(_array(given["pairwise"], "V0"), system.orbits, N)
             else:
-                V0 = Potential(np.asarray(given, dtype=float))
+                V0 = Potential(_array(given, "V0"))
                 _require(len(V0) == system.size,
                          f"V0 must have {system.size} entries", key="V0")
                 V0 = system.on_orbits(V0)
-        except (DVSemigroupError, TypeError, ValueError, OverflowError) as exc:
+        except (DVSemigroupError, ValueError) as exc:
             if isinstance(exc, ConfigError):
                 raise
             raise ConfigError(f"invalid V0: {exc}", key="V0") from exc
@@ -205,8 +284,10 @@ def load_scenario(path: str) -> Scenario:
 
     seed = _count(raw.get("seed", 0), "seed", 0)
 
+    entries = raw.get("tasks", [])
+    _require(isinstance(entries, list), "tasks must be a list", key="tasks")
     tasks = []
-    for entry in raw.get("tasks", []):
+    for entry in entries:
         if isinstance(entry, str):
             name, options = entry, {}
         elif isinstance(entry, dict):
@@ -214,6 +295,7 @@ def load_scenario(path: str) -> Scenario:
             _require(not unknown, "unknown task keys", key=",".join(sorted(unknown)))
             _require("name" in entry, "task object needs a name", key="tasks")
             name = entry["name"]
+            _require(isinstance(name, str), "a task name must be a string", key="tasks")
             options = entry.get("options", {})
             _require(isinstance(options, dict), "task options must be an object",
                      key=name)

@@ -162,6 +162,56 @@ class TestLoadScenario:
             assert not csv_dir.exists()
         assert capsys.readouterr().err.count("name must be a string") == 5
 
+    @pytest.mark.parametrize("tasks, message", [
+        # each once ended in a TypeError traceback, and a string was read
+        # as its letters: "unknown task 's'"
+        (5, "tasks must be a list"),
+        (None, "tasks must be a list"),
+        ("spectral", "tasks must be a list"),
+        ([{"name": ["spectral"]}], "a task name must be a string"),
+        ([{"name": {"a": 1}}], "a task name must be a string"),
+    ], ids=["number", "null", "string", "list-name", "object-name"])
+    def test_malformed_tasks_exit_2(self, tmp_path, capsys, tasks, message):
+        out = str(tmp_path / "out.json")
+        assert main(["run", write_scenario(tmp_path, dict(BASE, tasks=tasks)), "-o", out]) == 2
+        assert not os.path.exists(out)
+        assert f"{message} (key: tasks)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data, message", [
+        # a name holding the latin-1 byte 0xe9 once raised UnicodeDecodeError
+        (b'{"Q": [[-1.0, 1.0], [2.0, -2.0]], "name": "caf\xe9"}',
+         "scenario is not UTF-8"),
+        (b'\xef\xbb\xbf{"Q": [[-1.0, 1.0], [2.0, -2.0]]}', "Unexpected UTF-8 BOM"),
+    ], ids=["latin-1", "BOM"])
+    def test_file_not_plain_utf8_exits_2(self, tmp_path, capsys, data, message):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(data)
+        assert main(["run", str(path), "-o", str(tmp_path / "out.json")]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra, key", [
+        # numpy once converted each of these strings, and the scenario ran
+        ({"Q": [["-1", "1"], ["2", "-2"]]}, "Q"),
+        ({"v": ["1", "0"]}, "v"),
+        ({"N": 2, "V0": {"pairwise": [["0", True], [True, "0"]]}}, "V0"),
+        ({"N": 2, "V0": ["0", 1, 1, 0]}, "V0"),
+        ({"N": 2, "tasks": [{"name": "hk-verify", "options": {"v2": ["0", "1"]}}]}, "v2"),
+        ({"Q": [[-1.0, None], [2.0, -2.0]]}, "Q"),
+        ({"v": [1.0, {"a": 1}]}, "v"),
+    ], ids=["Q", "v", "V0-pairwise", "V0-array", "hk-verify-v2", "Q-null", "v-object"])
+    def test_array_fields_hold_numbers(self, tmp_path, capsys, extra, key):
+        out = str(tmp_path / "out.json")
+        assert main(["run", write_scenario(tmp_path, dict(BASE, **extra)), "-o", out]) == 2
+        assert f"{key} must be an array of numbers (key: {key})" in capsys.readouterr().err
+
+    def test_array_fields_read_big_integers_and_bools(self, tmp_path):
+        # an integer past int64 leaves numpy an object array, which is read
+        # when it holds only numbers; bools read as 1 and 0
+        body = dict(BASE, v=[10 ** 30, True], N=2,
+                    V0={"pairwise": [[0, 10 ** 20], [10 ** 20, False]]})
+        sc = load_scenario(write_scenario(tmp_path, body))
+        assert sc.v.tolist() == [1e30, 1.0] and sc.V0.tolist() == [0.0, 1e20, 0.0]
+
     def test_unknown_task_option_rejected(self, tmp_path):
         body = dict(BASE, tasks=[{"name": "mc", "options": {"bogus": 1}}])
         sc = load_scenario(write_scenario(tmp_path, body))
