@@ -92,9 +92,19 @@ class Scenario:
         return self.system.lumped_QN, Potential(self.system.chain_potential(self.V0, self.v))
 
     @cached_property
+    def _ground(self) -> GroundData | Exception:
+        try:
+            return principal_eigen(*self.chain)
+        except (DVSemigroupError, ValueError) as exc:
+            return exc.with_traceback(None)     # holds no solver frame alive
+
+    @property
     def ground(self) -> GroundData:
-        """The Perron eigentriple of the chain, solved once."""
-        return principal_eigen(*self.chain)
+        """The Perron eigentriple of the chain, solved once; when that
+        solve fails, every read raises its error."""
+        if isinstance(self._ground, Exception):
+            raise self._ground
+        return self._ground
 
 
 def _require(cond: bool, message: str, key: str | None = None):

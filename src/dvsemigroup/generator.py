@@ -119,7 +119,8 @@ def _reachable(support: np.ndarray, start: int) -> np.ndarray:
 def _undirected_components(mat: np.ndarray) -> list[list[int]]:
     """Connected components of the undirected support graph of mat."""
     d = mat.shape[0]
-    support = (mat > 0) | (mat.T > 0)
+    support = mat > 0
+    support |= mat.T > 0
     np.fill_diagonal(support, False)
     unseen = np.ones(d, dtype=bool)
     components = []
@@ -147,14 +148,16 @@ def validate_generator(raw, tol_row: float = DEFAULT_ROW_TOL) -> Generator:
     if not np.all(np.isfinite(Q)):
         raise ValueError("rate matrix entries must be finite")
 
-    off = Q.copy()
-    np.fill_diagonal(off, 0.0)
-    if (off < 0).any():
-        i, j = map(int, np.argwhere(off < 0)[0])
+    # the tests below read Q with its diagonal cleared: once its entries are
+    # nonnegative, max |Q| is the larger of their max and the diagonal's
+    row_sums = Q.sum(axis=1)
+    diag = Q.diagonal().copy()
+    np.fill_diagonal(Q, 0.0)
+    if (Q < 0).any():
+        i, j = map(int, np.argwhere(Q < 0)[0])
         raise NegativeOffDiagonal(i, j, float(Q[i, j]))
 
-    scale = max(1.0, float(np.abs(Q).max()))
-    row_sums = Q.sum(axis=1)
+    scale = max(1.0, float(Q.max()), float(np.abs(diag).max()))
     bad = np.abs(row_sums) > tol_row * scale
     if bad.any():
         i = int(np.nonzero(bad)[0][0])
@@ -164,7 +167,6 @@ def validate_generator(raw, tol_row: float = DEFAULT_ROW_TOL) -> Generator:
     if len(components) > 1:
         raise GraphDisconnected(components)
 
-    np.fill_diagonal(Q, 0.0)
     np.fill_diagonal(Q, -Q.sum(axis=1))
     Q.setflags(write=False)
     return Generator(dim=d, rates=Q)
@@ -246,6 +248,4 @@ def check_condition_D(Q) -> bool:
     mat = Q.rates if isinstance(Q, Generator) else np.asarray(Q, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionMismatch("expected a square matrix")
-    off = mat.copy()
-    np.fill_diagonal(off, 0.0)
-    return len(_undirected_components(np.abs(off))) == 1
+    return len(_undirected_components(np.abs(mat))) == 1

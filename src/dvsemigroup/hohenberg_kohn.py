@@ -199,11 +199,9 @@ def reduced_functional(sys: TensorSystem, V0, rho, start=None) -> ReducedResult:
 
     The value is the primal I(p) - p V0.  Weak duality, I_HK(rho) >=
     rho(u) - lambda_{V0 + C^T u} for every u, tight at u = -y, certifies
-    it with one Perron solve: NotConverged is raised when that bracket
-    exceeds 1e-4 max(1, |value|), or when the run leaves C p = C p0 by
-    more than 1e-12.  That solve starts from the final point's rate
-    minimizer u* = e^w and p/u*, the ground state and measure of
-    V0 - C^T y at the optimum.
+    it with one cold Perron solve at u = -y: NotConverged is raised when
+    that bracket exceeds 1e-4 max(1, |value|), or when the run leaves
+    C p = C p0 by more than 1e-12.
     """
     V0v = sys.on_orbits(V0)
     rho = as_measure(rho, sys.d)
@@ -224,29 +222,16 @@ def reduced_functional(sys: TensorSystem, V0, rho, start=None) -> ReducedResult:
         p = _positive_weights(start, len(V0v))
         if float(np.abs(C @ p - rho_v).max()) > _CONSTRAINT_TOL:
             raise ValueError("start measure does not have marginal rho")
-    p, I, _, y, w = _simplex_newton(QL.rates, p, V0v, C, _INNER_TOL, _MAX_NEWTON)
+    p, I, _, y = _simplex_newton(QL.rates, p, V0v, C, _INNER_TOL, _MAX_NEWTON)
     value = float(I - p @ V0v)
     cviol = float(np.abs(C @ p - rho_v).max())
     # at the optimum, lambda_{V0 - C^T y} = -(value + rho y)
     offset = value + float(rho_v @ y)
-    bracket = offset + principal_eigen(QL, V0v - C.T @ y, _tilt_start(p, w, -offset)).lam
+    bracket = offset + principal_eigen(QL, V0v - C.T @ y).lam
     if abs(bracket) > _REDUCED_TOL * max(1.0, abs(value)):
         raise NotConverged(value, abs(bracket))
     return ReducedResult(value=value, multiplier=y, constraint_violation=cviol,
                          orbit_masses=p)
-
-
-def _tilt_start(p: np.ndarray, w: np.ndarray, lam: float) -> GroundData:
-    """Ground data that the rate minimizer u* = e^w at p predicts for the
-    potential it represents, with eigenvalue lam: psi ~ e^w and pi ~ p/e^w.
-    Both are scaled to peak 1 in logs and floored at the smallest normal
-    float, so a start stays positive where exp underflows."""
-    tiny = np.finfo(float).tiny
-    psi = np.maximum(np.exp(w - w.max()), tiny)
-    log_pi = np.log(p) - w
-    pi = np.maximum(np.exp(log_pi - log_pi.max()), tiny)
-    return GroundData(lam=lam, psi=psi, pi=ProbMeasure(pi / pi.sum()),
-                      mu=ProbMeasure(p / p.sum()))
 
 
 def i_hk(sys: TensorSystem, V0, rho, start=None) -> float:

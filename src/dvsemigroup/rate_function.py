@@ -39,7 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, NonFinite, NotConverged, UnsupportedSupport
+from .errors import (ConvergenceFailure, DimensionMismatch, NonFinite, NotConverged,
+                     UnsupportedSupport)
 from .generator import Generator, _shifted, as_potential
 from .spectral import ProbMeasure, as_measure, principal_eigen
 
@@ -218,8 +219,8 @@ def dv_sup(Q: Generator, V, start=None, logu=None):
     Vv = as_potential(V, d).values
     p0 = np.full(d, 1.0 / d) if start is None else _positive_weights(start, d)
     w0 = None if logu is None else as_potential(logu, d).values
-    mu, I, h, _, _ = _simplex_newton(Q.rates, p0, Vv, np.ones((1, d)), 1e-12,
-                                     _MAX_ITER, gap_tol=1e-9, w0=w0)
+    mu, I, h, _ = _simplex_newton(Q.rates, p0, Vv, np.ones((1, d)), 1e-12,
+                                  _MAX_ITER, gap_tol=1e-9, w0=w0)
     value = float(mu @ Vv - I)
     gap = float((Vv + h).max() - value)
     if gap > 1e-5 * max(1.0, abs(value)):
@@ -252,10 +253,10 @@ def _simplex_newton(Q: np.ndarray, p: np.ndarray, c: np.ndarray, A: np.ndarray,
 
     Each point gets one rate solve, warm-started from the previous point's
     log-tilt (the start's from w0, zero when None): an accepted trial's
-    solve serves the next step.  Returns (p, I, h, y, w): the final point
-    p (with gap_tol, the point of smallest gap), its rate I(p), h = L u*/u*
-    there and the log-tilt w of u* (see _rate_parts) from that point's
-    solve, and the last multiplier y.  NotConverged (best value phi(p)) is
+    solve serves the next step.  Returns (p, I, h, y): the final point p
+    (with gap_tol, the point of smallest gap), its rate I(p) and h = L u*/u*
+    at the rate minimizer u* (see _rate_parts) from that point's solve, and
+    the last multiplier y.  NotConverged (best value phi(p)) is
     raised once round-off in the KKT solves has carried p off A p = A p0 by
     more than 1e-12, ProbMeasure's tolerance on total mass (fast chains).
     """
@@ -275,7 +276,7 @@ def _simplex_newton(Q: np.ndarray, p: np.ndarray, c: np.ndarray, A: np.ndarray,
         gap = float(g @ p - g.min())
         if gap_tol is not None:
             if gap < best_gap:
-                best_gap, best_step, best = gap, steps, (p, I, h, w)
+                best_gap, best_step, best = gap, steps, (p, I, h)
             if gap <= gap_tol or steps - best_step == _STALL:
                 break
         if steps == max_steps:
@@ -317,11 +318,11 @@ def _simplex_newton(Q: np.ndarray, p: np.ndarray, c: np.ndarray, A: np.ndarray,
             break
         p, (I, w, h, Lw, H) = p_try, trial
     if best is not None:
-        p, I, h, w = best
+        p, I, h = best
     drift = float(np.abs(A @ p - Ap0).max())
     if drift > 1e-12:
         raise NotConverged(float(I - p @ c), drift)
-    return p, I, h, y, w
+    return p, I, h, y
 
 
 def _legendre_newton(Q: Generator, V0: np.ndarray, F: np.ndarray, target: np.ndarray,
@@ -384,7 +385,7 @@ def relative_entropy(mu, pi) -> float:
     a = mu.weights if isinstance(mu, ProbMeasure) else np.asarray(mu, dtype=float)
     b = pi.weights if isinstance(pi, ProbMeasure) else np.asarray(pi, dtype=float)
     if a.shape != b.shape:
-        raise ValueError("measures live on different state spaces")
+        raise DimensionMismatch("measures live on different state spaces")
     pos = a > 0
     if (b[pos] == 0).any():
         return float("inf")

@@ -623,6 +623,28 @@ class TestRun:
         assert run(write_scenario(tmp_path, body), str(tmp_path / "r.json")) == 0
         assert len(calls) == 1
 
+    def test_failed_ground_solve_runs_once(self, tmp_path, monkeypatch):
+        # the equilibrium measure underflows at 4 states; every task that
+        # reads the ground data fails with the one solve's error, where each
+        # solved again (4 solves, 4 identical errors)
+        from dvsemigroup import cli, spectral
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return spectral.principal_eigen(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "principal_eigen", counted)
+        body = dict(_cos_birth_death(64, 1e3), t_grid=[1.0],
+                    tasks=["spectral", "rate", "averaging",
+                           {"name": "mc", "options": {"t": 1.0, "paths": 10}}])
+        out = str(tmp_path / "r.json")
+        assert run(write_scenario(tmp_path, body), out) == 1
+        assert len(calls) == 1
+        errors = [task["error"] for task in json.loads(open(out).read())["tasks"]]
+        assert errors == 4 * [{"type": "NonFinite",
+                               "message": "equilibrium measure underflows at 4 states"}]
+
     def test_ihk_task_solves_perron_once(self, tmp_path, monkeypatch):
         # ihk reads its marginal from the scenario's ground data, so only
         # the certificate of reduced_functional solves again; when it ran

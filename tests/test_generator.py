@@ -1,5 +1,6 @@
 """Generator validation, carre du champ, and the structural conditions."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -49,6 +50,30 @@ class TestValidateGenerator:
 
     def test_single_state(self):
         assert validate_generator([[0.0]]).dim == 1
+
+    def test_row_tolerance_scales_with_the_diagonal(self):
+        # max |Q| = 2 sits on the diagonal: row 0's sum, -1.5e-12, is
+        # inside tol_row * 2 but not inside tol_row * (off-diagonal max 1)
+        Q = validate_generator([[-2.0 - 1.5e-12, 1.0, 1.0], [1.0, -2.0, 1.0],
+                                [1.0, 1.0, -2.0]])
+        assert Q.rates[0, 0] == -2.0
+
+    @pytest.mark.parametrize("check", [validate_generator, check_condition_D],
+                             ids=["validate_generator", "check_condition_D"])
+    def test_peak_is_one_copy_of_the_matrix(self, check, rng):
+        # one float copy and boolean masks; the copies kept for the sign
+        # test and for max |Q| once made peaks of 3.0 and 2.25 n x n
+        n = 512
+        raw = rng.uniform(0.0, 1.0, (n, n))
+        np.fill_diagonal(raw, 0.0)
+        np.fill_diagonal(raw, -raw.sum(axis=1))
+        tracemalloc.start()
+        try:
+            check(raw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * raw.nbytes
 
     def test_not_square(self):
         with pytest.raises(DimensionMismatch):

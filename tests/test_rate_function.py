@@ -469,6 +469,11 @@ class TestRelativeEntropy:
                    for s in np.linspace(-3, 3, 20001))
         assert best == pytest.approx(direct, abs=1e-7)
 
+    def test_different_lengths(self):
+        # the typed error of total_variation; a plain ValueError before
+        with pytest.raises(DimensionMismatch, match="different state spaces"):
+            relative_entropy([0.5, 0.5], [0.2, 0.3, 0.5])
+
     def test_nonnegative(self, rng):
         for _ in range(100):
             d = int(rng.integers(2, 7))

@@ -1,5 +1,8 @@
 """Principal eigendata, Doob transform, and the averaging constructions."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -285,6 +288,25 @@ class TestWarmStart:
         assert noda_steps == [1, 1]
         assert abs(again.lam - gd.lam) <= 1e-14
         assert np.abs(again.mu.weights / gd.mu.weights - 1).max() <= 1e-12
+
+    def test_every_start_is_solved_ground_data(self):
+        # GroundData comes only from the solver and from lift, which spreads
+        # solved orbit data over the d^N states: every Perron start is the
+        # ground data of an earlier solve
+        builders = set()
+
+        def visit(node, owner):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "GroundData":
+                    builders.add(owner)
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    visit(child, f"{owner}.{child.name}")
+                else:
+                    visit(child, owner)
+
+        for path in sorted(Path(spectral.__file__).parent.glob("*.py")):
+            visit(ast.parse(path.read_text()), path.stem)
+        assert builders == {"spectral.principal_eigen", "multiparticle.TensorSystem.lift"}
 
     @pytest.mark.parametrize("psi, pi, error", [
         ([1.0, 1.0, 1.0], [0.5, 0.5], DimensionMismatch),
