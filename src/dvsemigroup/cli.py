@@ -500,7 +500,9 @@ def run_scenario(sc: Scenario) -> tuple[dict, bool]:
             section["error"] = {"type": type(exc).__name__, "message": str(exc)}
             ok = False
         report["tasks"].append(section)
-        report["timings"][name] = time.perf_counter() - t0
+        # a task listed more than once is timed over all its runs
+        report["timings"][name] = (report["timings"].get(name, 0.0)
+                                   + time.perf_counter() - t0)
     report["timings"]["total"] = time.perf_counter() - total0
     return sanitize(report), ok
 
@@ -515,10 +517,16 @@ def write_report(report: dict, out_path: str | None):
             fh.write(text)
 
 
-def write_csv(report: dict, csv_dir: str):
-    """Vector-valued result fields, one CSV per field."""
+def _stem(path: str) -> str:
+    """A scenario file's name without its extension, which names the
+    scenario's report in an output directory and its CSV files."""
+    return os.path.splitext(os.path.basename(path))[0]
+
+
+def write_csv(report: dict, csv_dir: str, stem: str):
+    """Vector-valued result fields, one CSV per field, each named
+    <stem>__<task>__<field>.csv."""
     os.makedirs(csv_dir, exist_ok=True)
-    base = str(report.get("name", "scenario")).replace(os.sep, "_")
     for section in report.get("tasks", []):
         result = section.get("result")
         if not isinstance(result, dict):
@@ -526,7 +534,7 @@ def write_csv(report: dict, csv_dir: str):
         for key, val in result.items():
             if (isinstance(val, list) and val
                     and all(isinstance(x, (int, float)) for x in val)):
-                path = os.path.join(csv_dir, f"{base}__{section['task']}__{key}.csv")
+                path = os.path.join(csv_dir, f"{stem}__{section['task']}__{key}.csv")
                 with open(path, "w") as fh:
                     fh.writelines(f"{x}\n" for x in val)
 
@@ -543,7 +551,7 @@ def run(scenario_path: str, out_path: str | None = None,
         return 2
     write_report(report, out_path)
     if csv_dir is not None:
-        write_csv(report, csv_dir)
+        write_csv(report, csv_dir, _stem(scenario_path))
     return 0 if ok else 1
 
 
@@ -610,8 +618,7 @@ def main(argv=None) -> int:
         out_dir = args.out or "."
         reports = {}
         for path in args.scenarios:
-            stem = os.path.splitext(os.path.basename(path))[0]
-            out = os.path.join(out_dir, f"{stem}.report.json")
+            out = os.path.join(out_dir, f"{_stem(path)}.report.json")
             if out in reports:
                 print(f"error: {reports[out]} and {path} would both write {out}",
                       file=sys.stderr)

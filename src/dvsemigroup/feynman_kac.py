@@ -34,9 +34,9 @@ from .multiparticle import _require_bytes
 
 _BLOCK = 1 << 16  # paths per random stream in estimate_lambda
 # peak memory of estimate_lambda in float64 copies of its per-path exponents,
-# as measured: the exponents plus two same-length temporaries in the
-# log-mean-exp and the standard error
-_PATHS_PEAK = 3
+# as measured: the exponents, weighted in place, plus the one same-length
+# temporary of the standard error
+_PATHS_PEAK = 2
 
 
 def path_stream(seed: int, index: int) -> np.random.Generator:
@@ -150,14 +150,14 @@ def _weight_exponents(Q: Generator, vv: np.ndarray, t: float, n_paths: int,
 def estimate_lambda(Q: Generator, V, t: float, n_paths: int, seed: int):
     """Monte Carlo principal eigenvalue and its delta-method standard error.
 
-    estimate = (1/t) log( mean over paths of exp(weight exponent) ),
-    computed through a shifted log-mean-exp so large exponents never
-    overflow.  Start states are drawn uniformly, one per path, from the
-    stream of the path's block.  A constant potential makes every weight
-    deterministic, so that case returns the constant exactly with zero
-    error and no sampling.  Otherwise the per-path exponents and two
-    temporaries of their length must fit multiparticle._MAX_BYTES, else
-    StateSpaceTooLarge before anything is allocated.
+    estimate = (1/t) log( mean over paths of exp(weight exponent) ), read
+    with its standard error from the weights exp(exponent - max), formed
+    once in place over the exponents.  Start states are drawn uniformly,
+    one per path, from the stream of the path's block.  A constant
+    potential makes every weight deterministic, so that case returns the
+    constant exactly with zero error and no sampling.  Otherwise the
+    exponents and one temporary of their length must fit
+    multiparticle._MAX_BYTES, else StateSpaceTooLarge before allocating.
     """
     if n_paths < 2:
         raise ValueError("need at least two paths")
@@ -168,8 +168,8 @@ def estimate_lambda(Q: Generator, V, t: float, n_paths: int, seed: int):
         return float(vv[0]), 0.0
     _require_bytes(_PATHS_PEAK * 8 * n_paths)
 
-    exponents = _weight_exponents(Q, vv, t, n_paths, seed)
-    estimate = log_mean_exp(exponents) / t
-    scaled = np.exp(exponents - float(exponents.max()))
-    std_error = float(scaled.std(ddof=1)) / (math.sqrt(n_paths) * float(scaled.mean()) * t)
-    return estimate, std_error
+    weights = _weight_exponents(Q, vv, t, n_paths, seed)
+    shift = float(weights.max())
+    mean = float(np.exp(np.subtract(weights, shift, out=weights), out=weights).mean())
+    std_error = float(weights.std(ddof=1)) / (math.sqrt(n_paths) * mean * t)
+    return (shift + float(np.log(mean))) / t, std_error

@@ -170,7 +170,10 @@ class TestLoadScenario:
         ("spectral", "tasks must be a list"),
         ([{"name": ["spectral"]}], "a task name must be a string"),
         ([{"name": {"a": 1}}], "a task name must be a string"),
-    ], ids=["number", "null", "string", "list-name", "object-name"])
+        (["spectral", 5], "tasks must be names or objects"),
+        ([["spectral"]], "tasks must be names or objects"),
+    ], ids=["number", "null", "string", "list-name", "object-name", "number-entry",
+            "list-entry"])
     def test_malformed_tasks_exit_2(self, tmp_path, capsys, tasks, message):
         out = str(tmp_path / "out.json")
         assert main(["run", write_scenario(tmp_path, dict(BASE, tasks=tasks)), "-o", out]) == 2
@@ -203,6 +206,14 @@ class TestLoadScenario:
         out = str(tmp_path / "out.json")
         assert main(["run", write_scenario(tmp_path, dict(BASE, **extra)), "-o", out]) == 2
         assert f"{key} must be an array of numbers (key: {key})" in capsys.readouterr().err
+
+    def test_ragged_q_exits_2(self, tmp_path, capsys):
+        out = str(tmp_path / "out.json")
+        body = dict(BASE, Q=[[-1.0, 1.0], [2.0]])
+        assert main(["run", write_scenario(tmp_path, body), "-o", out]) == 2
+        assert not os.path.exists(out)
+        err = capsys.readouterr().err
+        assert "Q must be an array of numbers: " in err and err.rstrip().endswith("(key: Q)")
 
     def test_array_fields_read_big_integers_and_bools(self, tmp_path):
         # an integer past int64 leaves numpy an object array, which is read
@@ -366,7 +377,7 @@ class TestRun:
         assert "result" in spectral
         assert mc["error"]["type"] == "StateSpaceTooLarge"
         assert mc["error"]["message"] == (
-            "arrays need 24000000000000 bytes, budget is 2147483648 bytes")
+            "arrays need 16000000000000 bytes, budget is 2147483648 bytes")
 
     def test_negative_off_diagonal_exits_2(self, tmp_path, capsys):
         body = {"Q": [[-0.5, 0.5], [-1.0, 1.0]], "tasks": []}
@@ -970,14 +981,37 @@ class TestRun:
         assert main(["mc", write_scenario(tmp_path, BASE, "b.json"), "--paths", "1"]) == 2
 
     def test_csv_emission(self, tmp_path):
+        # CSV files are named by the scenario file's stem, not its name
         body = dict(BASE, tasks=["spectral"])
         out = str(tmp_path / "report.json")
         csv_dir = str(tmp_path / "csv")
-        assert run(write_scenario(tmp_path, body), out, csv_dir) == 0
-        files = sorted(os.listdir(csv_dir))
-        assert "demo__spectral__psi.csv" in files
-        psi = [float(line) for line in open(os.path.join(csv_dir, "demo__spectral__psi.csv"))]
-        assert len(psi) == 2
+        assert run(write_scenario(tmp_path, body, "chain.json"), out, csv_dir) == 0
+        assert sorted(os.listdir(csv_dir)) == [
+            f"chain__spectral__{key}.csv" for key in ("mu", "pi", "psi")]
+        psi = [float(line) for line in open(os.path.join(csv_dir, "chain__spectral__psi.csv"))]
+        assert psi == json.loads(open(out).read())["tasks"][0]["result"]["psi"]
+
+    def test_csv_skips_failed_tasks(self, tmp_path):
+        # the rate task fails at a measure with zeros; spectral's CSVs are
+        # still written
+        body = dict(BASE, tasks=["spectral", {"name": "rate", "options": {"mu": [1.0, 0.0]}}])
+        csv_dir = tmp_path / "csv"
+        assert run(write_scenario(tmp_path, body, "chain.json"),
+                   str(tmp_path / "report.json"), str(csv_dir)) == 1
+        assert sorted(os.listdir(csv_dir)) == [
+            f"chain__spectral__{key}.csv" for key in ("mu", "pi", "psi")]
+
+    def test_task_listed_twice_sums_its_timings(self, tmp_path, monkeypatch):
+        # the second mc run once overwrote the first one's time
+        from types import SimpleNamespace
+        from dvsemigroup import cli
+        clock = iter([0.0, 1.0, 3.0, 10.0, 20.0, 100.0, 107.0, 200.0])
+        monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+        mc = {"name": "mc", "options": {"paths": 10, "t": 1.0}}
+        sc = load_scenario(write_scenario(tmp_path, dict(BASE, tasks=[mc, "validate", mc])))
+        report, ok = run_scenario(sc)
+        assert ok and [s["task"] for s in report["tasks"]] == ["mc", "validate", "mc"]
+        assert report["timings"] == {"mc": 9.0, "validate": 10.0, "total": 200.0}
 
 
 class TestSanitize:
@@ -1160,6 +1194,26 @@ class TestMain:
         assert seen == [] and not out_dir.exists()
         err = capsys.readouterr().err
         assert pa in err and pb in err
+
+    def test_csv_of_two_files_with_one_name(self, tmp_path):
+        # both files named "same" once wrote one set of CSVs, the second
+        # file's, under exit code 0
+        tasks = ["spectral"]
+        pa = write_scenario(tmp_path, dict(BASE, name="same", tasks=tasks), "a.json")
+        pb = write_scenario(tmp_path, dict(BASE, name="same", v=[0.0, 2.0], tasks=tasks),
+                            "b.json")
+        out_dir, csv_dir = tmp_path / "out", tmp_path / "csv"
+        assert main(["run", pa, pb, "-o", str(out_dir), "--csv", str(csv_dir)]) == 0
+        assert sorted(os.listdir(csv_dir)) == [
+            f"{stem}__spectral__{key}.csv" for stem in "ab" for key in ("mu", "pi", "psi")]
+        for stem in "ab":
+            report = json.loads((out_dir / f"{stem}.report.json").read_text())
+            for key, val in report["tasks"][0]["result"].items():
+                if isinstance(val, list):
+                    rows = (csv_dir / f"{stem}__spectral__{key}.csv").read_text().split()
+                    assert [float(x) for x in rows] == val
+        assert (csv_dir / "a__spectral__psi.csv").read_text() != (
+            csv_dir / "b__spectral__psi.csv").read_text()
 
     def test_run_into_an_existing_directory(self, tmp_path):
         # one scenario and an existing -o directory once raised

@@ -134,19 +134,22 @@ class TestEstimateLambda:
         assert peak <= 8 * (8 * feynman_kac._BLOCK + 8 * d * d)
 
     def test_path_count_bounded_in_bytes(self, two_state, monkeypatch):
-        # the per-path exponents and two temporaries of their length must
+        # the per-path exponents and one temporary of their length must
         # fit the byte budget, checked before sampling
         from dvsemigroup import StateSpaceTooLarge, multiparticle
-        monkeypatch.setattr(multiparticle, "_MAX_BYTES", 24 * 1000)
+        monkeypatch.setattr(multiparticle, "_MAX_BYTES", 16 * 1000)
         estimate_lambda(two_state, [1.0, 0.0], 1.0, 1000, seed=0)
         with pytest.raises(StateSpaceTooLarge) as exc:
             estimate_lambda(two_state, [1.0, 0.0], 1.0, 1001, seed=0)
-        assert (exc.value.needed, exc.value.budget) == (24 * 1001, 24 * 1000)
+        assert (exc.value.needed, exc.value.budget) == (16 * 1001, 16 * 1000)
         # a constant potential samples nothing
         assert estimate_lambda(two_state, [0.3, 0.3], 1.0, 10 ** 12, seed=0) == (0.3, 0.0)
 
-    def test_peak_memory_is_three_exponent_copies(self, two_state):
-        # what the byte check counts, plus one block's working vectors
+    def test_peak_memory_is_two_exponent_copies(self, two_state):
+        # what the byte check counts, plus one block's working vectors: the
+        # weights are formed in place, so the standard error's temporary is
+        # the only other array of one entry per path
+        assert feynman_kac._PATHS_PEAK == 2
         n = 16 * feynman_kac._BLOCK
         tracemalloc.start()
         try:

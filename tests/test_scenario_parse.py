@@ -215,6 +215,24 @@ class TestLargeScenario:
         assert _outcome(dense_300, tmp_path, capsys) == fast
         assert fast[0] == 0 and fast[2]["config"]["Q"]["shape"] == [300, 300]
 
+    def test_big_integer_task_option_is_read_by_json(self, tmp_path, capsys, monkeypatch):
+        # orjson reads the integer past 64 bits inside a task's options as a
+        # float, so json reads the file, and the echo keeps the integer
+        orjson = pytest.importorskip("orjson")
+        data = _scenario('"tasks": [{"name": "validate", "options": {"T": 10' + "0" * 23
+                         + '}}]') + b" " * cli._ORJSON_MIN_BYTES
+        path = tmp_path / "scenario.json"
+        path.write_bytes(data)
+        calls = []
+        monkeypatch.setattr(orjson, "loads", lambda data, loads=orjson.loads:
+                            calls.append(len(data)) or loads(data))
+        fast = _outcome(path, tmp_path, capsys)
+        assert calls == [len(data)]
+        assert not _same(orjson.loads(data), _json(data))
+        monkeypatch.setattr(cli, "_ORJSON_MIN_BYTES", float("inf"))
+        assert _outcome(path, tmp_path, capsys) == fast
+        assert fast[0] == 0 and fast[2]["config"]["tasks"][0]["options"]["T"] == 10 ** 24
+
     def test_small_scenario_leaves_orjson_unimported(self, dense_300):
         pytest.importorskip("orjson")
         script = ("import sys; from dvsemigroup import cli; cli.load_scenario(sys.argv[1]); "

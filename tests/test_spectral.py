@@ -245,6 +245,27 @@ class TestPrincipalEigen:
         err = np.log(gd.psi) - oracles.tridiagonal_log_ground_state(M, lam)
         assert np.ptp(err) <= 1e-12
 
+    @pytest.mark.parametrize("n", [
+        52,
+        pytest.param(56, marks=pytest.mark.xfail(strict=True, reason=(
+            "wrong Perron tails past the underflow (ROADMAP item 12): mu is "
+            "3.8e-29 at state 50, where the exact mass is 1e-300, with no error"))),
+    ])
+    def test_steep_birth_death_tail(self, n):
+        # up rate 1, down rate 1e6 and V = 0: detailed balance gives
+        # mu_k = 10^(-6k) / Z, down to 1e-306 at n = 52; at n = 56 the
+        # masses of states 54 and 55 underflow to zero
+        Q = np.diag(np.ones(n - 1), 1) + np.diag(np.full(n - 1, 1e6), -1)
+        Q = validate_generator(Q - np.diag(Q.sum(axis=1)))
+        k = np.arange(n)
+        log10_mu = -6.0 * k - np.log10(np.sum(10.0 ** (-6.0 * k)))
+        if not np.all(10.0 ** log10_mu):
+            with pytest.raises(NonFinite, match="underflows"):
+                principal_eigen(Q, np.zeros(n))
+        else:
+            mu = principal_eigen(Q, np.zeros(n)).mu.weights
+            assert np.abs(np.log10(mu) - log10_mu).max() <= 1e-12
+
 
 class TestWarmStart:
     """principal_eigen started from the ground data of a nearby potential
